@@ -10,18 +10,18 @@
 //	bench -preset youtube -scale 0.1 -workers 8 -out BENCH_predict.json
 //	bench -compare old.json       # measure, then diff against a previous file
 //	bench -algs Katz,Rescal,LRW   # benchmark a subset by name
-//	bench -scaling renren-100k    # local family: pruned vs exhaustive sweep
+//	bench -scaling renren-100k    # local family at the preset's native size
 //	bench -short -scaling renren-100k -compare BENCH_predict.json
 //
 // The renren-100k and renren-1m presets are pre-sized (use -scale 1 with
 // them); -scaling generates each named preset at its native size and times
-// the local metrics' pruned candidate engine against the exhaustive wedge
-// sweep (Options.ExhaustiveSweep), asserting bit-identical top-k output.
+// the local metrics' pruned candidate engine on it (its bit-identity with
+// an exhaustive sweep is pinned by internal/predict's oracle tests).
 // -compare flags any algorithm regressing more than 10% against a previous
 // file; -fail-on-regress turns that into a nonzero exit for CI.
 //
 // Each algorithm is warmed once before timing, so per-snapshot cached
-// artifacts (CSR adjacency, latent factor matrices — see internal/snapcache)
+// artifacts (degree order, latent factor matrices — see internal/snapcache)
 // are built outside the timed loop: the latent-family rows measure scoring
 // against warm factors, the steady state of an evaluation sweep.
 package main
@@ -54,22 +54,18 @@ type result struct {
 }
 
 // scalingResult is one (preset, algorithm, workers) row of the -scaling
-// sweep: the pruned candidate engine timed against the exhaustive wedge
-// sweep on the same graph, with a bit-identity check on the top-k output.
+// sweep: the pruned candidate engine timed on a preset-sized graph.
 type scalingResult struct {
-	Preset       string  `json:"preset"`
-	Nodes        int     `json:"nodes"`
-	Edges        int     `json:"edges"`
-	Algorithm    string  `json:"algorithm"`
-	Workers      int     `json:"workers"`
-	PrunedNs     int64   `json:"pruned_ns_per_op"`
-	ExhaustiveNs int64   `json:"exhaustive_ns_per_op"`
-	Speedup      float64 `json:"speedup_vs_exhaustive"`
+	Preset    string `json:"preset"`
+	Nodes     int    `json:"nodes"`
+	Edges     int    `json:"edges"`
+	Algorithm string `json:"algorithm"`
+	Workers   int    `json:"workers"`
+	PrunedNs  int64  `json:"pruned_ns_per_op"`
 	// AllPairsNs times scoring every one of the N(N-1)/2 pairs through the
 	// batch path (-allpairs) — the O(N²) wall the candidate engine escapes.
 	AllPairsNs      int64   `json:"all_pairs_ns_per_op,omitempty"`
 	SpeedupAllPairs float64 `json:"speedup_vs_all_pairs,omitempty"`
-	Identical       bool    `json:"identical_topk"`
 }
 
 // shardResult is one (preset, algorithm, workers, shards) row of the
@@ -695,11 +691,9 @@ func runPublish(o *output, tr *graph.Trace, presetName string, batches []int, mi
 	return nil
 }
 
-// runScaling generates each named preset at its native size and, for every
-// local metric and worker count, times the default (pruned) Predict against
-// the exhaustive sweep, checking the two top-k outputs are bit-identical.
-// A mismatch is a contract violation, not noise, so it is returned as an
-// error. Rows are appended to o.Scaling.
+// runScaling generates each named preset at its native size and times the
+// default (pruned) Predict for every local metric and worker count. Rows are
+// appended to o.Scaling.
 func runScaling(o *output, presets, algNames []string, seed int64, k int, counts []int, mintime time.Duration, maxIters int, allPairs bool) error {
 	for _, name := range presets {
 		g, err := presetGraph(name, seed)
@@ -719,54 +713,25 @@ func runScaling(o *output, presets, algNames []string, seed int64, k int, counts
 			for _, w := range counts {
 				opt := predict.DefaultOptions()
 				opt.Workers = w
-				exOpt := opt
-				exOpt.ExhaustiveSweep = true
-				// Warm both paths outside the timed loops and capture one
-				// output each for the bit-identity check.
-				pruned := alg.Predict(g, k, opt)
-				exact := alg.Predict(g, k, exOpt)
-				identical := len(pruned) == len(exact)
-				if identical {
-					for i := range pruned {
-						if pruned[i] != exact[i] {
-							identical = false
-							break
-						}
-					}
-				}
-				prunedNs := measure(mintime, maxIters, func() { alg.Predict(g, k, opt) })
-				exNs := measure(mintime, maxIters, func() { alg.Predict(g, k, exOpt) })
-				speedup := 0.0
-				if prunedNs > 0 {
-					speedup = float64(exNs) / float64(prunedNs)
-				}
+				alg.Predict(g, k, opt) // warm the per-snapshot artifacts
 				row := scalingResult{
-					Preset:       name,
-					Nodes:        g.NumNodes(),
-					Edges:        g.NumEdges(),
-					Algorithm:    alg.Name(),
-					Workers:      w,
-					PrunedNs:     prunedNs,
-					ExhaustiveNs: exNs,
-					Speedup:      speedup,
-					Identical:    identical,
+					Preset:    name,
+					Nodes:     g.NumNodes(),
+					Edges:     g.NumEdges(),
+					Algorithm: alg.Name(),
+					Workers:   w,
+					PrunedNs:  measure(mintime, maxIters, func() { alg.Predict(g, k, opt) }),
 				}
+				fmt.Printf("%-12s %-8s workers=%-2d pruned %12s/op", name, alg.Name(), w, time.Duration(row.PrunedNs))
 				if allPairs && g.NumNodes() <= maxAllPairsNodes {
 					row.AllPairsNs = allPairsNs(alg, g, opt)
-					if prunedNs > 0 {
-						row.SpeedupAllPairs = float64(row.AllPairsNs) / float64(prunedNs)
+					if row.PrunedNs > 0 {
+						row.SpeedupAllPairs = float64(row.AllPairsNs) / float64(row.PrunedNs)
 					}
-				}
-				o.Scaling = append(o.Scaling, row)
-				fmt.Printf("%-12s %-8s workers=%-2d pruned %12s/op  exhaustive %12s/op  speedup=%.2fx",
-					name, alg.Name(), w, time.Duration(prunedNs), time.Duration(exNs), speedup)
-				if allPairs {
 					fmt.Printf("  all-pairs %12s/op  speedup=%.1fx", time.Duration(row.AllPairsNs), row.SpeedupAllPairs)
 				}
 				fmt.Println()
-				if !identical {
-					return fmt.Errorf("-scaling: %s %s workers=%d: pruned top-k differs from exhaustive sweep", name, alg.Name(), w)
-				}
+				o.Scaling = append(o.Scaling, row)
 			}
 		}
 	}
@@ -798,7 +763,7 @@ func main() {
 	maxIters := flag.Int("maxiters", 50, "iteration cap per cell")
 	compare := flag.String("compare", "", "previous BENCH_predict.json to diff the fresh results against")
 	algsFlag := flag.String("algs", "", "comma-separated algorithm names to benchmark (default: the evaluated set plus SRW)")
-	scaling := flag.String("scaling", "", "comma-separated presets for the pruned-vs-exhaustive local-metric sweep (e.g. renren-100k,renren-1m)")
+	scaling := flag.String("scaling", "", "comma-separated presets for the native-size local-metric sweep (e.g. renren-100k,renren-1m)")
 	scalingAlgs := flag.String("scaling-algs", "", "local metrics for -scaling (default: the full 12-metric local family)")
 	allPairs := flag.Bool("allpairs", false, "also time the O(N²) all-pairs baseline per -scaling row (expensive: N(N-1)/2 scored pairs per measurement)")
 	shardsFlag := flag.String("shards", "", "comma-separated shard counts for the scatter/gather sweep (e.g. 2,4,8); simulates the cluster's source-sharded prediction in process")

@@ -39,7 +39,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -210,7 +209,7 @@ func main() {
 		}
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := serve.NewHTTPServer(*addr, srv.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("linkpredd: serving on %s (snapshot every %d edges, %d workers, queue %d, eval %v)\n",

@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -43,6 +42,7 @@ import (
 	"linkpred/internal/cluster"
 	"linkpred/internal/liveeval"
 	"linkpred/internal/obs"
+	"linkpred/internal/serve"
 )
 
 // shardList collects repeated -shard flags in order; the flag order IS the
@@ -150,7 +150,7 @@ func main() {
 		}
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: router.Handler()}
+	hs := serve.NewHTTPServer(*addr, router.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	fmt.Printf("linkpredr: routing %d shards on %s (seed %d, hedge %v, epoch retries %d)\n",

@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"linkpred/internal/obs"
@@ -51,17 +49,6 @@ func (r *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// httpError is the JSON error envelope, matching the worker's.
-type httpError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 // errStatus maps a gather error to its HTTP status: every shard down is an
 // upstream outage (502), an exhausted budget a gateway timeout (504), and a
 // shard's deterministic refusal passes through with its original status.
@@ -79,50 +66,42 @@ func errStatus(err error) int {
 	}
 }
 
+// handlePredict parses the query with the worker's own parser, so both
+// tiers accept and refuse the same requests with the same bodies. A valid
+// shard/shards pair is ignored: the router always answers the whole sweep.
 func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query()
-	alg := q.Get("alg")
-	if alg == "" {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "missing alg parameter"})
-		return
-	}
-	k := 50
-	if raw := q.Get("k"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v <= 0 {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad k %q", raw)})
-			return
-		}
-		k = v
-	}
-	budget, err := r.parseTimeout(q)
+	q, err := serve.ParsePredictQuery(req.URL.Query())
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
+		serve.WriteError(w, http.StatusBadRequest, err.Error())
 		return
+	}
+	budget := r.cfg.Timeout
+	if q.TimeoutMS > 0 {
+		budget = time.Duration(q.TimeoutMS) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(req.Context(), budget)
 	defer cancel()
-	res, err := r.Predict(ctx, alg, k)
+	res, err := r.Predict(ctx, q.Alg, q.K)
 	if err != nil {
-		writeJSON(w, errStatus(err), httpError{Error: err.Error()})
+		serve.WriteError(w, errStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	serve.WriteJSON(w, http.StatusOK, res)
 }
 
 func (r *Router) handleScore(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, httpError{Error: "POST required"})
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 8<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad score request: " + err.Error()})
+		serve.WriteError(w, http.StatusBadRequest, "bad score request: "+err.Error())
 		return
 	}
 	status, raw, err := r.Score(req.Context(), body)
 	if err != nil {
-		writeJSON(w, http.StatusBadGateway, httpError{Error: err.Error()})
+		serve.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -132,7 +111,7 @@ func (r *Router) handleScore(w http.ResponseWriter, req *http.Request) {
 
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, httpError{Error: "POST required"})
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var in struct {
@@ -140,28 +119,28 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	}
 	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 64<<20))
 	if err := dec.Decode(&in); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad ingest request: " + err.Error()})
+		serve.WriteError(w, http.StatusBadRequest, "bad ingest request: "+err.Error())
 		return
 	}
 	out, err := r.Ingest(req.Context(), in.Events)
 	if err != nil {
-		writeJSON(w, errStatus(err), httpError{Error: err.Error()})
+		serve.WriteError(w, errStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, out)
+	serve.WriteJSON(w, http.StatusOK, out)
 }
 
 func (r *Router) handleFlush(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, httpError{Error: "POST required"})
+		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	seq, err := r.Flush(req.Context())
 	if err != nil {
-		writeJSON(w, errStatus(err), httpError{Error: err.Error()})
+		serve.WriteError(w, errStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]int64{"snapshot_seq": seq})
+	serve.WriteJSON(w, http.StatusOK, map[string]int64{"snapshot_seq": seq})
 }
 
 func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
@@ -170,5 +149,5 @@ func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
 	if h.ShardsUp == 0 {
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
+	serve.WriteJSON(w, status, h)
 }

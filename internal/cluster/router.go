@@ -31,7 +31,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1058,21 +1057,4 @@ func (r *Router) postJSON(ctx context.Context, u string, body []byte, out any) e
 		return json.Unmarshal(raw, out)
 	}
 	return nil
-}
-
-// parseTimeout reads timeout_ms from a query, returning the router default
-// on absence.
-func (r *Router) parseTimeout(q url.Values) (time.Duration, error) {
-	raw := q.Get("timeout_ms")
-	if raw == "" {
-		return r.cfg.Timeout, nil
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("bad timeout_ms %q", raw)
-	}
-	if v == 0 {
-		return r.cfg.Timeout, nil
-	}
-	return time.Duration(v) * time.Millisecond, nil
 }

@@ -5,26 +5,9 @@ import (
 	"sort"
 )
 
-// CSR returns the snapshot's adjacency in compressed-sparse-row form:
-// row u is cols[rowptr[u]:rowptr[u+1]], sorted. The slices are freshly
-// allocated except that rows are copied, not shared. Requires a full
-// snapshot — a partitioned one materializes only a subset of entries.
-func (g *Graph) CSR() (rowptr []int64, cols []NodeID) {
-	g.mustFull("CSR")
-	n := g.NumNodes()
-	rowptr = make([]int64, n+1)
-	for u := 0; u < n; u++ {
-		rowptr[u+1] = rowptr[u] + int64(len(g.row(NodeID(u))))
-	}
-	cols = make([]NodeID, rowptr[n])
-	for u := 0; u < n; u++ {
-		copy(cols[rowptr[u]:], g.row(NodeID(u)))
-	}
-	return rowptr, cols
-}
-
-// FromCSR builds a flat full snapshot over n nodes whose row u is
-// cols[rowptr[u]:rowptr[u+1]]. Rows alias cols — callers loading a
+// FromCSR builds a full snapshot over n nodes whose row u is
+// cols[rowptr[u]:rowptr[u+1]] — the compressed-sparse-row form checkpoints
+// store. Rows alias cols — callers loading a
 // checkpoint from a memory-mapped buffer get a zero-copy graph, and must
 // keep the buffer immutable and alive for the graph's lifetime. The
 // structure is fully validated (monotone rowptr, sorted in-range rows, no
@@ -46,7 +29,7 @@ func FromCSR(n int, rowptr []int64, cols []NodeID, edges int, tm int64) (*Graph,
 	if int64(len(cols)) != 2*int64(edges) {
 		return nil, fmt.Errorf("graph: FromCSR %d entries for %d edges, want %d", len(cols), edges, 2*edges)
 	}
-	adj := make([][]NodeID, n)
+	g := &Graph{pages: make([][][]NodeID, pageCount(n)), n: n, edges: edges, resident: int64(len(cols)), Time: tm}
 	for u := 0; u < n; u++ {
 		lo, hi := rowptr[u], rowptr[u+1]
 		if lo > hi {
@@ -64,20 +47,22 @@ func FromCSR(n int, rowptr []int64, cols []NodeID, edges int, tm int64) (*Graph,
 				return nil, fmt.Errorf("graph: FromCSR row %d not strictly increasing at entry %d", u, i)
 			}
 		}
-		adj[u] = row
+		if len(row) > 0 {
+			setRow(g.pages, u, row)
+		}
 	}
 	// Symmetry: every entry must have its mirror, or degree-based scores and
 	// wedge sweeps silently diverge from the trace they claim to snapshot.
 	for u := 0; u < n; u++ {
-		for _, v := range adj[u] {
-			row := adj[v]
+		for _, v := range g.row(NodeID(u)) {
+			row := g.row(v)
 			i := sort.Search(len(row), func(i int) bool { return row[i] >= NodeID(u) })
 			if i >= len(row) || row[i] != NodeID(u) {
 				return nil, fmt.Errorf("graph: FromCSR edge (%d, %d) has no mirror entry", u, v)
 			}
 		}
 	}
-	return &Graph{adj: adj, edges: edges, resident: int64(len(cols)), Time: tm}, nil
+	return g, nil
 }
 
 // NewIncrementalBuilderFrom returns a builder seeded from an existing full
@@ -94,22 +79,8 @@ func NewIncrementalBuilderFrom(t *Trace, g *Graph, m int) *IncrementalBuilder {
 	}
 	n := g.NumNodes()
 	b := &IncrementalBuilder{t: t, m: m, n: n, edges: g.NumEdges(), emitGen: 1}
-	np := (n + pageSize - 1) >> pageShift
-	b.pages = make([][][]NodeID, np)
-	b.pageGen = make([]int32, np)
+	b.pages = append([][][]NodeID(nil), g.pages...)
+	b.pageGen = make([]int32, len(b.pages))
 	b.rowGen = make([]int32, n)
-	if g.pages != nil {
-		copy(b.pages, g.pages[:np])
-	} else {
-		for u := 0; u < n; u++ {
-			if row := g.adj[u]; row != nil {
-				p := u >> pageShift
-				if b.pages[p] == nil {
-					b.pages[p] = make([][]NodeID, pageSize)
-				}
-				b.pages[p][u&pageMask] = row
-			}
-		}
-	}
 	return b
 }

@@ -21,6 +21,16 @@ func csrTestTrace() *Trace {
 	return t
 }
 
+// csrOf dumps g in the compressed-sparse-row form checkpoints store.
+func csrOf(g *Graph) (rowptr []int64, cols []NodeID) {
+	rowptr = make([]int64, g.NumNodes()+1)
+	for u := 0; u < g.NumNodes(); u++ {
+		cols = append(cols, g.Neighbors(NodeID(u))...)
+		rowptr[u+1] = int64(len(cols))
+	}
+	return rowptr, cols
+}
+
 func requireSameGraph(t *testing.T, got, want *Graph, label string) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() || got.Time != want.Time {
@@ -43,7 +53,7 @@ func TestCSRRoundTrip(t *testing.T) {
 	tr := csrTestTrace()
 	for _, m := range []int{0, 1, 7, tr.NumEdges()} {
 		g := tr.SnapshotAtEdge(m)
-		rowptr, cols := g.CSR()
+		rowptr, cols := csrOf(g)
 		back, err := FromCSR(g.NumNodes(), rowptr, cols, g.NumEdges(), g.Time)
 		if err != nil {
 			t.Fatalf("FromCSR at %d: %v", m, err)
@@ -53,12 +63,11 @@ func TestCSRRoundTrip(t *testing.T) {
 }
 
 func TestCSRRoundTripPaged(t *testing.T) {
-	// Paged snapshots (incremental emissions) must dump identically to
-	// flat ones.
+	// Incremental emissions must dump identically to offline builds.
 	tr := csrTestTrace()
 	b := NewIncrementalBuilder(tr)
 	g := b.AtEdge(tr.NumEdges())
-	rowptr, cols := g.CSR()
+	rowptr, cols := csrOf(g)
 	back, err := FromCSR(g.NumNodes(), rowptr, cols, g.NumEdges(), g.Time)
 	if err != nil {
 		t.Fatalf("FromCSR: %v", err)
@@ -68,7 +77,7 @@ func TestCSRRoundTripPaged(t *testing.T) {
 
 func TestFromCSRRejectsMalformed(t *testing.T) {
 	g := csrTestTrace().SnapshotAtEdge(15)
-	rowptr, cols := g.CSR()
+	rowptr, cols := csrOf(g)
 	n, e, tm := g.NumNodes(), g.NumEdges(), g.Time
 
 	cases := []struct {
@@ -126,7 +135,7 @@ func TestIncrementalBuilderFromMatchesOffline(t *testing.T) {
 	for _, m := range []int{0, 1, 6, 10, total} {
 		seed := tr.SnapshotAtEdge(m)
 		// Route through CSR to mimic the checkpoint-recovery path exactly.
-		rowptr, cols := seed.CSR()
+		rowptr, cols := csrOf(seed)
 		loaded, err := FromCSR(seed.NumNodes(), rowptr, cols, seed.NumEdges(), seed.Time)
 		if err != nil {
 			t.Fatalf("FromCSR at %d: %v", m, err)
@@ -146,7 +155,7 @@ func TestIncrementalBuilderFromDoesNotMutateColsBuffer(t *testing.T) {
 	tr := csrTestTrace()
 	m := 8
 	seed := tr.SnapshotAtEdge(m)
-	rowptr, cols := seed.CSR()
+	rowptr, cols := csrOf(seed)
 	orig := append([]NodeID(nil), cols...)
 	loaded, err := FromCSR(seed.NumNodes(), rowptr, cols, seed.NumEdges(), seed.Time)
 	if err != nil {

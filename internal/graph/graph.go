@@ -7,13 +7,12 @@
 // keeps snapshots compact and lets adjacency be stored as slices rather than
 // maps even for graphs with millions of edges.
 //
-// Snapshots come in two physical layouts behind one interface: flat rows
-// (Build, Subgraph — one []NodeID per node) and paged rows (incremental
-// emissions — rows grouped into fixed-size pages so a publish only copies
-// the touched pages plus a small top-level page table). A snapshot may also
-// be partitioned (Partition non-nil): it materializes complete rows only
-// for an owned source range plus the truncated frontier rows the wedge
-// kernels intersect against, while Degree still reports full-graph degrees.
+// Every snapshot has one physical layout: rows grouped into fixed-size
+// pages under a small top-level page table, so an incremental publish only
+// copies the touched pages plus the table. A snapshot may also be
+// partitioned (Partition non-nil): it materializes complete rows only for
+// an owned source range plus the truncated frontier rows the wedge kernels
+// intersect against, while Degree still reports full-graph degrees.
 package graph
 
 import (
@@ -34,22 +33,32 @@ type Edge struct {
 	Time int64
 }
 
-// Rows are grouped into pages of 1<<pageShift nodes in the incremental
-// layout, so publishing a snapshot copies O(touched pages) instead of
-// O(nodes) row headers.
+// Rows are grouped into pages of 1<<pageShift nodes, so publishing a
+// snapshot copies O(touched pages) instead of O(nodes) row headers.
 const (
 	pageShift = 8
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
 )
 
+// pageCount returns the number of pages covering n rows.
+func pageCount(n int) int { return (n + pageSize - 1) >> pageShift }
+
+// setRow stores row u in pages, allocating its page on first use.
+func setRow(pages [][][]NodeID, u int, row []NodeID) {
+	p := u >> pageShift
+	if pages[p] == nil {
+		pages[p] = make([][]NodeID, pageSize)
+	}
+	pages[p][u&pageMask] = row
+}
+
 // Graph is an immutable snapshot of an undirected network at a point in
 // time. Adjacency lists are sorted by NodeID, enabling O(log d) membership
 // tests and linear-time neighborhood intersection.
 type Graph struct {
-	adj   [][]NodeID   // flat layout; nil when paged
-	pages [][][]NodeID // paged layout; nil when flat
-	n     int          // node count in the paged layout
+	pages [][][]NodeID // row u is pages[u>>pageShift][u&pageMask]; nil pages hold no rows
+	n     int
 	edges int
 	// resident counts materialized adjacency entries (each undirected edge
 	// contributes up to two). Equal to 2*edges on full snapshots; smaller on
@@ -71,18 +80,14 @@ type Partition struct {
 	// Lo, Hi bound the owned source range [Lo, Hi). Hi may exceed the
 	// snapshot's node count (an open-ended last shard); sweeps clamp.
 	Lo, Hi NodeID
-	// Full-graph degrees, in exactly one of the two layouts.
-	deg      []int32   // flat (offline views)
-	degPages [][]int32 // paged (incremental emissions)
+	// Full-graph degrees, paged like the rows; nil pages are all zero.
+	degPages [][]int32
 }
 
 // Owns reports whether source u falls in the owned range.
 func (p *Partition) Owns(u NodeID) bool { return u >= p.Lo && u < p.Hi }
 
 func (p *Partition) degree(u NodeID) int {
-	if p.deg != nil {
-		return int(p.deg[u])
-	}
 	pg := p.degPages[int(u)>>pageShift]
 	if pg == nil {
 		return 0
@@ -93,26 +98,18 @@ func (p *Partition) degree(u NodeID) int {
 // Partition returns the partition descriptor, or nil for a full snapshot.
 func (g *Graph) Partition() *Partition { return g.part }
 
-// row returns the materialized adjacency row of u in either layout.
+// row returns the materialized adjacency row of u.
 func (g *Graph) row(u NodeID) []NodeID {
-	if g.pages != nil {
-		pg := g.pages[int(u)>>pageShift]
-		if pg == nil {
-			return nil
-		}
-		return pg[int(u)&pageMask]
+	pg := g.pages[int(u)>>pageShift]
+	if pg == nil {
+		return nil
 	}
-	return g.adj[u]
+	return pg[int(u)&pageMask]
 }
 
 // NumNodes returns the number of nodes in the snapshot, including isolated
 // nodes that have arrived but created no edges yet.
-func (g *Graph) NumNodes() int {
-	if g.pages != nil {
-		return g.n
-	}
-	return len(g.adj)
-}
+func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the number of undirected edges. On a partitioned
 // snapshot this is still the full-graph count.
@@ -143,27 +140,18 @@ func (g *Graph) ResidentEntries() int64 { return g.resident }
 // columns report.
 func (g *Graph) ResidentBytes() int64 {
 	const sliceHeader = 24
-	b := g.resident * 4
-	if g.pages != nil {
-		b += int64(len(g.pages)) * sliceHeader
-		for _, pg := range g.pages {
-			if pg != nil {
-				b += pageSize * sliceHeader
-			}
+	b := g.resident*4 + int64(len(g.pages))*sliceHeader
+	for _, pg := range g.pages {
+		if pg != nil {
+			b += pageSize * sliceHeader
 		}
-	} else {
-		b += int64(len(g.adj)) * sliceHeader
 	}
 	if g.part != nil {
-		if g.part.deg != nil {
-			b += int64(len(g.part.deg)) * 4
-		} else {
-			for _, pg := range g.part.degPages {
-				if pg != nil {
-					b += pageSize * 4
-				}
+		b += int64(len(g.part.degPages)) * sliceHeader
+		for _, pg := range g.part.degPages {
+			if pg != nil {
+				b += pageSize * 4
 			}
-			b += int64(len(g.part.degPages)) * sliceHeader
 		}
 	}
 	return b
@@ -260,7 +248,7 @@ func (g *Graph) UnconnectedPairs() int64 {
 // edges and self-loops are dropped. The snapshot Time is the maximum edge
 // timestamp (zero for an empty edge set).
 func Build(n int, edges []Edge) *Graph {
-	g := &Graph{adj: make([][]NodeID, n)}
+	g := &Graph{pages: make([][][]NodeID, pageCount(n)), n: n}
 	deg := make([]int32, n)
 	for _, e := range edges {
 		if e.U == e.V {
@@ -269,32 +257,39 @@ func Build(n int, edges []Edge) *Graph {
 		deg[e.U]++
 		deg[e.V]++
 	}
-	for i := range g.adj {
-		g.adj[i] = make([]NodeID, 0, deg[i])
+	for u, d := range deg {
+		if d > 0 {
+			setRow(g.pages, u, make([]NodeID, 0, d))
+		}
+	}
+	push := func(u, v NodeID) {
+		row := &g.pages[int(u)>>pageShift][int(u)&pageMask]
+		*row = append(*row, v)
 	}
 	for _, e := range edges {
 		if e.U == e.V {
 			continue
 		}
-		g.adj[e.U] = append(g.adj[e.U], e.V)
-		g.adj[e.V] = append(g.adj[e.V], e.U)
+		push(e.U, e.V)
+		push(e.V, e.U)
 		if e.Time > g.Time {
 			g.Time = e.Time
 		}
 	}
-	for u := range g.adj {
-		a := g.adj[u]
-		slices.Sort(a)
-		// Deduplicate in place.
-		w := 0
-		for i := range a {
-			if i == 0 || a[i] != a[i-1] {
-				a[w] = a[i]
-				w++
+	for _, pg := range g.pages {
+		for i, a := range pg {
+			slices.Sort(a)
+			// Deduplicate in place.
+			w := 0
+			for j := range a {
+				if j == 0 || a[j] != a[j-1] {
+					a[w] = a[j]
+					w++
+				}
 			}
+			pg[i] = a[:w]
+			g.edges += w
 		}
-		g.adj[u] = a[:w]
-		g.edges += w
 	}
 	g.edges /= 2
 	g.resident = 2 * int64(g.edges)
@@ -304,8 +299,9 @@ func Build(n int, edges []Edge) *Graph {
 // PartitionView returns a partitioned view of the full snapshot g that owns
 // source range [lo, hi): complete rows for owned sources, truncated rows
 // for the 1-hop frontier (any node adjacent to an owned source), nil rows
-// elsewhere. Rows are shared with g — the view costs O(nodes) headers plus
-// a degree table, never a copy of the entries.
+// elsewhere. Rows are shared with g and pages are allocated only where an
+// owned or frontier row lands — the view costs those row headers plus a
+// degree table, never a copy of the entries.
 //
 // Frontier truncation is per-row minimal: row w keeps only entries
 // >= τ_w, where τ_w is w's smallest owned neighbor. A wedge sweep from
@@ -321,11 +317,17 @@ func PartitionView(g *Graph, lo, hi NodeID) *Graph {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("graph: PartitionView range [%d, %d) invalid", lo, hi))
 	}
-	deg := make([]int32, n)
+	np := pageCount(n)
+	// One backing array for the degree table, sliced into pages.
+	deg := make([]int32, np*pageSize)
+	degPages := make([][]int32, np)
+	for p := range degPages {
+		degPages[p] = deg[p*pageSize : (p+1)*pageSize]
+	}
 	for u := 0; u < n; u++ {
 		deg[u] = int32(len(g.row(NodeID(u))))
 	}
-	adj := make([][]NodeID, n)
+	pages := make([][][]NodeID, np)
 	// tau[w] = min owned neighbor of w, or -1 when w is not frontier.
 	// Sources are visited in ascending order, so the first assignment wins.
 	tau := make([]NodeID, n)
@@ -339,7 +341,10 @@ func PartitionView(g *Graph, lo, hi NodeID) *Graph {
 	}
 	for u := lo; u < clampHi; u++ {
 		row := g.row(u)
-		adj[u] = row
+		if len(row) == 0 {
+			continue
+		}
+		setRow(pages, int(u), row)
 		resident += int64(len(row))
 		for _, w := range row {
 			if tau[w] < 0 {
@@ -356,15 +361,16 @@ func PartitionView(g *Graph, lo, hi NodeID) *Graph {
 		t := tau[w]
 		i := sort.Search(len(row), func(i int) bool { return row[i] >= t })
 		if i < len(row) {
-			adj[w] = row[i:]
+			setRow(pages, w, row[i:])
 			resident += int64(len(row) - i)
 		}
 	}
 	return &Graph{
-		adj:      adj,
+		pages:    pages,
+		n:        n,
 		edges:    g.edges,
 		resident: resident,
-		part:     &Partition{Lo: lo, Hi: hi, deg: deg},
+		part:     &Partition{Lo: lo, Hi: hi, degPages: degPages},
 		Time:     g.Time,
 	}
 }

@@ -241,7 +241,7 @@ func (b *IncrementalBuilder) AtEdge(m int) *Graph {
 	if n > b.n {
 		b.grow(n)
 	}
-	np := (n + pageSize - 1) >> pageShift
+	np := pageCount(n)
 	top := make([][][]NodeID, np)
 	copy(top, b.pages[:np])
 	g := &Graph{pages: top, n: n, edges: b.edges, Time: tm}
@@ -268,7 +268,7 @@ func (b *IncrementalBuilder) grow(n int) {
 		b.rowGen = append(b.rowGen, b.emitGen)
 		b.n++
 	}
-	for np := (b.n + pageSize - 1) >> pageShift; len(b.pages) < np; {
+	for np := pageCount(b.n); len(b.pages) < np; {
 		b.pages = append(b.pages, nil)
 		b.pageGen = append(b.pageGen, b.emitGen)
 		if b.partitioned {

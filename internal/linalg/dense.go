@@ -1,6 +1,6 @@
 // Package linalg implements the small linear-algebra substrate the latent
-// metric-based predictors need: dense matrices, sparse CSR adjacency
-// matrices, Cholesky solves for ALS (Rescal), a Jacobi eigensolver for small
+// metric-based predictors need: dense matrices, a snapshot's sparse
+// adjacency matrix read in place, Cholesky solves for ALS (Rescal), a Jacobi eigensolver for small
 // symmetric systems, and rank-r subspace iteration used by the low-rank Katz
 // approximation. Everything is from scratch on the standard library.
 package linalg

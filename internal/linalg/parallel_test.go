@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -26,7 +25,7 @@ func randomTestGraph(rng *rand.Rand, n, m int) *graph.Graph {
 
 func TestMulVecWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	a := mustCSR(t, randomTestGraph(rng, 300, 1500))
+	a := AdjacencyOf(randomTestGraph(rng, 300, 1500))
 	x := make([]float64, a.N)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -46,7 +45,7 @@ func TestMulVecWorkerInvariance(t *testing.T) {
 
 func TestMulDenseWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	a := mustCSR(t, randomTestGraph(rng, 250, 1200))
+	a := AdjacencyOf(randomTestGraph(rng, 250, 1200))
 	x := NewDense(a.N, 9)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
@@ -93,7 +92,7 @@ func TestMatMulWorkerInvariance(t *testing.T) {
 
 func TestTopEigWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	a := mustCSR(t, randomTestGraph(rng, 200, 900))
+	a := AdjacencyOf(randomTestGraph(rng, 200, 900))
 	refVals, refVecs := a.TopEig(6, 40, 42, 1)
 	for _, w := range invarianceWorkers[1:] {
 		vals, vecs := a.TopEig(6, 40, 42, w)
@@ -110,14 +109,39 @@ func TestTopEigWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestCheckCSRSizeBoundary(t *testing.T) {
-	if err := checkCSRSize(math.MaxInt32); err != nil {
-		t.Errorf("nnz = MaxInt32 should fit: %v", err)
+func TestAdjacencyOfRefusesPartition(t *testing.T) {
+	g := randomTestGraph(rand.New(rand.NewSource(15)), 50, 200)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AdjacencyOf accepted a partitioned snapshot")
+		}
+	}()
+	AdjacencyOf(graph.PartitionView(g, 10, 30))
+}
+
+// The sparse products at the shapes the latent predictors use them: a
+// rank-32 block (Katz's eigensolve) over a graph spanning many row pages.
+
+func BenchmarkMulDense(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	a := AdjacencyOf(randomTestGraph(rng, 20000, 200000))
+	x, y := NewDense(a.N, 32), NewDense(a.N, 32)
+	for i := range x.Data {
+		x.Data[i] = rng.NormFloat64()
 	}
-	if err := checkCSRSize(math.MaxInt32 + 1); err == nil {
-		t.Error("nnz = MaxInt32+1 should overflow the int32 RowPtr offsets")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.MulDense(x, y, 1)
 	}
-	if err := checkCSRSize(0); err != nil {
-		t.Errorf("nnz = 0: %v", err)
+}
+
+var eigSink []float64
+
+func BenchmarkTopEig(b *testing.B) {
+	a := AdjacencyOf(randomTestGraph(rand.New(rand.NewSource(17)), 5000, 50000))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eigSink, _ = a.TopEig(32, 10, 1, 1)
 	}
 }

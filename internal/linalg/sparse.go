@@ -2,7 +2,6 @@ package linalg
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -11,50 +10,31 @@ import (
 	"linkpred/internal/par"
 )
 
-// CSR is a sparse matrix in compressed-sparse-row form with unit values,
-// exactly what an unweighted adjacency matrix needs.
+// CSR is the symmetric unit-valued adjacency matrix of a snapshot, read in
+// place: row i is g.Neighbors(i), ascending, so the products below fold each
+// row in the order a compressed-sparse-row copy would and hold no copy of
+// their own.
 type CSR struct {
-	N      int
-	RowPtr []int32
-	Col    []graph.NodeID
+	N int
+	g *graph.Graph
 }
 
-// checkCSRSize verifies the directed entry count fits the int32 RowPtr
-// offsets. Factored out so the boundary is unit-testable without allocating
-// two-billion-entry slices.
-func checkCSRSize(nnz int64) error {
-	if nnz > math.MaxInt32 {
-		return fmt.Errorf("linalg: adjacency has %d directed entries, exceeding the int32 CSR offset limit %d", nnz, int64(math.MaxInt32))
+// AdjacencyOf returns the adjacency matrix of the full snapshot g. A
+// partitioned snapshot is refused: its truncated frontier rows would
+// silently mis-multiply.
+func AdjacencyOf(g *graph.Graph) CSR {
+	if p := g.Partition(); p != nil {
+		panic(fmt.Sprintf("linalg: AdjacencyOf requires a full snapshot, not a partitioned one owning [%d, %d)", p.Lo, p.Hi))
 	}
-	return nil
-}
-
-// FromGraph builds the (symmetric) adjacency matrix of g. It fails if the
-// graph's directed entry count (2|E|) overflows the int32 row offsets.
-func FromGraph(g *graph.Graph) (*CSR, error) {
-	n := g.NumNodes()
-	nnz := int64(0)
-	for u := 0; u < n; u++ {
-		nnz += int64(g.Degree(graph.NodeID(u)))
-	}
-	if err := checkCSRSize(nnz); err != nil {
-		return nil, err
-	}
-	c := &CSR{N: n, RowPtr: make([]int32, n+1)}
-	c.Col = make([]graph.NodeID, 0, nnz)
-	for u := 0; u < n; u++ {
-		c.Col = append(c.Col, g.Neighbors(graph.NodeID(u))...)
-		c.RowPtr[u+1] = int32(len(c.Col))
-	}
-	return c, nil
+	return CSR{N: g.NumNodes(), g: g}
 }
 
 // mulVecRange computes rows [lo, hi) of y = A x.
-func (a *CSR) mulVecRange(x, y []float64, lo, hi int) {
+func (a CSR) mulVecRange(x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += x[a.Col[k]]
+		for _, c := range a.g.Neighbors(graph.NodeID(i)) {
+			s += x[c]
 		}
 		y[i] = s
 	}
@@ -64,20 +44,20 @@ func (a *CSR) mulVecRange(x, y []float64, lo, hi int) {
 // and is overwritten. Each output row is owned by exactly one worker and
 // accumulates in the same neighbor order as a serial run, so the result is
 // bit-identical at any worker count.
-func (a *CSR) MulVec(x, y []float64, workers int) {
+func (a CSR) MulVec(x, y []float64, workers int) {
 	par.ShardRange(a.N, workers, func(_, lo, hi int) { a.mulVecRange(x, y, lo, hi) })
 }
 
 // mulDenseRange computes rows [lo, hi) of Y = A X.
-func (a *CSR) mulDenseRange(x, y *Dense, lo, hi int) {
+func (a CSR) mulDenseRange(x, y *Dense, lo, hi int) {
 	r := x.Cols
 	for i := lo; i < hi; i++ {
 		yrow := y.Row(i)
 		for j := 0; j < r; j++ {
 			yrow[j] = 0
 		}
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			xrow := x.Row(int(a.Col[k]))
+		for _, c := range a.g.Neighbors(graph.NodeID(i)) {
+			xrow := x.Row(int(c))
 			for j := 0; j < r; j++ {
 				yrow[j] += xrow[j]
 			}
@@ -89,7 +69,7 @@ func (a *CSR) mulDenseRange(x, y *Dense, lo, hi int) {
 // goroutines, overwriting Y. Row ownership keeps the per-row accumulation
 // order identical to a serial run, so the result is bit-identical at any
 // worker count.
-func (a *CSR) MulDense(x, y *Dense, workers int) {
+func (a CSR) MulDense(x, y *Dense, workers int) {
 	var start time.Time
 	track := obs.Enabled()
 	if track {
@@ -122,7 +102,7 @@ func transposeInto(dst, src *Dense) {
 // random initialization and every float operation replay the historical
 // n x r element order, so results are bit-identical to the original serial
 // column-major implementation at any worker count.
-func (a *CSR) TopEig(r, iters int, seed int64, workers int) (vals []float64, vecs *Dense) {
+func (a CSR) TopEig(r, iters int, seed int64, workers int) (vals []float64, vecs *Dense) {
 	if r > a.N {
 		r = a.N
 	}

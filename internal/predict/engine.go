@@ -138,41 +138,6 @@ func twoHopParts(g *graph.Graph, k int, opt Options, visit func(u, v graph.NodeI
 	return parts
 }
 
-// predictTwoHop is the full sharded 2-hop Predict path: sweep, merge, sort.
-func predictTwoHop(g *graph.Graph, k int, opt Options, visit func(u, v graph.NodeID, top *topK)) []Pair {
-	return mergeTopK(k, opt.Seed, twoHopParts(g, k, opt, visit)).Result()
-}
-
-// predictFusedTwoHop is the kernel fast path of predictTwoHop: identical
-// sharding, candidate set, telemetry (nodes_swept, and pairs_scored via the
-// per-worker selectors), and merge contract, but scoring accumulates inside
-// the wedge sweep through kern instead of intersecting adjacency lists per
-// pair. The visit-callback path above stays as the reference implementation
-// the fused kernels are property-tested against (TestFusedKernels*).
-func predictFusedTwoHop(g *graph.Graph, k int, opt Options, kern sweepKernel) []Pair {
-	n := g.NumNodes()
-	base, end := opt.sourceSpan(n)
-	workers := par.LimitWorkers(workerCount(opt), wedgeWork(g), minSweepWork)
-	parts := make([]*topK, workers)
-	scratch := make([]*sweepScratch, workers)
-	shardRange(opt, end-base, workers, func(w, lo, hi int) {
-		if parts[w] == nil {
-			parts[w] = newTopKRec(k, opt)
-			scratch[w] = newSweepScratch(n)
-		}
-		opt.rec.addNodes(int64(hi - lo))
-		top, s := parts[w], scratch[w]
-		for u := base + lo; u < base+hi; u++ {
-			uid := graph.NodeID(u)
-			s.sweepCandidates(g, uid, kern.witness)
-			for _, v := range s.cands {
-				top.Add(uid, v, kern.finish(uid, v, s.count[v], s.weight[v]))
-			}
-		}
-	})
-	return mergeTopK(k, opt.Seed, parts).Result()
-}
-
 // scorePairsFused is the kernel batch path: queries grouped by source via
 // sourceSortedIndex share one unrestricted sweep per distinct source within
 // a chunk, and each query is answered by an O(1) lookup into the worker's

@@ -133,10 +133,9 @@ func TestFusedPairsScoredMatchesReference(t *testing.T) {
 			withTelemetry(t, func() {
 				opt := DefaultOptions()
 				opt.Workers = workers
-				// The exhaustive sweep is the path whose candidate set must
-				// equal the full enumeration; the pruned default skips
-				// provably hopeless sources (prune_test.go covers it).
-				opt.ExhaustiveSweep = true
+				// 200 sources fit one pruneBatchMin batch, so no source is
+				// pruned and the candidate set must equal the full
+				// enumeration (prune_test.go covers graphs that prune).
 				alg.Predict(g, 50, opt)
 				key := "predict/" + alg.Name() + "/pairs_scored"
 				c, ok := obs.LookupCounter(key)

@@ -37,7 +37,7 @@ func katzFactors(g *graph.Graph, opt Options) (scaled, raw *linalg.Dense) {
 	}
 	key := fmt.Sprintf("predict/katz/r=%d,it=%d,beta=%v,seed=%d", rank, iters, opt.KatzBeta, opt.Seed)
 	return factorPair(g, key, func() (*linalg.Dense, *linalg.Dense) {
-		a := snapCSR(g)
+		a := linalg.AdjacencyOf(g)
 		vals, vecs := a.TopEig(rank, iters, opt.Seed, workerCount(opt))
 		scaled := vecs.Clone()
 		for i, lam := range vals {

@@ -72,23 +72,7 @@ func (m *localMetric) Predict(g *graph.Graph, k int, opt Options) []Pair {
 	if m.usesNB {
 		nb = cachedNaiveBayes(g, opt)
 	}
-	kern := m.kernel(g, nb)
-	if opt.ExhaustiveSweep {
-		return predictFusedTwoHop(g, k, opt, kern)
-	}
-	return predictPruned(g, k, opt, m, nb, kern)
-}
-
-// referencePredict is the pre-fusion per-pair intersection path, kept as
-// the oracle the fused Predict is property-tested against.
-func (m *localMetric) referencePredict(g *graph.Graph, k int, opt Options) []Pair {
-	var nb *naiveBayes
-	if m.usesNB {
-		nb = newNaiveBayes(g, opt)
-	}
-	return predictTwoHop(g, k, opt, func(u, v graph.NodeID, top *topK) {
-		top.Add(u, v, m.score(g, nb, u, v, g.CommonNeighbors(u, v)))
-	})
+	return predictPruned(g, k, opt, m, nb, m.kernel(g, nb))
 }
 
 func (m *localMetric) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
@@ -103,27 +87,6 @@ func (m *localMetric) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []fl
 		nb = cachedNaiveBayes(g, opt)
 	}
 	return scorePairsFused(g, pairs, opt, m.kernel(g, nb))
-}
-
-// referenceScorePairs is the pre-fusion per-pair batch path, kept as the
-// oracle the fused ScorePairs is property-tested against.
-func (m *localMetric) referenceScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	var nb *naiveBayes
-	if m.usesNB {
-		nb = newNaiveBayes(g, opt)
-	}
-	out := make([]float64, len(pairs))
-	shardRange(opt, len(pairs), workerCount(opt), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := pairs[i]
-			common := g.CommonNeighbors(p.U, p.V)
-			if len(common) == 0 {
-				continue
-			}
-			out[i] = m.score(g, nb, p.U, p.V, common)
-		}
-	})
-	return out
 }
 
 // cachedNaiveBayes returns the snapshot's naive Bayes statistics, built at

@@ -77,28 +77,6 @@ func TestPartitionedPredictEquivalence(t *testing.T) {
 	}
 }
 
-// TestPartitionedPredictFusedPath covers the exhaustive fused engine on
-// partitioned views (the pruned engine is the default path above).
-func TestPartitionedPredictFusedPath(t *testing.T) {
-	g := randomGraph(7, 300, 1200)
-	n := g.NumNodes()
-	const k = 20
-	for _, alg := range []Algorithm{CN, AA, JC} {
-		opt := DefaultOptions()
-		opt.ExhaustiveSweep = true
-		opt.Workers = 4
-		want := alg.Predict(g, k, opt)
-		for _, shards := range []int{2, 5} {
-			parts := make([][]Pair, shards)
-			for s, b := range partitionBounds(n, shards) {
-				parts[s] = alg.Predict(graph.PartitionView(g, b[0], b[1]), k, opt)
-			}
-			assertSamePairs(t, want, MergeTopK(parts, k, opt.Seed),
-				fmt.Sprintf("%s fused, %d shards", alg.Name(), shards))
-		}
-	}
-}
-
 // TestPartitionedStreamingBuilderPredict closes the loop on the serving
 // path's representation: snapshots emitted by the streaming partitioned
 // builder (which keeps a slightly different — superset — frontier than the

@@ -112,14 +112,6 @@ type Options struct {
 	// snapshot size.
 	SourceRange *SourceRange
 
-	// ExhaustiveSweep disables top-k threshold pruning in the local-metric
-	// Predict path, sweeping every source exactly as the reference engine
-	// does. Output is identical either way — pruning only skips sources
-	// whose score upper bound proves they cannot enter the top k — so the
-	// toggle exists for benchmarking the pruned engine against the full
-	// sweep and as an operational escape hatch.
-	ExhaustiveSweep bool
-
 	// TopDegreeBlock is the number of highest-degree nodes whose pairings
 	// with every other node are added to the global candidate set used by
 	// latent-space algorithms.

@@ -38,8 +38,8 @@ import (
 //     later floor (the floor is monotone), so the bounded heaps would have
 //     rejected each of them on the score comparison alone. The surviving
 //     sweep computes every candidate's score with the same per-source
-//     accumulation order as the exhaustive engine, so Predict output is
-//     bit-identical to predictFusedTwoHop and referencePredict. Float
+//     accumulation order as an exhaustive sweep, so Predict output is
+//     bit-identical to the per-pair test oracle (oracle_test.go). Float
 //     safety of the bound itself: witness terms are folded in the same
 //     ascending order as the score, and appending non-negative terms to an
 //     IEEE fold is monotone, so ub ≥ score holds for the floats too.
@@ -60,8 +60,7 @@ const minSweepWork = 1 << 15
 
 // pruneBatchMin is the smallest source batch the pruned engine processes
 // between floor refreshes. Graphs with fewer sources complete in a single
-// batch and can never prune, which keeps small inputs on the exact same
-// sweep schedule as the exhaustive engine.
+// batch and can never prune: small inputs are swept exhaustively.
 const pruneBatchMin = 512
 
 // wedgeWork returns Σ_u deg(u)², the total wedge-visit count of a full

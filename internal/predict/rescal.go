@@ -55,7 +55,7 @@ func rescalFactors(g *graph.Graph, opt Options) (xr, x *linalg.Dense) {
 }
 
 func buildRescalFactors(g *graph.Graph, opt Options, n, rank, iters int, lambda float64) (xr, x *linalg.Dense) {
-	a := snapCSR(g)
+	a := linalg.AdjacencyOf(g)
 	workers := workerCount(opt)
 	// Spectral initialization: start X at the dominant eigenvectors of A
 	// (perturbed slightly to break symmetric ALS stationary points). This

@@ -66,23 +66,6 @@ func TestShardedPredictMergeEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedPredictFusedPath covers the exhaustive fused engine (the
-// pruned engine is the local family's default) under the same contract.
-func TestShardedPredictFusedPath(t *testing.T) {
-	g := randomGraph(7, 300, 1200)
-	const k = 20
-	for _, alg := range []Algorithm{CN, AA, BRA} {
-		opt := DefaultOptions()
-		opt.ExhaustiveSweep = true
-		opt.Workers = 4
-		want := alg.Predict(g, k, opt)
-		for _, shards := range []int{2, 5} {
-			got := predictSharded(g, alg, k, shards, opt)
-			assertSamePairs(t, want, got, fmt.Sprintf("%s fused, %d shards", alg.Name(), shards))
-		}
-	}
-}
-
 // TestMergeTopKOrderInvariance: the merge is a function of the union, not
 // of part order or part boundaries.
 func TestMergeTopKOrderInvariance(t *testing.T) {

@@ -7,24 +7,12 @@ import (
 )
 
 // This file binds the algorithms to the per-snapshot artifact cache
-// (internal/snapcache): the CSR adjacency, log-degree table, and latent
-// factor matrices are built once per snapshot and shared across algorithms,
+// (internal/snapcache): the log-degree table and latent factor matrices
+// are built once per snapshot and shared across algorithms,
 // worker counts, and Predict/ScorePairs calls. Every cached artifact is a
 // deterministic, worker-count-invariant function of the graph and the
 // parameters encoded in its key, so cache hits can never change output —
 // the worker-invariance suite exercises both cold and warm paths.
-
-// snapCSR returns the snapshot's shared CSR adjacency. The only build error
-// is the int32 offset overflow guard (≥ 2³¹ directed entries), which no
-// in-memory snapshot on this substrate can reach, hence panic over error
-// plumbing through the Algorithm interface.
-func snapCSR(g *graph.Graph) *linalg.CSR {
-	c, err := snapcache.For(g).CSR()
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
 
 // logDegTable returns the shared per-node nonNegLog(deg) table used by the
 // log-weighted witnesses (AA, BAA). Values are exactly nonNegLog of the

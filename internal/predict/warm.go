@@ -6,10 +6,10 @@ import (
 )
 
 // Warm prebuilds the per-snapshot cached artifacts the named algorithms
-// read on their scoring paths: the shared CSR adjacency, the degree order
-// and top-degree candidate block, the log-degree table for the log-weighted
-// local metrics, and the latent factor matrices (Katz eigensolve, KatzSC
-// landmark embedding, Rescal ALS) under the parameter set opt encodes.
+// read on their scoring paths: the degree order and top-degree candidate
+// block, the log-degree table for the log-weighted local metrics, and the
+// latent factor matrices (Katz eigensolve, KatzSC landmark embedding, Rescal
+// ALS) under the parameter set opt encodes.
 //
 // The serving layer calls it off the request path right after a snapshot is
 // published, so the first query against the new snapshot pays a cache hit
@@ -27,9 +27,9 @@ func Warm(g *graph.Graph, names []string, opt Options) {
 	arts := snapcache.For(g)
 	if g.Partition() != nil {
 		// Partitioned snapshots serve only the partition-safe local family.
-		// The latent factorizations and the linalg CSR would silently read
-		// the truncated frontier rows, so only the degree-derived artifacts
-		// are warmed (CSRView disables its hub block on partitions itself).
+		// The latent factorizations would silently read the truncated
+		// frontier rows, so only the degree-derived artifacts are warmed
+		// (CSRView disables its hub block on partitions itself).
 		arts.DegreeOrder()
 		arts.CSRView()
 		wedgeWork(g)
@@ -60,13 +60,8 @@ func Warm(g *graph.Graph, names []string, opt Options) {
 			rescalFactors(g, opt)
 		default:
 			// Walk/path algorithms keep per-source scratch, not snapshot
-			// artifacts; the CSR below covers their shared input.
+			// artifacts.
 		}
-	}
-	if _, err := arts.CSR(); err != nil {
-		// The int32-offset overflow guard; unreachable for servable
-		// in-memory snapshots, and scoring paths re-surface it anyway.
-		return
 	}
 	arts.Block(opt.TopDegreeBlock)
 }

@@ -134,3 +134,16 @@ func TestGoldenEndToEnd(t *testing.T) {
 		t.Fatalf("served payload diverged from %s (regenerate with UPDATE_GOLDEN=1 if the change is intended)\ngot %d bytes, want %d", goldenPath, len(got1), len(want))
 	}
 }
+
+// TestNewHTTPServerTimeouts pins the daemons' listener policy: header and
+// idle timeouts set, no write timeout (a slow latent /predict is legitimate
+// and bounded per request by timeout_ms).
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	hs := NewHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, IdleTimeout %v: both must be set", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout %v, ReadTimeout %v: want none", hs.WriteTimeout, hs.ReadTimeout)
+	}
+}

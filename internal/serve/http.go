@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"time"
 
@@ -44,6 +45,22 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// Connection timeouts of the daemons' listeners. A client that never
+// finishes its request headers (slow loris) or parks an idle keep-alive
+// connection is cut off; there is deliberately no write timeout, because a
+// legitimate latent /predict may run for seconds and the per-request
+// timeout_ms already bounds it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns the http.Server linkpredd and linkpredr listen
+// with: h on addr under the connection timeouts above.
+func NewHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // statusWriter records the response status for the per-endpoint counters.
 type statusWriter struct {
 	http.ResponseWriter
@@ -78,16 +95,69 @@ func instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// httpError is the JSON error envelope.
-type httpError struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v as the JSON body of a response with the given status.
+// The router (internal/cluster) answers through the same two writers, so a
+// client sees one envelope whichever tier it talks to.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
+}
+
+// WriteError writes the JSON error envelope {"error": msg}.
+func WriteError(w http.ResponseWriter, status int, msg string) {
+	WriteJSON(w, status, struct {
+		Error string `json:"error"`
+	}{msg})
+}
+
+// PredictQuery is a parsed /predict query string.
+type PredictQuery struct {
+	Alg string
+	K   int // default 50
+	// TimeoutMS is the request's own budget; 0 means none was given.
+	TimeoutMS int64
+	// Shard of Shards selects one source shard's slice of the sweep (the
+	// cluster scatter path, DESIGN.md §12); 0 of 1 is the whole sweep.
+	Shard, Shards int
+}
+
+// ParsePredictQuery parses and validates the /predict parameters shared by
+// the shard and the router. The error text is the body of the 400.
+func ParsePredictQuery(q url.Values) (PredictQuery, error) {
+	p := PredictQuery{Alg: q.Get("alg"), K: 50, Shards: 1}
+	if p.Alg == "" {
+		return p, errors.New("missing alg parameter")
+	}
+	if raw := q.Get("k"); raw != "" {
+		v, err := strconv.Atoi(raw)
+		if err != nil || v <= 0 {
+			return p, fmt.Errorf("bad k %q", raw)
+		}
+		p.K = v
+	}
+	if raw := q.Get("timeout_ms"); raw != "" {
+		v, err := strconv.ParseInt(raw, 10, 64)
+		if err != nil || v < 0 {
+			return p, fmt.Errorf("bad timeout_ms %q", raw)
+		}
+		p.TimeoutMS = v
+	}
+	if raw := q.Get("shards"); raw != "" {
+		v, err := strconv.Atoi(raw)
+		if err != nil || v <= 0 {
+			return p, fmt.Errorf("bad shards %q", raw)
+		}
+		p.Shards = v
+	}
+	if raw := q.Get("shard"); raw != "" {
+		v, err := strconv.Atoi(raw)
+		if err != nil || v < 0 || v >= p.Shards {
+			return p, fmt.Errorf("bad shard %q of %d", raw, p.Shards)
+		}
+		p.Shard = v
+	}
+	return p, nil
 }
 
 // errStatus maps a serving error to its HTTP status.
@@ -117,57 +187,19 @@ func reqCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFu
 }
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	alg := q.Get("alg")
-	if alg == "" {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "missing alg parameter"})
-		return
-	}
-	k := 50
-	if raw := q.Get("k"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v <= 0 {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad k %q", raw)})
-			return
-		}
-		k = v
-	}
-	var timeoutMS int64
-	if raw := q.Get("timeout_ms"); raw != "" {
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil || v < 0 {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad timeout_ms %q", raw)})
-			return
-		}
-		timeoutMS = v
-	}
-	// shard/shards select the cluster scatter path: answer only the
-	// requested source shard's slice of the sweep (DESIGN.md §12).
-	shard, shards := 0, 1
-	if raw := q.Get("shards"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v <= 0 {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad shards %q", raw)})
-			return
-		}
-		shards = v
-	}
-	if raw := q.Get("shard"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 || v >= shards {
-			writeJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("bad shard %q of %d", raw, shards)})
-			return
-		}
-		shard = v
-	}
-	ctx, cancel := reqCtx(r, timeoutMS)
-	defer cancel()
-	res, err := s.PredictShard(ctx, alg, k, shard, shards)
+	q, err := ParsePredictQuery(r.URL.Query())
 	if err != nil {
-		writeJSON(w, errStatus(err), httpError{Error: err.Error()})
+		WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	ctx, cancel := reqCtx(r, q.TimeoutMS)
+	defer cancel()
+	res, err := s.PredictShard(ctx, q.Alg, q.K, q.Shard, q.Shards)
+	if err != nil {
+		WriteError(w, errStatus(err), err.Error())
+		return
+	}
+	WriteJSON(w, http.StatusOK, res)
 }
 
 type scoreRequest struct {
@@ -178,27 +210,27 @@ type scoreRequest struct {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, httpError{Error: "POST required"})
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req scoreRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad score request: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "bad score request: "+err.Error())
 		return
 	}
 	if req.Alg == "" || len(req.Pairs) == 0 {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "alg and pairs are required"})
+		WriteError(w, http.StatusBadRequest, "alg and pairs are required")
 		return
 	}
 	ctx, cancel := reqCtx(r, req.TimeoutMS)
 	defer cancel()
 	res, err := s.Score(ctx, req.Alg, req.Pairs)
 	if err != nil {
-		writeJSON(w, errStatus(err), httpError{Error: err.Error()})
+		WriteError(w, errStatus(err), err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	WriteJSON(w, http.StatusOK, res)
 }
 
 type ingestRequest struct {
@@ -214,22 +246,22 @@ type ingestResponse struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, httpError{Error: "POST required"})
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	var req ingestRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, httpError{Error: "bad ingest request: " + err.Error()})
+		WriteError(w, http.StatusBadRequest, "bad ingest request: "+err.Error())
 		return
 	}
 	accepted, rejected, err := s.Ingest(req.Events)
 	if err != nil {
-		writeJSON(w, errStatus(err), httpError{Error: err.Error()})
+		WriteError(w, errStatus(err), err.Error())
 		return
 	}
 	h := s.Health()
-	writeJSON(w, http.StatusOK, ingestResponse{
+	WriteJSON(w, http.StatusOK, ingestResponse{
 		Accepted:    accepted,
 		Rejected:    rejected,
 		SnapshotSeq: h.SnapshotSeq,
@@ -245,11 +277,11 @@ type flushResponse struct {
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, httpError{Error: "POST required"})
+		WriteError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	snap := s.Flush()
-	writeJSON(w, http.StatusOK, flushResponse{
+	WriteJSON(w, http.StatusOK, flushResponse{
 		SnapshotSeq:   snap.Seq,
 		SnapshotEdges: snap.Edges,
 		Nodes:         snap.Graph.NumNodes(),
@@ -257,5 +289,5 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Health())
+	WriteJSON(w, http.StatusOK, s.Health())
 }

@@ -79,7 +79,7 @@ type Config struct {
 	// predict.DefaultOptions; Opt.Workers is the per-request engine
 	// parallelism (default 1 — total concurrency is Workers × Opt.Workers).
 	Opt predict.Options
-	// Warm prebuilds the new snapshot's shared artifacts (CSR, degree
+	// Warm prebuilds the new snapshot's shared artifacts (degree
 	// order, latent factors) off the request path after each publish.
 	Warm bool
 	// WarmAlgorithms overrides which algorithms Warm prebuilds for

@@ -1,9 +1,9 @@
 // Package snapcache is the per-snapshot artifact cache shared by every
-// algorithm scoring one evaluation cut. A snapshot's CSR adjacency, its
-// degree-descending order, the top-degree block mask, and algorithm-owned
-// derived artifacts (log-degree tables, latent factor matrices) are built
-// lazily once and shared by all subsequent algorithms, worker counts, and
-// Predict/ScorePairs calls against the same *graph.Graph.
+// algorithm scoring one evaluation cut. A snapshot's degree-descending
+// order, its degree-ordered hub view, the top-degree block mask, and
+// algorithm-owned derived artifacts (log-degree tables, latent factor
+// matrices) are built lazily once and shared by all subsequent algorithms,
+// worker counts, and Predict/ScorePairs calls against the same *graph.Graph.
 //
 // Correctness constraints:
 //
@@ -32,7 +32,6 @@ import (
 
 	"linkpred/internal/csr"
 	"linkpred/internal/graph"
-	"linkpred/internal/linalg"
 	"linkpred/internal/obs"
 )
 
@@ -144,23 +143,6 @@ func (a *Artifacts) Artifact(key string, build func() (any, error)) (any, error)
 		}
 	})
 	return e.val, e.err
-}
-
-// CSR returns the snapshot's shared adjacency matrix, building it on first
-// use. The construction error (int32 offset overflow) is cached and
-// returned to every caller.
-func (a *Artifacts) CSR() (*linalg.CSR, error) {
-	v, err := a.Artifact("csr", func() (any, error) {
-		c, err := linalg.FromGraph(a.g)
-		if err != nil {
-			return nil, err
-		}
-		return c, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*linalg.CSR), nil
 }
 
 // CSRView returns the snapshot's degree-ordered relabeling and hub-block

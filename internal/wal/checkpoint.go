@@ -190,29 +190,46 @@ func encodeCheckpoint(f io.Writer, d CheckpointData, firstSeq uint64, anchor [32
 		return err
 	}
 
-	if err := writeInt64s(hw, d.Rev); err != nil {
-		return err
+	cw := &chunkWriter{w: hw, buf: make([]byte, 0, encodeChunk)}
+	for _, x := range d.Rev {
+		cw.u64(uint64(x))
 	}
-	if err := writeInt64s(hw, d.Arrival); err != nil {
-		return err
+	cw.flush()
+	for _, x := range d.Arrival {
+		cw.u64(uint64(x))
 	}
-	if err := writeEdges(hw, d.Edges); err != nil {
-		return err
+	cw.flush()
+	for _, e := range d.Edges {
+		cw.u32(uint32(e.U))
+		cw.u32(uint32(e.V))
+		cw.u64(uint64(e.Time))
 	}
+	cw.flush()
 
-	rowptr, cols := d.Graph.CSR()
-	var ghdr [24]byte
-	binary.LittleEndian.PutUint64(ghdr[0:], uint64(d.Graph.NumNodes()))
-	binary.LittleEndian.PutUint64(ghdr[8:], uint64(d.Graph.NumEdges()))
-	binary.LittleEndian.PutUint64(ghdr[16:], uint64(d.Graph.Time))
-	if _, err := hw.Write(ghdr[:]); err != nil {
-		return err
+	// The snapshot is streamed row by row — rowptr from the degrees, cols
+	// from the rows themselves — so a checkpoint never holds a second copy
+	// of the adjacency.
+	g := d.Graph
+	n := g.NumNodes()
+	cw.u64(uint64(n))
+	cw.u64(uint64(g.NumEdges()))
+	cw.u64(uint64(g.Time))
+	cw.flush()
+	var off uint64
+	cw.u64(off)
+	for u := 0; u < n; u++ {
+		off += uint64(len(g.Neighbors(graph.NodeID(u))))
+		cw.u64(off)
 	}
-	if err := writeInt64s(hw, rowptr); err != nil {
-		return err
+	cw.flush()
+	for u := 0; u < n; u++ {
+		for _, v := range g.Neighbors(graph.NodeID(u)) {
+			cw.u32(uint32(v))
+		}
 	}
-	if err := writeInt32s(hw, cols); err != nil {
-		return err
+	cw.flush()
+	if cw.err != nil {
+		return cw.err
 	}
 
 	_, err := f.Write(h.Sum(nil))
@@ -224,63 +241,34 @@ func encodeCheckpoint(f io.Writer, d CheckpointData, firstSeq uint64, anchor [32
 // model can place a crash inside a checkpoint body.
 const encodeChunk = 1 << 16
 
-func writeInt64s(w io.Writer, xs []int64) error {
-	buf := make([]byte, 0, min(len(xs)*8, encodeChunk))
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(x))
-		if len(buf)+8 > encodeChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
+// chunkWriter batches little-endian words into encodeChunk-sized writes.
+// Every section ends with flush, so each starts on a write boundary; the
+// first error sticks and later calls are no-ops.
+type chunkWriter struct {
+	w   io.Writer
+	buf []byte
+	err error
 }
 
-func writeInt32s(w io.Writer, xs []int32) error {
-	buf := make([]byte, 0, min(len(xs)*4, encodeChunk))
-	for _, x := range xs {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))
-		if len(buf)+4 > encodeChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+func (c *chunkWriter) u64(x uint64) {
+	c.buf = binary.LittleEndian.AppendUint64(c.buf, x)
+	if len(c.buf) == encodeChunk {
+		c.flush()
 	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
-func writeEdges(w io.Writer, es []graph.Edge) error {
-	buf := make([]byte, 0, min(len(es)*16, encodeChunk))
-	for _, e := range es {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.U))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(e.V))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Time))
-		if len(buf)+16 > encodeChunk {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+func (c *chunkWriter) u32(x uint32) {
+	c.buf = binary.LittleEndian.AppendUint32(c.buf, x)
+	if len(c.buf) == encodeChunk {
+		c.flush()
 	}
-	if len(buf) > 0 {
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
+}
+
+func (c *chunkWriter) flush() {
+	if len(c.buf) > 0 && c.err == nil {
+		_, c.err = c.w.Write(c.buf)
 	}
-	return nil
+	c.buf = c.buf[:0]
 }
 
 // hostLittleEndian reports whether the checkpoint's on-disk byte order
