@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -100,12 +99,11 @@ type Response struct {
 	MissingRanges [][2]int `json:"missing_ranges,omitempty"`
 }
 
-// IngestResult reports one replicated ingest fan-out.
+// IngestResult reports one replicated ingest fan-out: the first healthy
+// shard's own reply (all healthy shards agree by construction) plus the
+// router's divergence count.
 type IngestResult struct {
-	Accepted    int   `json:"accepted"`
-	Rejected    int   `json:"rejected"`
-	SnapshotSeq int64 `json:"snapshot_seq"`
-	TraceEdges  int   `json:"trace_edges"`
+	serve.IngestResponse
 	// ShardErrors counts shards that failed to apply the batch. Non-zero
 	// means the cluster has diverged (see Router doc) — surfaced, not
 	// hidden, so the operator can restart the lagging shard.
@@ -166,6 +164,13 @@ func (e *ShardRejection) Error() string { return e.Msg }
 // graph state of its own: shards are the system of record, and the router's
 // only invariants are (a) replicated ingest order and (b) same-epoch merge.
 //
+// The file reads bottom-up as four pieces that each exist once (DESIGN.md
+// §12): call is the transport every request goes through, fanOut the one
+// "ask these shards in parallel", alignedGather the one same-epoch gather
+// (fetchShard is its retry/hedge policy for /predict), and merge plus
+// missingRanges turn a gather into a response. Predict, Score, Ingest,
+// Flush and Health are policy over those.
+//
 // Shard recovery (ROADMAP item 2): a shard that misses ingest batches
 // (crash, partition) diverges, and the router detects this as persistent
 // epoch misalignment, serving partial responses for that shard's ranges.
@@ -178,6 +183,8 @@ func (e *ShardRejection) Error() string { return e.Msg }
 type Router struct {
 	cfg    Config
 	client *http.Client
+	// all lists every shard index: the fan-out's usual target.
+	all []int
 
 	// ingestMu serializes ingest fan-outs so every shard applies batches
 	// in the same order — the whole epoch-consistency protocol rests on
@@ -191,15 +198,14 @@ type Router struct {
 	// feeding the epoch-skew gauge.
 	lastSeq []atomic.Int64
 
-	// evalMu guards the router-side prequential mirror (Config.Eval): a
-	// replay of the replicated event stream through exactly the validation
-	// and first-seen dense remapping the workers apply, so the router's
-	// dense IDs and trace indices match every shard's. Ingest (already
-	// serialized by ingestMu) extends it; Predict reads it to record merged
-	// rankings in dense space.
-	evalMu    sync.RWMutex
-	evalTrace *graph.Trace
-	evalRemap map[int64]graph.NodeID
+	// evalIDs and evalEdges are the router-side prequential mirror
+	// (Config.Eval): the replicated event stream admitted through the same
+	// serve.IDMap rule the workers apply, so the router's dense IDs and
+	// trace indices match every shard's. Ingest (already serialized by
+	// ingestMu) extends it; Predict reads it to record merged rankings in
+	// dense space. Only the accepted-edge count is kept, not the edges.
+	evalIDs   *serve.IDMap
+	evalEdges atomic.Int64
 }
 
 // New builds a Router. It panics on an empty shard list — a router with
@@ -225,9 +231,11 @@ func New(cfg Config) *Router {
 		client = &http.Client{Timeout: cfg.Timeout}
 	}
 	r := &Router{cfg: cfg, client: client, lastSeq: make([]atomic.Int64, len(cfg.Shards))}
+	for i := range cfg.Shards {
+		r.all = append(r.all, i)
+	}
 	if cfg.Eval != nil {
-		r.evalTrace = &graph.Trace{Name: "cluster-eval"}
-		r.evalRemap = make(map[int64]graph.NodeID)
+		r.evalIDs = serve.NewIDMap(nil, nil)
 	}
 	if obs.Enabled() {
 		obs.SetGaugeFunc("cluster/shards", func() float64 { return float64(len(cfg.Shards)) })
@@ -251,11 +259,171 @@ func (r *Router) epochSkew() int64 {
 	return hi - lo
 }
 
-// shardResp is one gathered partial response.
-type shardResp struct {
-	shard int
-	res   *serve.Result
-	err   error
+// Response-size caps, checked on everything a shard sends back.
+const (
+	resultCap = 64 << 20 // /predict and /score bodies
+	ackCap    = 1 << 20  // /ingest, /flush and /healthz replies
+)
+
+// call is the router's one transport: every request to a shard is built,
+// sent and read here. It returns whatever answered — status and body, read
+// up to limit bytes — and an error only when the round trip itself failed.
+func (r *Router) call(ctx context.Context, shard int, method, path string, body []byte, limit int64) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, method, r.cfg.Shards[shard]+path, bytes.NewReader(body))
+	if err != nil {
+		return 0, nil, err
+	}
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := r.client.Do(req)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, limit))
+	return resp.StatusCode, raw, err
+}
+
+// postJSON posts body (nil allowed) to one shard and decodes its 200 reply
+// into out.
+func (r *Router) postJSON(ctx context.Context, shard int, path string, body []byte, out any) error {
+	status, raw, err := r.call(ctx, shard, http.MethodPost, path, body, ackCap)
+	if err != nil {
+		return err
+	}
+	if status != http.StatusOK {
+		return fmt.Errorf("cluster: %s%s status %d: %s", r.cfg.Shards[shard], path, status, bytes.TrimSpace(raw))
+	}
+	return json.Unmarshal(raw, out)
+}
+
+// getResult asks one shard for /predict?query and decodes the serve.Result.
+// A 4xx becomes a ShardRejection; the per-shard latency histogram records
+// successes only.
+func (r *Router) getResult(ctx context.Context, shard int, query string) (*serve.Result, error) {
+	start := time.Now()
+	status, body, err := r.call(ctx, shard, http.MethodGet, "/predict?"+query, nil, resultCap)
+	if err != nil {
+		return nil, err
+	}
+	if status != http.StatusOK {
+		if status >= 400 && status < 500 {
+			msg := string(bytes.TrimSpace(body))
+			var env struct {
+				Error string `json:"error"`
+			}
+			if json.Unmarshal(body, &env) == nil && env.Error != "" {
+				msg = env.Error
+			}
+			return nil, &ShardRejection{Status: status, Msg: msg}
+		}
+		return nil, fmt.Errorf("cluster: shard status %d: %s", status, bytes.TrimSpace(body))
+	}
+	var res serve.Result
+	if err := json.Unmarshal(body, &res); err != nil {
+		return nil, fmt.Errorf("cluster: bad shard response: %w", err)
+	}
+	if obs.Enabled() {
+		obs.GetHistogram("cluster/shard_latency_ns").Observe(time.Since(start).Nanoseconds())
+	}
+	return &res, nil
+}
+
+// fanOut runs fn(i) for every listed shard in parallel and returns when all
+// have. Each fn writes only its own shard's slot of whatever the caller
+// collects into, so the collection needs no lock.
+func fanOut(shards []int, fn func(shard int)) {
+	var wg sync.WaitGroup
+	for _, i := range shards {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i)
+		}(i)
+	}
+	wg.Wait()
+}
+
+// gather is the outcome of one alignedGather.
+type gather struct {
+	// got[i] is shard i's latest answer (nil: it failed) and errs[i] its
+	// latest failure.
+	got  []*serve.Result
+	errs []error
+	// target is the newest snapshot epoch any shard answered from, -1 when
+	// none answered. A non-negative target is held by at least one shard:
+	// only shards behind it are ever re-asked.
+	target int64
+	// reasks counts the epoch re-asks issued.
+	reasks int
+}
+
+// aligned returns the answers computed against the target epoch, in shard
+// order: the only ones a merge may combine.
+func (g *gather) aligned() []*serve.Result {
+	var out []*serve.Result
+	for _, res := range g.got {
+		if res != nil && res.SnapshotSeq == g.target {
+			out = append(out, res)
+		}
+	}
+	return out
+}
+
+// shardReply is a shard's complete non-200 answer. A fetch that returns one
+// in the first round ends the gather with it: the shards share one
+// configuration, so the refusal is the cluster's answer (scoreBroadcast).
+type shardReply struct {
+	status int
+	raw    []byte
+}
+
+func (e *shardReply) Error() string { return fmt.Sprintf("cluster: shard status %d", e.status) }
+
+// alignedGather is the one epoch-aligned gather: ask every shard through
+// fetch, take the newest snapshot epoch among the answers, and re-ask the
+// shards that answered from an older one — up to EpochRetries rounds,
+// EpochBackoff apart, since a re-ask may itself raise the target (the
+// straggler published again while we waited). Shards that failed are not
+// re-asked; how hard one ask tries is fetch's business.
+func (r *Router) alignedGather(ctx context.Context, fetch func(ctx context.Context, shard int) (*serve.Result, error)) (*gather, error) {
+	n := len(r.cfg.Shards)
+	g := &gather{got: make([]*serve.Result, n), errs: make([]error, n), target: -1}
+	ask := func(shards []int) {
+		fanOut(shards, func(i int) { g.got[i], g.errs[i] = fetch(ctx, i) })
+		for i, res := range g.got {
+			if res != nil {
+				r.lastSeq[i].Store(res.SnapshotSeq)
+				g.target = max(g.target, res.SnapshotSeq)
+			}
+		}
+	}
+	ask(r.all)
+	for _, err := range g.errs {
+		if reply, ok := err.(*shardReply); ok {
+			return g, reply
+		}
+	}
+	for try := 0; try < r.cfg.EpochRetries; try++ {
+		var stale []int
+		for i, res := range g.got {
+			if res != nil && res.SnapshotSeq < g.target {
+				stale = append(stale, i)
+			}
+		}
+		if len(stale) == 0 {
+			break
+		}
+		g.reasks += len(stale)
+		select {
+		case <-time.After(r.cfg.EpochBackoff):
+		case <-ctx.Done():
+			return g, ctx.Err()
+		}
+		ask(stale)
+	}
+	return g, nil
 }
 
 // fetchShard asks shard i for its partial top-k, with one retry on failure
@@ -265,11 +433,11 @@ func (r *Router) fetchShard(ctx context.Context, shard int, alg string, k int) (
 	// Memory-partitioned workers define their own sweep range (the
 	// configured ownership bounds); shard parameters would conflict with
 	// it, so the partitioned scatter sends none.
-	u := fmt.Sprintf("%s/predict?alg=%s&k=%d", r.cfg.Shards[shard], url.QueryEscape(alg), k)
+	q := serve.PredictQuery{Alg: alg, K: k}
 	if !r.cfg.Partitioned {
-		u = fmt.Sprintf("%s/predict?alg=%s&k=%d&shard=%d&shards=%d",
-			r.cfg.Shards[shard], url.QueryEscape(alg), k, shard, len(r.cfg.Shards))
+		q.Shard, q.Shards = shard, len(r.cfg.Shards)
 	}
+	query := q.Encode()
 	type attempt struct {
 		res *serve.Result
 		err error
@@ -279,7 +447,7 @@ func (r *Router) fetchShard(ctx context.Context, shard int, alg string, k int) (
 	results := make(chan attempt, 2)
 	launch := func() {
 		go func() {
-			res, err := r.getResult(ctx, u)
+			res, err := r.getResult(ctx, shard, query)
 			results <- attempt{res, err}
 		}()
 	}
@@ -311,7 +479,6 @@ func (r *Router) fetchShard(ctx context.Context, shard int, alg string, k int) (
 		case a := <-results:
 			done++
 			if a.err == nil {
-				r.lastSeq[shard].Store(a.res.SnapshotSeq)
 				return a.res, nil
 			}
 			var rej *ShardRejection
@@ -341,46 +508,6 @@ func (r *Router) fetchShard(ctx context.Context, shard int, alg string, k int) (
 	}
 }
 
-// getResult issues one GET and decodes a serve.Result, recording the
-// per-shard latency histogram.
-func (r *Router) getResult(ctx context.Context, u string) (*serve.Result, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		if resp.StatusCode >= 400 && resp.StatusCode < 500 {
-			msg := string(bytes.TrimSpace(body))
-			var env struct {
-				Error string `json:"error"`
-			}
-			if json.Unmarshal(body, &env) == nil && env.Error != "" {
-				msg = env.Error
-			}
-			return nil, &ShardRejection{Status: resp.StatusCode, Msg: msg}
-		}
-		return nil, fmt.Errorf("cluster: shard status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
-	}
-	var res serve.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, fmt.Errorf("cluster: bad shard response: %w", err)
-	}
-	if obs.Enabled() {
-		obs.GetHistogram("cluster/shard_latency_ns").Observe(time.Since(start).Nanoseconds())
-	}
-	return &res, nil
-}
-
 // Predict scatters alg/k across all shards, gathers same-epoch partial
 // lists, and merges them into the global top-k. A fully aligned gather is
 // bit-identical to a single-process sweep; a gather with dead or
@@ -398,170 +525,76 @@ func (r *Router) Predict(ctx context.Context, alg string, k int) (*Response, err
 		ctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
 		defer cancel()
 	}
-
-	n := len(r.cfg.Shards)
-	got := make([]*serve.Result, n)
-	var rejected *ShardRejection
-	gather := func(shards []int) {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for _, i := range shards {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				res, err := r.fetchShard(ctx, i, alg, k)
-				mu.Lock()
-				if err == nil {
-					got[i] = res
-				} else {
-					got[i] = nil
-					var rej *ShardRejection
-					if errors.As(err, &rej) && rejected == nil {
-						rejected = rej
-					}
-				}
-				mu.Unlock()
-			}(i)
-		}
-		wg.Wait()
+	g, err := r.alignedGather(ctx, func(ctx context.Context, shard int) (*serve.Result, error) {
+		return r.fetchShard(ctx, shard, alg, k)
+	})
+	if obs.Enabled() && g.reasks > 0 {
+		obs.GetCounter("cluster/epoch_reasks").Add(int64(g.reasks))
 	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
+	if err != nil {
+		return nil, err
 	}
-	gather(all)
-
-	// Epoch alignment: find the maximum snapshot epoch across the gather
-	// and re-ask shards that answered from an older one. A re-ask may
-	// itself raise the maximum (the straggler published again while we
-	// waited), so loop — bounded by EpochRetries.
-	maxSeq := func() int64 {
-		var m int64 = -1
-		for _, res := range got {
-			if res != nil && res.SnapshotSeq > m {
-				m = res.SnapshotSeq
+	if g.target < 0 {
+		for _, err := range g.errs {
+			var rej *ShardRejection
+			if errors.As(err, &rej) {
+				return nil, rej
 			}
-		}
-		return m
-	}
-	target := maxSeq()
-	if target < 0 {
-		if rejected != nil {
-			return nil, rejected
 		}
 		return nil, ErrAllShardsDown
 	}
-	for try := 0; try < r.cfg.EpochRetries; try++ {
-		var stale []int
-		for i, res := range got {
-			if res != nil && res.SnapshotSeq < target {
-				stale = append(stale, i)
-			}
-		}
-		if len(stale) == 0 {
-			break
-		}
-		if obs.Enabled() {
-			obs.GetCounter("cluster/epoch_reasks").Add(int64(len(stale)))
-			obs.GetCounter("cluster/stragglers").Add(int64(len(stale)))
-		}
-		if r.cfg.EpochBackoff > 0 {
-			select {
-			case <-time.After(r.cfg.EpochBackoff):
-			case <-ctx.Done():
-				return nil, ctx.Err()
-			}
-		}
-		gather(stale)
-		if m := maxSeq(); m > target {
-			target = m
-		}
+	out := &Response{}
+	if len(g.got) == 1 {
+		// A single-shard cluster needs no merge: the worker answered the
+		// unrestricted sweep (shards=1 disables range restriction
+		// server-side, so the response carries no dense IDs to merge on)
+		// and its result passes through whole.
+		out.Result = *g.got[0]
+	} else {
+		out.Result = r.merge(g.aligned(), k)
+		out.Alg = alg
+		out.MissingRanges = missingRanges(g.got, g.target)
+		out.Partial = len(out.MissingRanges) > 0
 	}
-
-	// A single-shard cluster needs no merge: the worker answered the
-	// unrestricted sweep (shards=1 disables range restriction server-side)
-	// and its result passes through whole.
-	if n == 1 {
-		if got[0] == nil {
-			return nil, ErrAllShardsDown
-		}
-		if obs.Enabled() {
+	if obs.Enabled() {
+		if out.Partial {
+			obs.GetCounter("cluster/gather_partial").Inc()
+		} else {
 			obs.GetCounter("cluster/gather_full").Inc()
 		}
-		out := &Response{Result: *got[0]}
-		r.recordEval(out)
-		return out, nil
-	}
-
-	// Assemble: aligned shards contribute their partial lists; dead or
-	// still-stale shards contribute their owned ranges to missing_ranges.
-	// The boundaries are derived from the aligned responses: the split is
-	// degree-weighted and computed shard-side from the snapshot
-	// (predict.WeightedSourceRanges), so the router cannot reconstruct a
-	// dead shard's range alone — but the ranges are contiguous and ordered
-	// by shard index, so a run of unanswered shards owns exactly the gap
-	// between its alive neighbors' boundaries (closed by 0 on the left and
-	// the snapshot's node count on the right).
-	var (
-		aligned  []*serve.Result
-		missing  [][2]int
-		numNodes int
-		ok       = make([]bool, n)
-		lo       = make([]int, n)
-		hi       = make([]int, n)
-	)
-	for i, res := range got {
-		if res != nil && res.SnapshotSeq == target {
-			aligned = append(aligned, res)
-			if res.SnapshotNodes > numNodes {
-				numNodes = res.SnapshotNodes
-			}
-			if res.ShardRange != nil {
-				ok[i] = true
-				lo[i], hi[i] = res.ShardRange[0], res.ShardRange[1]
-			}
-		}
-	}
-	if len(aligned) == 0 {
-		return nil, ErrAllShardsDown
-	}
-	prevHi := 0
-	for i := 0; i < n; {
-		if ok[i] {
-			prevHi = hi[i]
-			i++
-			continue
-		}
-		j := i
-		for j < n && !ok[j] {
-			j++
-		}
-		end := numNodes
-		if j < n {
-			end = lo[j]
-		}
-		// An empty gap means the unanswered shards owned no sources (more
-		// shards than weight to split); nothing is missing from the merge.
-		if end > prevHi {
-			missing = append(missing, [2]int{prevHi, end})
-		}
-		prevHi = end
-		i = j
-	}
-
-	out := &Response{Result: r.merge(aligned, k)}
-	out.Alg = alg
-	if len(missing) > 0 {
-		out.Partial = true
-		out.MissingRanges = missing
-		if obs.Enabled() {
-			obs.GetCounter("cluster/gather_partial").Inc()
-		}
-	} else if obs.Enabled() {
-		obs.GetCounter("cluster/gather_full").Inc()
 	}
 	r.recordEval(out)
 	return out, nil
+}
+
+// missingRanges lists the source ranges no shard aligned on target answered
+// for: dead or still-stale shards contribute their owned ranges. The
+// boundaries are derived from the aligned responses: the split is
+// degree-weighted and computed shard-side from the snapshot
+// (predict.WeightedSourceRanges), so the router cannot reconstruct a dead
+// shard's range alone — but the ranges are contiguous and ordered by shard
+// index, so a run of unanswered shards owns exactly the gap between its
+// alive neighbors' boundaries (closed by 0 on the left and the snapshot's
+// node count on the right). An empty gap means the unanswered shards owned
+// no sources (more shards than weight to split); nothing is missing then.
+func missingRanges(got []*serve.Result, target int64) [][2]int {
+	var missing [][2]int
+	numNodes, prevHi, gap := 0, 0, false
+	for _, res := range got {
+		if res == nil || res.SnapshotSeq != target || res.ShardRange == nil {
+			gap = true
+			continue
+		}
+		numNodes = max(numNodes, res.SnapshotNodes)
+		if gap && res.ShardRange[0] > prevHi {
+			missing = append(missing, [2]int{prevHi, res.ShardRange[0]})
+		}
+		prevHi, gap = res.ShardRange[1], false
+	}
+	if gap && numNodes > prevHi {
+		missing = append(missing, [2]int{prevHi, numNodes})
+	}
+	return missing
 }
 
 // recordEval records one merged top-k into the router's prequential engine.
@@ -574,18 +607,15 @@ func (r *Router) recordEval(out *Response) {
 	if r.cfg.Eval == nil || out.Partial {
 		return
 	}
-	r.evalMu.RLock()
+	traceLen := int(r.evalEdges.Load())
 	ranked := make([][2]graph.NodeID, 0, len(out.Pairs))
 	for _, p := range out.Pairs {
-		u, uok := r.evalRemap[p.U]
-		v, vok := r.evalRemap[p.V]
-		if !uok || !vok {
-			continue
+		u, uok := r.evalIDs.Lookup(p.U)
+		v, vok := r.evalIDs.Lookup(p.V)
+		if uok && vok {
+			ranked = append(ranked, [2]graph.NodeID{u, v})
 		}
-		ranked = append(ranked, [2]graph.NodeID{u, v})
 	}
-	traceLen := len(r.evalTrace.Edges)
-	r.evalMu.RUnlock()
 	r.cfg.Eval.Record(out.ServedBy, out.SnapshotSeq, out.SnapshotEdges, traceLen, ranked)
 }
 
@@ -645,89 +675,50 @@ func (r *Router) Ingest(ctx context.Context, events []serve.Event) (*IngestResul
 	if err != nil {
 		return nil, err
 	}
-	type reply struct {
-		shard int
-		out   IngestResult
-		err   error
-	}
-	replies := make(chan reply, len(r.cfg.Shards))
-	for i, base := range r.cfg.Shards {
-		go func(i int, base string) {
-			var out IngestResult
-			err := r.postJSON(ctx, base+"/ingest", body, &out)
-			replies <- reply{i, out, err}
-		}(i, base)
-	}
-	var ok *IngestResult
-	errCount := 0
-	for range r.cfg.Shards {
-		rep := <-replies
-		if rep.err != nil {
-			errCount++
+	acks, errs := make([]serve.IngestResponse, len(r.all)), make([]error, len(r.all))
+	fanOut(r.all, func(i int) { errs[i] = r.postJSON(ctx, i, "/ingest", body, &acks[i]) })
+	var out *IngestResult
+	failed := 0
+	for i, err := range errs {
+		if err != nil {
+			failed++
 			if obs.Enabled() {
 				obs.GetCounter("cluster/ingest_errors").Inc()
 			}
 			continue
 		}
-		r.lastSeq[rep.shard].Store(rep.out.SnapshotSeq)
-		if ok == nil {
-			out := rep.out
-			ok = &out
+		r.lastSeq[i].Store(acks[i].SnapshotSeq)
+		if out == nil {
+			out = &IngestResult{IngestResponse: acks[i]}
 		}
 	}
-	if ok == nil {
+	if out == nil {
 		return nil, ErrAllShardsDown
 	}
 	r.observeEval(events)
 	if obs.Enabled() {
 		obs.GetCounter("cluster/ingest_replicated").Inc()
 	}
-	ok.ShardErrors = errCount
-	return ok, nil
+	out.ShardErrors = failed
+	return out, nil
 }
 
 // observeEval replays one replicated batch into the router's prequential
-// mirror, applying the same per-event validation and first-seen dense
-// remapping serve.(*Server).Ingest applies — including assigning dense IDs
-// before the append that might still reject the event — so the mirror's
-// dense IDs and trace indices are identical to every worker's. Each
-// accepted edge is then scored against the merged predictions recorded
-// before it arrived. Callers hold ingestMu.
+// mirror. Admission is serve.IDMap's — the rule serve.(*Server).Ingest
+// applies — and an admitted event cannot be refused by the trace append
+// that follows it on a worker, so the mirror's dense IDs and trace indices
+// are identical to every worker's without keeping the trace. Each accepted
+// edge is scored against the merged predictions recorded before it arrived.
+// Callers hold ingestMu.
 func (r *Router) observeEval(events []serve.Event) {
 	if r.cfg.Eval == nil {
 		return
 	}
-	r.evalMu.Lock()
-	type obsEdge struct {
-		u, v graph.NodeID
-		idx  int
-	}
-	accepted := make([]obsEdge, 0, len(events))
 	for _, ev := range events {
-		if ev.U < 0 || ev.V < 0 || ev.U == ev.V {
-			continue
+		if u, v, ok := r.evalIDs.Admit(ev); ok {
+			r.cfg.Eval.ObserveEdge(u, v, int(r.evalEdges.Add(1))-1)
 		}
-		u, v := r.evalDenseLocked(ev.U), r.evalDenseLocked(ev.V)
-		if _, err := r.evalTrace.Append(u, v, ev.T); err != nil {
-			continue
-		}
-		accepted = append(accepted, obsEdge{u, v, len(r.evalTrace.Edges) - 1})
 	}
-	r.evalMu.Unlock()
-	for _, e := range accepted {
-		r.cfg.Eval.ObserveEdge(e.u, e.v, e.idx)
-	}
-}
-
-// evalDenseLocked remaps an external ID, assigning the next dense ID on
-// first sight. Callers hold evalMu.
-func (r *Router) evalDenseLocked(id int64) graph.NodeID {
-	if d, ok := r.evalRemap[id]; ok {
-		return d
-	}
-	d := graph.NodeID(len(r.evalRemap))
-	r.evalRemap[id] = d
-	return d
 }
 
 // Flush fans a snapshot publish to every shard and reports the maximum
@@ -735,33 +726,16 @@ func (r *Router) evalDenseLocked(id int64) graph.NodeID {
 func (r *Router) Flush(ctx context.Context) (int64, error) {
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		maxSeq int64 = -1
-		anyOK  bool
-	)
-	for i, base := range r.cfg.Shards {
-		wg.Add(1)
-		go func(i int, base string) {
-			defer wg.Done()
-			var out struct {
-				SnapshotSeq int64 `json:"snapshot_seq"`
-			}
-			if err := r.postJSON(ctx, base+"/flush", nil, &out); err != nil {
-				return
-			}
-			r.lastSeq[i].Store(out.SnapshotSeq)
-			mu.Lock()
-			anyOK = true
-			if out.SnapshotSeq > maxSeq {
-				maxSeq = out.SnapshotSeq
-			}
-			mu.Unlock()
-		}(i, base)
+	acks, errs := make([]serve.FlushResponse, len(r.all)), make([]error, len(r.all))
+	fanOut(r.all, func(i int) { errs[i] = r.postJSON(ctx, i, "/flush", nil, &acks[i]) })
+	maxSeq := int64(-1)
+	for i, err := range errs {
+		if err == nil {
+			r.lastSeq[i].Store(acks[i].SnapshotSeq)
+			maxSeq = max(maxSeq, acks[i].SnapshotSeq)
+		}
 	}
-	wg.Wait()
-	if !anyOK {
+	if maxSeq < 0 {
 		return 0, ErrAllShardsDown
 	}
 	return maxSeq, nil
@@ -782,19 +756,7 @@ func (r *Router) Score(ctx context.Context, body []byte) (status int, respBody [
 	start := int(r.rr.Add(1)-1) % n
 	var lastErr error
 	for off := 0; off < n; off++ {
-		base := r.cfg.Shards[(start+off)%n]
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/score", bytes.NewReader(body))
-		if err != nil {
-			return 0, nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.client.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
+		status, raw, err := r.call(ctx, (start+off)%n, http.MethodPost, "/score", body, resultCap)
 		if err != nil {
 			lastErr = err
 			continue
@@ -802,126 +764,58 @@ func (r *Router) Score(ctx context.Context, body []byte) (status int, respBody [
 		if obs.Enabled() {
 			obs.GetCounter("cluster/score_forwarded").Inc()
 		}
-		return resp.StatusCode, raw, nil
+		return status, raw, nil
 	}
 	return 0, nil, fmt.Errorf("cluster: score forward failed on all shards: %w", lastErr)
 }
 
 // scoreBroadcast fans one /score body to every partitioned shard, aligns
-// the responses on the maximum snapshot epoch (bounded re-asks, as in
-// Predict), and merges by the Owned flag. A pair whose owning shard is down
-// or stale scores zero — the same value a single node reports for an
+// the responses on the maximum snapshot epoch (alignedGather, one plain ask
+// per shard), and merges by the Owned flag. A pair whose owning shard is
+// down or stale scores zero — the same value a single node reports for an
 // unresolvable pair — rather than failing the whole request. A non-200
 // from any shard (unknown algorithm, partition-unsupported family) passes
 // through as the response: the shards share one configuration, so they
 // agree on rejections.
 func (r *Router) scoreBroadcast(ctx context.Context, body []byte) (int, []byte, error) {
-	n := len(r.cfg.Shards)
-	got := make([]*serve.Result, n)
-	var non200Status int
-	var non200Raw []byte
-	gather := func(shards []int) {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for _, i := range shards {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				status, raw, err := r.postRaw(ctx, r.cfg.Shards[i]+"/score", body)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					got[i] = nil
-					return
-				}
-				if status != http.StatusOK {
-					if non200Status == 0 {
-						non200Status, non200Raw = status, raw
-					}
-					got[i] = nil
-					return
-				}
-				var res serve.Result
-				if json.Unmarshal(raw, &res) != nil {
-					got[i] = nil
-					return
-				}
-				r.lastSeq[i].Store(res.SnapshotSeq)
-				got[i] = &res
-			}(i)
+	g, err := r.alignedGather(ctx, func(ctx context.Context, shard int) (*serve.Result, error) {
+		status, raw, err := r.call(ctx, shard, http.MethodPost, "/score", body, resultCap)
+		if err != nil {
+			return nil, err
 		}
-		wg.Wait()
-	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	gather(all)
-	if non200Status != 0 {
-		return non200Status, non200Raw, nil
-	}
-	maxSeq := func() int64 {
-		var m int64 = -1
-		for _, res := range got {
-			if res != nil && res.SnapshotSeq > m {
-				m = res.SnapshotSeq
-			}
+		if status != http.StatusOK {
+			return nil, &shardReply{status, raw}
 		}
-		return m
+		var res serve.Result
+		if err := json.Unmarshal(raw, &res); err != nil {
+			return nil, err
+		}
+		return &res, nil
+	})
+	var reply *shardReply
+	if errors.As(err, &reply) {
+		return reply.status, reply.raw, nil
 	}
-	target := maxSeq()
-	if target < 0 {
-		return 0, nil, ErrAllShardsDown
+	if err != nil {
+		return 0, nil, err
 	}
-	for try := 0; try < r.cfg.EpochRetries; try++ {
-		var stale []int
-		for i, res := range got {
-			if res != nil && res.SnapshotSeq < target {
-				stale = append(stale, i)
-			}
-		}
-		if len(stale) == 0 {
-			break
-		}
-		if r.cfg.EpochBackoff > 0 {
-			select {
-			case <-time.After(r.cfg.EpochBackoff):
-			case <-ctx.Done():
-				return 0, nil, ctx.Err()
-			}
-		}
-		gather(stale)
-		if m := maxSeq(); m > target {
-			target = m
-		}
-	}
-	var base *serve.Result
-	for _, res := range got {
-		if res != nil && res.SnapshotSeq == target {
-			base = res
-			break
-		}
-	}
-	if base == nil {
+	if g.target < 0 {
 		return 0, nil, ErrAllShardsDown
 	}
 	// The merged payload carries plain scores with the Owned flags dropped:
 	// a full broadcast serializes exactly like a single replicated node's
 	// score response.
-	out := *base
-	out.Pairs = make([]serve.PairScore, len(base.Pairs))
-	for i := range base.Pairs {
-		ps := serve.PairScore{U: base.Pairs[i].U, V: base.Pairs[i].V}
-		for _, res := range got {
-			if res == nil || res.SnapshotSeq != target || i >= len(res.Pairs) {
-				continue
-			}
-			if res.Pairs[i].Owned {
-				ps.Score = res.Pairs[i].Score
+	aligned := g.aligned()
+	out := *aligned[0]
+	out.Pairs = make([]serve.PairScore, len(aligned[0].Pairs))
+	for i, p := range aligned[0].Pairs {
+		out.Pairs[i] = serve.PairScore{U: p.U, V: p.V}
+		for _, res := range aligned {
+			if i < len(res.Pairs) && res.Pairs[i].Owned {
+				out.Pairs[i].Score = res.Pairs[i].Score
 				break
 			}
 		}
-		out.Pairs[i] = ps
 	}
 	raw, err := json.Marshal(&out)
 	if err != nil {
@@ -935,77 +829,41 @@ func (r *Router) scoreBroadcast(ctx context.Context, body []byte) (int, []byte, 
 	return http.StatusOK, append(raw, '\n'), nil
 }
 
-// postRaw posts body and returns the raw status and payload.
-func (r *Router) postRaw(ctx context.Context, u string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.StatusCode, raw, nil
-}
-
 // Health probes every shard and aggregates. OK requires all shards up with
 // zero epoch skew.
 func (r *Router) Health(ctx context.Context) *ClusterHealth {
 	n := len(r.cfg.Shards)
 	out := &ClusterHealth{Shards: n, Workers: make([]ShardHealth, n)}
-	var wg sync.WaitGroup
-	for i, base := range r.cfg.Shards {
-		wg.Add(1)
-		go func(i int, base string) {
-			defer wg.Done()
-			w := ShardHealth{Shard: i, URL: base}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
-			if err == nil {
-				var resp *http.Response
-				resp, err = r.client.Do(req)
-				if err == nil {
-					err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&w.Health)
-					resp.Body.Close()
-				}
-			}
-			if err != nil {
-				w.Err = err.Error()
-			} else {
-				w.Up = true
-				r.lastSeq[i].Store(w.SnapshotSeq)
-			}
-			out.Workers[i] = w
-		}(i, base)
-	}
-	wg.Wait()
+	fanOut(r.all, func(i int) {
+		w := &out.Workers[i]
+		w.Shard, w.URL = i, r.cfg.Shards[i]
+		_, raw, err := r.call(ctx, i, http.MethodGet, "/healthz", nil, ackCap)
+		if err == nil {
+			err = json.Unmarshal(raw, &w.Health)
+		}
+		if err != nil {
+			w.Err = err.Error()
+			return
+		}
+		w.Up = true
+		r.lastSeq[i].Store(w.SnapshotSeq)
+	})
 	var lo, hi int64
 	maxEdges := 0
-	first := true
 	for _, w := range out.Workers {
 		if !w.Up {
 			continue
 		}
-		out.ShardsUp++
-		out.SnapshotBytes += w.SnapshotBytes
-		if w.PartitionRange != nil {
-			out.Partitioned = true
-		}
-		if w.TraceEdges > maxEdges {
-			maxEdges = w.TraceEdges
-		}
-		if first || w.SnapshotSeq < lo {
+		if out.ShardsUp == 0 || w.SnapshotSeq < lo {
 			lo = w.SnapshotSeq
 		}
-		if first || w.SnapshotSeq > hi {
+		if out.ShardsUp == 0 || w.SnapshotSeq > hi {
 			hi = w.SnapshotSeq
 		}
-		first = false
+		out.ShardsUp++
+		out.SnapshotBytes += w.SnapshotBytes
+		out.Partitioned = out.Partitioned || w.PartitionRange != nil
+		maxEdges = max(maxEdges, w.TraceEdges)
 	}
 	// A recovering shard is up and self-consistent but behind the
 	// replicated stream: its trace is shorter than the most advanced up
@@ -1031,30 +889,4 @@ func (r *Router) Health(ctx context.Context) *ClusterHealth {
 		obs.GetGauge("cluster/partitioned_bytes").Set(partBytes)
 	}
 	return out
-}
-
-// postJSON posts body (nil allowed) and decodes a 200 response into out
-// (nil allowed).
-func (r *Router) postJSON(ctx context.Context, u string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s status %d: %s", u, resp.StatusCode, bytes.TrimSpace(raw))
-	}
-	if out != nil {
-		return json.Unmarshal(raw, out)
-	}
-	return nil
 }

@@ -115,7 +115,7 @@ func (s *Server) walNotePublish(snap *Snapshot) {
 
 // maybeCheckpointLocked starts a background checkpoint covering snap when
 // due. The state capture is synchronous — at the publish instant the trace
-// length equals snap.Edges exactly, and Arrival/Edges/rev are append-only,
+// length equals snap.Edges exactly, and Arrival/Edges and the ID table are append-only,
 // so the captured slice headers are an immutable as-of-publish view — but
 // serialization (the expensive CSR dump + hashing + fsync) runs off the
 // ingest path on a background goroutine; the WAL's own lock orders it
@@ -135,14 +135,11 @@ func (s *Server) maybeCheckpointLocked(snap *Snapshot, p wal.Publish) {
 	if !s.ckptBusy.CompareAndSwap(false, true) {
 		return
 	}
-	s.idMu.RLock()
-	rev := s.rev
-	s.idMu.RUnlock()
 	data := wal.CheckpointData{
 		Name:    s.trace.Name,
 		Arrival: s.trace.Arrival,
 		Edges:   s.trace.Edges,
-		Rev:     rev,
+		Rev:     s.ids.Externals(),
 		Graph:   snap.Graph,
 		Pub:     p,
 	}

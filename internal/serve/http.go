@@ -160,6 +160,22 @@ func ParsePredictQuery(q url.Values) (PredictQuery, error) {
 	return p, nil
 }
 
+// Encode is the inverse of ParsePredictQuery: the query string a router
+// sends a shard. K is always written, timeout_ms only when set, and the
+// shard/shards pair whenever Shards is non-zero; Shards 0 omits the pair
+// (the scatter to memory-partitioned workers, which own their range), which
+// the parser reads back as its default 0 of 1.
+func (p PredictQuery) Encode() string {
+	s := "alg=" + url.QueryEscape(p.Alg) + "&k=" + strconv.Itoa(p.K)
+	if p.TimeoutMS > 0 {
+		s += "&timeout_ms=" + strconv.FormatInt(p.TimeoutMS, 10)
+	}
+	if p.Shards > 0 {
+		s += "&shard=" + strconv.Itoa(p.Shard) + "&shards=" + strconv.Itoa(p.Shards)
+	}
+	return s
+}
+
 // errStatus maps a serving error to its HTTP status.
 func errStatus(err error) int {
 	switch {
@@ -237,7 +253,9 @@ type ingestRequest struct {
 	Events []Event `json:"events"`
 }
 
-type ingestResponse struct {
+// IngestResponse is the /ingest reply. A cluster router decodes it from
+// every shard and embeds it in its own reply.
+type IngestResponse struct {
 	Accepted    int   `json:"accepted"`
 	Rejected    int   `json:"rejected"`
 	SnapshotSeq int64 `json:"snapshot_seq"`
@@ -261,7 +279,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	h := s.Health()
-	WriteJSON(w, http.StatusOK, ingestResponse{
+	WriteJSON(w, http.StatusOK, IngestResponse{
 		Accepted:    accepted,
 		Rejected:    rejected,
 		SnapshotSeq: h.SnapshotSeq,
@@ -269,7 +287,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type flushResponse struct {
+// FlushResponse is the /flush reply.
+type FlushResponse struct {
 	SnapshotSeq   int64 `json:"snapshot_seq"`
 	SnapshotEdges int   `json:"snapshot_edges"`
 	Nodes         int   `json:"nodes"`
@@ -281,7 +300,7 @@ func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.Flush()
-	WriteJSON(w, http.StatusOK, flushResponse{
+	WriteJSON(w, http.StatusOK, FlushResponse{
 		SnapshotSeq:   snap.Seq,
 		SnapshotEdges: snap.Edges,
 		Nodes:         snap.Graph.NumNodes(),

@@ -141,7 +141,7 @@ func liveevalRun(t *testing.T, engineWorkers int) (map[string]liveeval.AlgStats,
 		if err != nil {
 			t.Fatalf("ingest: %v", err)
 		}
-		var out ingestResponse
+		var out IngestResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatalf("ingest decode: %v", err)
 		}

@@ -85,9 +85,9 @@ func TestServePartitionedPredict(t *testing.T) {
 		}
 		for i, p := range merged {
 			w := want.Pairs[i]
-			if full.external(p.U) != w.U || full.external(p.V) != w.V || p.Score != w.Score {
+			if full.ids.Externals()[p.U] != w.U || full.ids.Externals()[p.V] != w.V || p.Score != w.Score {
 				t.Fatalf("%s: rank %d: merged (%d,%d,%v), full (%d,%d,%v)",
-					alg, i, full.external(p.U), full.external(p.V), p.Score, w.U, w.V, w.Score)
+					alg, i, full.ids.Externals()[p.U], full.ids.Externals()[p.V], p.Score, w.U, w.V, w.Score)
 			}
 		}
 	}

@@ -54,7 +54,7 @@ import (
 
 // Event is one timestamped edge-creation event in external ID space.
 // External IDs are arbitrary non-negative integers; the server remaps them
-// densely in first-seen order.
+// densely in first-seen order (IDMap).
 type Event struct {
 	U int64 `json:"u"`
 	V int64 `json:"v"`
@@ -318,11 +318,9 @@ type Server struct {
 	seq     int64
 	pending int
 
-	// idMu guards the external↔dense ID maps, which queries read while
-	// ingest extends them.
-	idMu  sync.RWMutex
-	remap map[int64]graph.NodeID
-	rev   []int64
+	// ids is the external↔dense ID map, which queries read while ingest
+	// extends it.
+	ids *IDMap
 
 	cur atomic.Pointer[Snapshot]
 	deg *degrader
@@ -434,7 +432,6 @@ func New(cfg Config) (*Server, error) {
 		done:    make(chan struct{}),
 		trace:   tr,
 		builder: builder,
-		remap:   make(map[int64]graph.NodeID, tr.NumNodes()),
 		deg:     newDegrader(cfg.Degrade, cfg.QueueDepth),
 		cost:    make(map[string]float64),
 	}
@@ -442,7 +439,7 @@ func New(cfg Config) (*Server, error) {
 	if rec != nil {
 		// The log's ID maps are authoritative: external IDs recovered from
 		// the records themselves (or identity for a warm-start prefix).
-		s.remap, s.rev = rec.Remap, rec.Rev
+		s.ids = NewIDMap(rec.Remap, rec.Rev)
 		s.wal = wlog
 		s.walRecovered = walRecoveryInfo{
 			edges:     len(tr.Edges),
@@ -453,11 +450,11 @@ func New(cfg Config) (*Server, error) {
 		s.walSyncStats()
 	} else {
 		// Warm-start IDs are the trace's own dense IDs.
-		s.rev = make([]int64, tr.NumNodes())
-		for i := range s.rev {
-			s.rev[i] = int64(i)
-			s.remap[int64(i)] = graph.NodeID(i)
+		ext := make([]int64, tr.NumNodes())
+		for i := range ext {
+			ext[i] = int64(i)
 		}
+		s.ids = NewIDMap(nil, ext)
 	}
 	s.mu.Lock()
 	s.seq = -1 // the initial publication is seq 0
@@ -627,11 +624,11 @@ func (s *Server) Ingest(events []Event) (accepted, rejected int, err error) {
 	}
 	s.mu.Lock()
 	for _, ev := range events {
-		if ev.U < 0 || ev.V < 0 || ev.U == ev.V {
+		u, v, ok := s.ids.Admit(ev)
+		if !ok {
 			rejected++
 			continue
 		}
-		u, v := s.dense(ev.U), s.dense(ev.V)
 		e, aerr := s.trace.Append(u, v, ev.T)
 		if aerr != nil {
 			rejected++
@@ -694,39 +691,6 @@ func (s *Server) Flush() *Snapshot {
 		_ = s.walCommit()
 	}
 	return snap
-}
-
-// dense remaps an external ID, assigning the next dense ID on first sight.
-// Callers hold s.mu.
-func (s *Server) dense(id int64) graph.NodeID {
-	s.idMu.RLock()
-	d, ok := s.remap[id]
-	s.idMu.RUnlock()
-	if ok {
-		return d
-	}
-	s.idMu.Lock()
-	d = graph.NodeID(len(s.rev))
-	s.remap[id] = d
-	s.rev = append(s.rev, id)
-	s.idMu.Unlock()
-	return d
-}
-
-// lookupDense resolves an external ID without assigning.
-func (s *Server) lookupDense(id int64) (graph.NodeID, bool) {
-	s.idMu.RLock()
-	d, ok := s.remap[id]
-	s.idMu.RUnlock()
-	return d, ok
-}
-
-// external maps a dense ID back to the external ID it was assigned for.
-func (s *Server) external(d graph.NodeID) int64 {
-	s.idMu.RLock()
-	id := s.rev[d]
-	s.idMu.RUnlock()
-	return id
 }
 
 // publishLocked builds the snapshot of the full ingested prefix and swaps
@@ -824,8 +788,8 @@ func (s *Server) Score(ctx context.Context, alg string, pairs [][2]int64) (*Resu
 	req := &request{kind: kindScore, alg: alg, ext: pairs, ctx: ctx, done: make(chan outcome, 1)}
 	req.dense = make([]densePair, len(pairs))
 	for i, p := range pairs {
-		u, uok := s.lookupDense(p[0])
-		v, vok := s.lookupDense(p[1])
+		u, uok := s.ids.Lookup(p[0])
+		v, vok := s.ids.Lookup(p[1])
 		req.dense[i] = densePair{u: u, v: v, ok: uok && vok}
 	}
 	return s.submit(req)
@@ -1082,8 +1046,9 @@ func (s *Server) servePredict(r *request, snap *Snapshot) {
 			obs.GetCounter("serve/shard_predicts").Inc()
 		}
 	}
+	ext := s.ids.Externals()
 	for i, p := range pairs {
-		res.Pairs[i] = PairScore{U: s.external(p.U), V: s.external(p.V), Score: p.Score}
+		res.Pairs[i] = PairScore{U: ext[p.U], V: ext[p.V], Score: p.Score}
 		if sharded {
 			res.Pairs[i].DU, res.Pairs[i].DV = p.U, p.V
 		}

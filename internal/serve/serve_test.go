@@ -84,7 +84,7 @@ func TestServePredictMatchesOffline(t *testing.T) {
 		}
 		for i, w := range want {
 			got := res.Pairs[i]
-			if got.U != s.external(w.U) || got.V != s.external(w.V) || got.Score != w.Score {
+			if got.U != s.ids.Externals()[w.U] || got.V != s.ids.Externals()[w.V] || got.Score != w.Score {
 				t.Fatalf("%s: rank %d served %+v, offline %+v", name, i, got, w)
 			}
 		}
@@ -107,8 +107,8 @@ func TestServeScoreMatchesOffline(t *testing.T) {
 	}
 	var flat []predict.Pair
 	for _, p := range ext[:3] {
-		u, _ := s.lookupDense(p[0])
-		v, _ := s.lookupDense(p[1])
+		u, _ := s.ids.Lookup(p[0])
+		v, _ := s.ids.Lookup(p[1])
 		flat = append(flat, predict.Pair{U: u, V: v})
 	}
 	want := predict.AA.ScorePairs(snap.Graph, flat, s.cfg.Opt)

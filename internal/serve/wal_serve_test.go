@@ -101,9 +101,7 @@ func verifyRecoveredServer(t *testing.T, st wal.Storage, ref *walReference, acke
 			t.Fatalf("%s: edge %d = %+v, want %+v", label, i, tr.Edges[i], ref.tr.Edges[i])
 		}
 	}
-	srv.idMu.RLock()
-	rev := append([]int64(nil), srv.rev...)
-	srv.idMu.RUnlock()
+	rev := srv.ids.Externals()
 	for i := range rev {
 		if rev[i] != ref.rev[i] {
 			t.Fatalf("%s: rev[%d] = %d, want %d", label, i, rev[i], ref.rev[i])
