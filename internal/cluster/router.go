@@ -837,7 +837,11 @@ func (r *Router) Health(ctx context.Context) *ClusterHealth {
 	fanOut(r.all, func(i int) {
 		w := &out.Workers[i]
 		w.Shard, w.URL = i, r.cfg.Shards[i]
-		_, raw, err := r.call(ctx, i, http.MethodGet, "/healthz", nil, ackCap)
+		status, raw, err := r.call(ctx, i, http.MethodGet, "/healthz", nil, ackCap)
+		if err == nil && status != http.StatusOK {
+			// An error envelope would decode to a zero Health: up, epoch 0.
+			err = fmt.Errorf("cluster: healthz status %d: %s", status, bytes.TrimSpace(raw))
+		}
 		if err == nil {
 			err = json.Unmarshal(raw, &w.Health)
 		}

@@ -399,6 +399,14 @@ var routerScripts = []routerScript{
 			`,{"shard":1,"url":"http://s1","up":false,"err":"Get \"http://s1/healthz\": dial s1: connection refused",` +
 			`"ok":false,"snapshot_seq":0,"snapshot_edges":0,"snapshot_time":0,"trace_edges":0,"nodes":0,"degraded":false,"queue_depth":0,"snapshot_bytes":0}]}` + "\n",
 	},
+	{
+		name:   "healthz: a shard answering non-200 is down, with the status in err",
+		shards: [][]step{{answer(200, healthyBody)}, {answer(500, `{"error":"boom"}`+"\n")}},
+		target: "/healthz", status: 200,
+		want: `{"ok":false,"shards":2,"shards_up":1,"epoch_skew":0,"snapshot_bytes":64,"workers":[` + shardHealth(0) +
+			`,{"shard":1,"url":"http://s1","up":false,"err":"cluster: healthz status 500: {\"error\":\"boom\"}",` +
+			`"ok":false,"snapshot_seq":0,"snapshot_edges":0,"snapshot_time":0,"trace_edges":0,"nodes":0,"degraded":false,"queue_depth":0,"snapshot_bytes":0}]}` + "\n",
+	},
 }
 
 // TestRouterScript drives every script through the router's HTTP handler
@@ -486,5 +494,33 @@ func TestRouterScriptDirectCalls(t *testing.T) {
 	}
 	if got := len(net.seen["s0"]); got != 3 {
 		t.Errorf("dead shard saw %d requests, want 3 (predict + retry, ingest)", got)
+	}
+}
+
+// TestMissingRanges is the dead-shard boundary reconstruction on its own:
+// a run of unanswered shards owns the gap between its answered neighbours.
+func TestMissingRanges(t *testing.T) {
+	at := func(seq int64, lo, hi int) *serve.Result {
+		return &serve.Result{SnapshotSeq: seq, SnapshotNodes: 100, ShardRange: &[2]int{lo, hi}}
+	}
+	for _, tt := range []struct {
+		name string
+		got  []*serve.Result
+		want [][2]int
+	}{
+		{"all aligned", []*serve.Result{at(5, 0, 40), at(5, 40, 100)}, nil},
+		{"first dead", []*serve.Result{nil, at(5, 40, 100)}, [][2]int{{0, 40}}},
+		{"last dead", []*serve.Result{at(5, 0, 40), nil}, [][2]int{{40, 100}}},
+		{"middle run dead", []*serve.Result{at(5, 0, 10), nil, nil, at(5, 70, 100)}, [][2]int{{10, 70}}},
+		{"two separate gaps", []*serve.Result{at(5, 0, 10), nil, at(5, 30, 60), nil}, [][2]int{{10, 30}, {60, 100}}},
+		{"stale counts as unanswered", []*serve.Result{at(5, 0, 10), at(4, 10, 50), at(5, 55, 100)}, [][2]int{{10, 55}}},
+		{"dead shard that owned nothing", []*serve.Result{at(5, 0, 40), nil, at(5, 40, 100)}, nil},
+		{"dead tail that owned nothing", []*serve.Result{at(5, 0, 100), nil}, nil},
+		{"answer without a range is unaccounted for", []*serve.Result{at(5, 0, 40), {SnapshotSeq: 5, SnapshotNodes: 100}}, [][2]int{{40, 100}}},
+		{"nobody aligned", []*serve.Result{nil, at(4, 50, 100)}, nil},
+	} {
+		if got := missingRanges(tt.got, 5); !reflect.DeepEqual(got, tt.want) {
+			t.Errorf("%s: %v, want %v", tt.name, got, tt.want)
+		}
 	}
 }
