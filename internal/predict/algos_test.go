@@ -1,8 +1,10 @@
 package predict
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -518,15 +520,36 @@ func TestKatzExactMatchesDense(t *testing.T) {
 	}
 }
 
+// TestComparatorsRegistry: the comparator (KatzExact) resolves by name but
+// stays out of the evaluated set, and the one registry table is what ByName
+// serves — every entry resolves to itself, names are unique, the exported
+// sets are its leading runs, and a lookup allocates nothing.
 func TestComparatorsRegistry(t *testing.T) {
-	if _, err := ByName("KatzExact"); err != nil {
-		t.Fatal(err)
+	if a, err := ByName("KatzExact"); err != nil || a != KatzExact {
+		t.Fatalf("ByName(KatzExact) = %v, %v", a, err)
 	}
-	for _, a := range Comparators() {
-		for _, core := range All() {
-			if core.Name() == a.Name() {
-				t.Errorf("comparator %s also in All()", a.Name())
-			}
+	for _, core := range All() {
+		if core.Name() == KatzExact.Name() {
+			t.Errorf("comparator %s also in All()", core.Name())
 		}
+	}
+	seen := map[string]bool{}
+	for _, a := range registry {
+		if seen[a.Name()] {
+			t.Errorf("registry lists %s twice", a.Name())
+		}
+		seen[a.Name()] = true
+		if got, err := ByName(a.Name()); err != nil || got != a {
+			t.Errorf("ByName(%s) = %v, %v", a.Name(), got, err)
+		}
+	}
+	if want := append(All(), Extensions()...); !slices.Equal(registry[:len(want)], want) || len(registry) != len(want)+1 {
+		t.Errorf("registry is not All() + Extensions() + KatzExact")
+	}
+	if _, err := ByName("nope"); !errors.Is(err, ErrUnknownAlgorithm) {
+		t.Errorf("ByName(nope) = %v, want ErrUnknownAlgorithm", err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ByName("Rescal") }); n != 0 {
+		t.Errorf("ByName allocates %v times per lookup, want 0", n)
 	}
 }

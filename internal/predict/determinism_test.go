@@ -42,19 +42,12 @@ func detWorkerCounts() []int {
 	return counts
 }
 
-func detAlgorithms() []Algorithm {
-	algs := append([]Algorithm{}, All()...)
-	algs = append(algs, Extensions()...)
-	algs = append(algs, Comparators()...)
-	return algs
-}
-
 // TestPredictWorkerInvariance asserts Predict output is bit-identical at
 // every worker count: same pairs, same order, same float scores.
 func TestPredictWorkerInvariance(t *testing.T) {
 	counts := detWorkerCounts()
 	for name, g := range detGraphs(t) {
-		for _, alg := range detAlgorithms() {
+		for _, alg := range registry {
 			opt := DefaultOptions()
 			opt.RandomCandidates = 2000
 			opt.Workers = counts[0]
@@ -104,7 +97,7 @@ func TestScorePairsWorkerInvariance(t *testing.T) {
 		for i, j := 0, len(pairs)-1; i < j; i, j = i+2, j-3 {
 			pairs[i], pairs[j] = pairs[j], pairs[i]
 		}
-		for _, alg := range detAlgorithms() {
+		for _, alg := range registry {
 			opt := DefaultOptions()
 			opt.Workers = counts[0]
 			ref := alg.ScorePairs(g, pairs, opt)

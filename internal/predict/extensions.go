@@ -117,10 +117,3 @@ var HDI Algorithm = &localMetric{name: "HDI", score: scoreHDI, fuse: fuseHDI, bo
 
 // LHN is the Leicht-Holme-Newman index (|Γu∩Γv| / (ku·kv)).
 var LHN Algorithm = &localMetric{name: "LHN", score: scoreLHN, fuse: fuseLHN, boundKind: boundInvDeg}
-
-// Extensions returns the survey metrics beyond the paper's evaluated set.
-// SRW (walk.go) rides along: it is the survey's superposed companion to the
-// evaluated LRW rather than a neighborhood metric.
-func Extensions() []Algorithm {
-	return []Algorithm{Salton, Sorensen, HPI, HDI, LHN, SRW}
-}

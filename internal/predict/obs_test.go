@@ -22,16 +22,6 @@ func withTelemetry(t *testing.T, body func()) {
 	body()
 }
 
-// registryAlgorithms is every registered entry point: the paper set, the
-// similarity-metric extensions, and the comparators.
-func registryAlgorithms() []Algorithm {
-	var algs []Algorithm
-	algs = append(algs, All()...)
-	algs = append(algs, Extensions()...)
-	algs = append(algs, Comparators()...)
-	return algs
-}
-
 // TestEveryAlgorithmEmitsTelemetry drives one instrumented Predict and
 // ScorePairs through every registered algorithm and asserts each emitted
 // its latency histograms and pairs-scored counter. This is the registry
@@ -40,13 +30,13 @@ func TestEveryAlgorithmEmitsTelemetry(t *testing.T) {
 	g := randomGraph(7, 300, 1400)
 	pairs := []Pair{{U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}}
 	withTelemetry(t, func() {
-		for _, alg := range registryAlgorithms() {
+		for _, alg := range registry {
 			if got := alg.Predict(g, 25, DefaultOptions()); len(got) == 0 {
 				t.Fatalf("%s: Predict returned nothing", alg.Name())
 			}
 			alg.ScorePairs(g, pairs, DefaultOptions())
 		}
-		for _, alg := range registryAlgorithms() {
+		for _, alg := range registry {
 			name := alg.Name()
 			for _, op := range []string{"predict_ns", "score_pairs_ns"} {
 				key := fmt.Sprintf("predict/%s/%s", name, op)

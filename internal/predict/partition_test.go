@@ -40,7 +40,7 @@ func TestPartitionedPredictEquivalence(t *testing.T) {
 				views[shards] = append(views[shards], graph.PartitionView(g, b[0], b[1]))
 			}
 		}
-		for _, alg := range shardTestAlgorithms() {
+		for _, alg := range registry {
 			alg := alg
 			t.Run(fmt.Sprintf("%s/%s", gname, alg.Name()), func(t *testing.T) {
 				if !PartitionSafe(alg.Name()) {
@@ -283,7 +283,7 @@ func TestPartitionSafeRegistry(t *testing.T) {
 		"CN": true, "JC": true, "AA": true, "RA": true, "PA": true,
 		"Salton": true, "Sorensen": true, "HPI": true, "HDI": true, "LHN": true,
 	}
-	for _, alg := range shardTestAlgorithms() {
+	for _, alg := range registry {
 		if PartitionSafe(alg.Name()) != safe[alg.Name()] {
 			t.Fatalf("PartitionSafe(%q) = %v, want %v", alg.Name(), PartitionSafe(alg.Name()), safe[alg.Name()])
 		}

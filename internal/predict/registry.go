@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"linkpred/internal/graph"
 )
@@ -12,12 +13,34 @@ import (
 // callers (e.g. the serving layer's HTTP 400 mapping) can errors.Is it.
 var ErrUnknownAlgorithm = errors.New("unknown algorithm")
 
+// registry is every algorithm ByName resolves, in lookup order: the
+// evaluated set (All), the survey extensions (Extensions), then KatzExact,
+// the truncated-exact reference the paper's Katz approximations are
+// validated against. It is the one table; tests range over it.
+var (
+	evaluated  = []Algorithm{CN, JC, AA, RA, BCN, BAA, BRA, PA, SP, LP, KatzLR, KatzSC, PPR, LRW, Rescal}
+	extensions = []Algorithm{Salton, Sorensen, HPI, HDI, LHN, SRW}
+	registry   = slices.Concat(evaluated, extensions, []Algorithm{KatzExact})
+)
+
+// byName indexes registry once; names are unique (TestComparatorsRegistry).
+var byName = func() map[string]Algorithm {
+	m := make(map[string]Algorithm, len(registry))
+	for _, a := range registry {
+		m[a.Name()] = a
+	}
+	return m
+}()
+
 // All returns every implemented metric-based algorithm, including both Katz
 // approximations (the paper's 14 metrics of Table 3, with Katz counted once
 // but implemented twice as Katz_lr and Katz_sc).
-func All() []Algorithm {
-	return []Algorithm{CN, JC, AA, RA, BCN, BAA, BRA, PA, SP, LP, KatzLR, KatzSC, PPR, LRW, Rescal}
-}
+func All() []Algorithm { return slices.Clone(evaluated) }
+
+// Extensions returns the survey metrics beyond the paper's evaluated set.
+// SRW (walk.go) rides along: it is the survey's superposed companion to the
+// evaluated LRW rather than a neighborhood metric.
+func Extensions() []Algorithm { return slices.Clone(extensions) }
 
 // FeatureSet returns the 14 metrics used as classifier input features (§5),
 // using Katz_lr as "Katz" exactly as the paper does after §4.2.
@@ -31,23 +54,11 @@ func Figure5Set() []Algorithm {
 	return []Algorithm{JC, BCN, BAA, BRA, PA, SP, LP, KatzLR, KatzSC, PPR, LRW, Rescal}
 }
 
-// ByName resolves an algorithm by its paper abbreviation, searching the
-// evaluated set first and then the survey extensions.
+// ByName resolves an algorithm by its paper abbreviation: an allocation-free
+// lookup in the registry's name index.
 func ByName(name string) (Algorithm, error) {
-	for _, a := range All() {
-		if a.Name() == name {
-			return a, nil
-		}
-	}
-	for _, a := range Extensions() {
-		if a.Name() == name {
-			return a, nil
-		}
-	}
-	for _, a := range Comparators() {
-		if a.Name() == name {
-			return a, nil
-		}
+	if a, ok := byName[name]; ok {
+		return a, nil
 	}
 	return nil, fmt.Errorf("predict: %w %q", ErrUnknownAlgorithm, name)
 }
@@ -80,10 +91,4 @@ func RandomPrediction(g *graph.Graph, k int, seed int64) []Pair {
 		out = append(out, Pair{U: minID(u, v), V: maxID(u, v)})
 	}
 	return out
-}
-
-// Comparators returns reference implementations used to validate the
-// paper's approximations (currently the truncated-exact Katz).
-func Comparators() []Algorithm {
-	return []Algorithm{KatzExact}
 }

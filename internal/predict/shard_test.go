@@ -7,16 +7,6 @@ import (
 	"linkpred/internal/graph"
 )
 
-// shardTestAlgorithms is the registry-wide coverage of the sharded-sweep
-// contract: the full Table 3 set, the survey extensions, and the
-// comparators — local, path, walk, and latent families all included.
-func shardTestAlgorithms() []Algorithm {
-	algs := All()
-	algs = append(algs, Extensions()...)
-	algs = append(algs, Comparators()...)
-	return algs
-}
-
 // predictSharded runs one Predict per shard of a disjoint source cover and
 // merges the partial lists — the in-process model of the cluster's
 // scatter/gather path.
@@ -44,7 +34,7 @@ func TestShardedPredictMergeEquivalence(t *testing.T) {
 	}
 	const k = 25
 	for gname, g := range graphs {
-		for _, alg := range shardTestAlgorithms() {
+		for _, alg := range registry {
 			t.Run(fmt.Sprintf("%s/%s", gname, alg.Name()), func(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					opt := DefaultOptions()
