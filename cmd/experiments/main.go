@@ -11,15 +11,12 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"linkpred/internal/experiments"
 	"linkpred/internal/obs"
@@ -38,34 +35,13 @@ type expError struct {
 	Error      string `json:"error"`
 }
 
-// metricsDoc is the schema of the -metrics-out report: run metadata, the
-// experiment list with any failures, and the full telemetry dump (counters,
-// latency histograms, span tree).
-type metricsDoc struct {
-	GeneratedAt time.Time  `json:"generated_at"`
-	GoVersion   string     `json:"go_version"`
-	GOMAXPROCS  int        `json:"gomaxprocs"`
+// report is the schema of the -metrics-out file: the shared telemetry report
+// (run stamp, counters, latency histograms, span tree) plus the experiment
+// list with any failures.
+type report struct {
+	obs.Report
 	Experiments []string   `json:"experiments"`
 	Failures    []expError `json:"failures,omitempty"`
-	Metrics     *obs.Dump  `json:"metrics,omitempty"`
-}
-
-func writeMetrics(path string, ids []string, failures []expError) error {
-	doc := metricsDoc{
-		GeneratedAt: time.Now().UTC(),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Experiments: ids,
-		Failures:    failures,
-	}
-	if obs.Enabled() {
-		doc.Metrics = obs.Snapshot()
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 func main() {
@@ -134,7 +110,7 @@ func main() {
 	stopProgress()
 
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, ids, failures); err != nil {
+		if err := obs.WriteReport(*metricsOut, report{obs.NewReport(), ids, failures}); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: metrics-out: %v\n", err)
 			os.Exit(1)
 		}

@@ -36,12 +36,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -51,38 +49,6 @@ import (
 	"linkpred/internal/serve"
 	"linkpred/internal/wal"
 )
-
-// metricsDoc mirrors cmd/experiments' -metrics-out schema so the same
-// tooling (cmd/promlint -json, notebooks) reads both.
-type metricsDoc struct {
-	GeneratedAt time.Time `json:"generated_at"`
-	GoVersion   string    `json:"go_version"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
-	Metrics     *obs.Dump `json:"metrics,omitempty"`
-}
-
-// writeMetrics dumps the current telemetry snapshot atomically (write to a
-// temp file in the target directory, then rename) so a scraper tailing the
-// path never reads a torn report.
-func writeMetrics(path string) error {
-	doc := metricsDoc{
-		GeneratedAt: time.Now().UTC(),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
-	if obs.Enabled() {
-		doc.Metrics = obs.Snapshot()
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
@@ -183,30 +149,7 @@ func main() {
 
 	stopDump := func() {}
 	if *metricsOut != "" {
-		done := make(chan struct{})
-		finished := make(chan struct{})
-		go func() {
-			defer close(finished)
-			t := time.NewTicker(*metricsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := writeMetrics(*metricsOut); err != nil {
-						fmt.Fprintf(os.Stderr, "linkpredd: metrics-out: %v\n", err)
-					}
-				case <-done:
-					return
-				}
-			}
-		}()
-		stopDump = func() {
-			close(done)
-			<-finished
-			if err := writeMetrics(*metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "linkpredd: metrics-out: %v\n", err)
-			}
-		}
+		stopDump = obs.DumpEvery(*metricsOut, *metricsEvery)
 	}
 
 	hs := serve.NewHTTPServer(*addr, srv.Handler())

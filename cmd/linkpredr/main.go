@@ -30,12 +30,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -54,35 +52,6 @@ func (s *shardList) String() string { return fmt.Sprint(*s) }
 func (s *shardList) Set(v string) error {
 	*s = append(*s, v)
 	return nil
-}
-
-// metricsDoc mirrors linkpredd's -metrics-out schema so the same tooling
-// reads worker and router reports alike.
-type metricsDoc struct {
-	GeneratedAt time.Time `json:"generated_at"`
-	GoVersion   string    `json:"go_version"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
-	Metrics     *obs.Dump `json:"metrics,omitempty"`
-}
-
-func writeMetrics(path string) error {
-	doc := metricsDoc{
-		GeneratedAt: time.Now().UTC(),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-	}
-	if obs.Enabled() {
-		doc.Metrics = obs.Snapshot()
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 func main() {
@@ -124,30 +93,7 @@ func main() {
 
 	stopDump := func() {}
 	if *metricsOut != "" {
-		done := make(chan struct{})
-		finished := make(chan struct{})
-		go func() {
-			defer close(finished)
-			t := time.NewTicker(*metricsEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					if err := writeMetrics(*metricsOut); err != nil {
-						fmt.Fprintf(os.Stderr, "linkpredr: metrics-out: %v\n", err)
-					}
-				case <-done:
-					return
-				}
-			}
-		}()
-		stopDump = func() {
-			close(done)
-			<-finished
-			if err := writeMetrics(*metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "linkpredr: metrics-out: %v\n", err)
-			}
-		}
+		stopDump = obs.DumpEvery(*metricsOut, *metricsEvery)
 	}
 
 	hs := serve.NewHTTPServer(*addr, router.Handler())

@@ -22,7 +22,7 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "size scale factor")
 	seed := flag.Int64("seed", 1, "generation seed")
 	out := flag.String("out", "", "output file (default <preset>.trace)")
-	metricsOut := flag.String("metrics-out", "", "write the telemetry dump as JSON to this path; implies -obs")
+	metricsOut := flag.String("metrics-out", "", "write the telemetry report as JSON to this path; implies -obs")
 	obsOn := flag.Bool("obs", false, "enable in-process telemetry collection")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics and /debug/pprof on this address; implies -obs")
 	progress := flag.Duration("progress", 0, "log a progress line to stderr at this interval; implies -obs")
@@ -75,7 +75,7 @@ func main() {
 	root.End()
 	stopProgress()
 	if *metricsOut != "" {
-		if err := obs.WriteFile(*metricsOut); err != nil {
+		if err := obs.WriteReport(*metricsOut, obs.NewReport()); err != nil {
 			fmt.Fprintf(os.Stderr, "tracegen: metrics-out: %v\n", err)
 			os.Exit(1)
 		}

@@ -15,7 +15,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -218,17 +217,4 @@ func WriteJSON(w io.Writer) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
-}
-
-// WriteFile writes the current Dump to path.
-func WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
