@@ -164,8 +164,8 @@ func (e *ShardRejection) Error() string { return e.Msg }
 // graph state of its own: shards are the system of record, and the router's
 // only invariants are (a) replicated ingest order and (b) same-epoch merge.
 //
-// The file reads bottom-up as four pieces that each exist once (DESIGN.md
-// §12): call is the transport every request goes through, fanOut the one
+// The file is four pieces that each exist once (DESIGN.md §12), mechanism
+// first: call is the transport every request goes through, fanOut the one
 // "ask these shards in parallel", alignedGather the one same-epoch gather
 // (fetchShard is its retry/hedge policy for /predict), and merge plus
 // missingRanges turn a gather into a response. Predict, Score, Ingest,
@@ -401,7 +401,8 @@ func (r *Router) alignedGather(ctx context.Context, fetch func(ctx context.Conte
 	}
 	ask(r.all)
 	for _, err := range g.errs {
-		if reply, ok := err.(*shardReply); ok {
+		var reply *shardReply
+		if errors.As(err, &reply) {
 			return g, reply
 		}
 	}

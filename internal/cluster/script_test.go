@@ -418,6 +418,8 @@ func TestRouterScript(t *testing.T) {
 	for _, sc := range routerScripts {
 		t.Run(sc.name, func(t *testing.T) {
 			obs.Reset()
+			// cancelled is buffered past any script's silent steps, so a
+			// cancellation the script does not expect cannot block a shard.
 			net := &scriptNet{steps: map[string][]step{}, seen: map[string][]string{}, cancelled: make(chan string, 8)}
 			cfg := Config{
 				Seed: 1, Client: &http.Client{Transport: net}, Timeout: 30 * time.Second,

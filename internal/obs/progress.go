@@ -37,13 +37,13 @@ func ProgressLine(start time.Time) string {
 		SpansStarted(), m.HeapAlloc>>20)
 }
 
-// LogProgress starts a goroutine writing ProgressLine to w every interval
-// until the returned stop function is called. Stop is idempotent.
-func LogProgress(interval time.Duration, w io.Writer) (stop func()) {
-	start := time.Now()
-	done := make(chan struct{})
-	var once sync.Once
+// every runs f on its own goroutine each interval. The returned stop ends
+// the loop and returns once the goroutine has exited, so f never runs after
+// it; stop is idempotent.
+func every(interval time.Duration, f func()) (stop func()) {
+	done, finished := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(finished)
 		t := time.NewTicker(interval)
 		defer t.Stop()
 		for {
@@ -51,11 +51,22 @@ func LogProgress(interval time.Duration, w io.Writer) (stop func()) {
 			case <-done:
 				return
 			case <-t.C:
-				fmt.Fprintln(w, ProgressLine(start))
+				f()
 			}
 		}
 	}()
-	return func() { once.Do(func() { close(done) }) }
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(done) })
+		<-finished
+	}
+}
+
+// LogProgress starts a goroutine writing ProgressLine to w every interval
+// until the returned stop function is called. Stop is idempotent.
+func LogProgress(interval time.Duration, w io.Writer) (stop func()) {
+	start := time.Now()
+	return every(interval, func() { fmt.Fprintln(w, ProgressLine(start)) })
 }
 
 // Boot wires the opt-in telemetry surfaces for a cmd binary in one call:

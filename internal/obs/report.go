@@ -52,23 +52,9 @@ func DumpEvery(path string, period time.Duration) (stop func()) {
 			fmt.Fprintf(os.Stderr, "obs: metrics-out: %v\n", err)
 		}
 	}
-	done, finished := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(finished)
-		t := time.NewTicker(period)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				write()
-			case <-done:
-				return
-			}
-		}
-	}()
+	stopLoop := every(period, write)
 	return func() {
-		close(done)
-		<-finished
+		stopLoop()
 		write()
 	}
 }

@@ -115,8 +115,9 @@ func (s *Server) walNotePublish(snap *Snapshot) {
 
 // maybeCheckpointLocked starts a background checkpoint covering snap when
 // due. The state capture is synchronous — at the publish instant the trace
-// length equals snap.Edges exactly, and Arrival/Edges and the ID table are append-only,
-// so the captured slice headers are an immutable as-of-publish view — but
+// length equals snap.Edges exactly, and Arrival, Edges and the ID table are
+// append-only, so the captured slice headers are an immutable as-of-publish
+// view — but
 // serialization (the expensive CSR dump + hashing + fsync) runs off the
 // ingest path on a background goroutine; the WAL's own lock orders it
 // against concurrent appends. One checkpoint in flight at a time; a missed
