@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	preset := flag.String("preset", "facebook", "trace preset: facebook, renren, youtube")
+	preset := flag.String("preset", "facebook", "trace preset: facebook, youtube, renren, renren-100k, renren-1m")
 	scale := flag.Float64("scale", 1.0, "size scale factor")
 	seed := flag.Int64("seed", 1, "generation seed")
 	out := flag.String("out", "", "output file (default <preset>.trace)")
@@ -34,16 +34,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cfg gen.Config
-	switch *preset {
-	case "facebook":
-		cfg = gen.Facebook(*seed)
-	case "renren":
-		cfg = gen.Renren(*seed)
-	case "youtube":
-		cfg = gen.YouTube(*seed)
-	default:
-		fmt.Fprintf(os.Stderr, "tracegen: unknown preset %q\n", *preset)
+	cfg, err := gen.ByName(*preset, *seed)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
 		os.Exit(2)
 	}
 	cfg = cfg.Scaled(*scale)

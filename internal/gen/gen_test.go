@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"strings"
 	"testing"
 
 	"linkpred/internal/analysis"
@@ -279,5 +280,18 @@ func TestChurnCreatesDormantMass(t *testing.T) {
 	if float64(dormant2)/float64(total2) >= float64(dormant)/float64(total) {
 		t.Errorf("disabling churn did not reduce dormancy: %d/%d vs %d/%d",
 			dormant2, total2, dormant, total)
+	}
+}
+
+func TestByNameRoundTrips(t *testing.T) {
+	for _, want := range []Config{Facebook(3), YouTube(3), Renren(3), Renren100K(3), Renren1M(3)} {
+		got, err := ByName(want.Name, 3)
+		if err != nil || got != want {
+			t.Errorf("ByName(%q) = %+v, %v; want %+v", want.Name, got, err, want)
+		}
+	}
+	_, err := ByName("orkut", 3)
+	if err == nil || !strings.Contains(err.Error(), "renren-100k") {
+		t.Errorf("ByName(unknown) error = %v; want one listing the preset names", err)
 	}
 }

@@ -1,5 +1,10 @@
 package gen
 
+import (
+	"fmt"
+	"strings"
+)
+
 // The three presets are scaled-down analogues of the paper's Table 2
 // datasets. The absolute sizes are ~20-1000x smaller than the originals so
 // the full experiment suite runs on one machine, but the *relative*
@@ -121,4 +126,17 @@ func DefaultDelta(cfg Config) int {
 // paper tabulates them (Facebook, YouTube, Renren).
 func Presets(seed int64) []Config {
 	return []Config{Facebook(seed), YouTube(seed + 1), Renren(seed + 2)}
+}
+
+// ByName resolves a preset by its Config.Name: the one name table the
+// command-line tools share.
+func ByName(name string, seed int64) (Config, error) {
+	var names []string
+	for _, c := range []Config{Facebook(seed), YouTube(seed), Renren(seed), Renren100K(seed), Renren1M(seed)} {
+		if c.Name == name {
+			return c, nil
+		}
+		names = append(names, c.Name)
+	}
+	return Config{}, fmt.Errorf("gen: unknown preset %q (%s)", name, strings.Join(names, ", "))
 }

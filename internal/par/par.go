@@ -105,7 +105,7 @@ func ShardRangeCtx(ctx context.Context, n, workers, min int, body func(worker, l
 // minWork units of estimated total work. Fan-out has a fixed cost per
 // goroutine (spawn, chunk claims, heap merge); on tiny inputs that overhead
 // exceeds the sweep itself and parallelism turns into the small-graph
-// regression BENCH_predict.json records (JC 0.83x at 4 workers). Callers
+// regression PR 6 measured on renren@0.2 (JC 0.83x at 4 workers). Callers
 // estimate work in whatever unit dominates their loop (wedge visits for the
 // local sweeps) and the clamp keeps sub-threshold inputs serial. The result
 // depends only on (workers, work, minWork), never on timing, so clamped

@@ -185,8 +185,15 @@ type topK struct {
 	rec *obsRun
 }
 
+// maxPrealloc caps every capacity hint derived from a request's k: memory
+// follows the candidates actually retained, never the number asked for, so
+// k=2·10⁹ costs what its answer costs. Capacity is not content — output is
+// identical at any cap.
+const maxPrealloc = 1024
+
 func newTopK(k int, seed int64) *topK {
-	return &topK{k: k, seed: seed, pairs: make([]Pair, 0, k), ties: make([]uint64, 0, k)}
+	c := min(k, maxPrealloc)
+	return &topK{k: k, seed: seed, pairs: make([]Pair, 0, c), ties: make([]uint64, 0, c)}
 }
 
 // newTopKRec is newTopK with the current call's telemetry recorder

@@ -75,8 +75,8 @@ func RandomPrediction(g *graph.Graph, k int, seed int64) []Pair {
 		k = int(g.UnconnectedPairs())
 	}
 	rng := rand.New(rand.NewSource(seed))
-	seen := make(map[uint64]bool, k)
-	out := make([]Pair, 0, k)
+	seen := make(map[uint64]bool, min(k, maxPrealloc))
+	out := make([]Pair, 0, min(k, maxPrealloc))
 	for len(out) < k {
 		u := graph.NodeID(rng.Intn(n))
 		v := graph.NodeID(rng.Intn(n))

@@ -169,42 +169,15 @@ func SourceCosts(g *graph.Graph, model CostModel) (costs []uint64, total uint64)
 	return costs, rescaled
 }
 
-// RangesFromCosts partitions [0, len(costs)) into shards contiguous ranges
-// of approximately equal total cost, by prefix-sum against evenly spaced
-// targets. The ranges are contiguous, disjoint, and cover the whole span,
-// so the ownership rule and merge-exactness argument above apply at any
-// boundary placement.
-func RangesFromCosts(costs []uint64, total uint64, shards int) []SourceRange {
-	if shards <= 0 {
-		panic("predict: invalid shard count")
-	}
-	n := len(costs)
-	ranges := make([]SourceRange, shards)
-	lo := 0
-	var acc uint64
-	for s := 0; s < shards; s++ {
-		hi := lo
-		if s == shards-1 {
-			hi = n
-		} else {
-			target := total * uint64(s+1) / uint64(shards)
-			for hi < n && acc+costs[hi] <= target {
-				acc += costs[hi]
-				hi++
-			}
-		}
-		ranges[s] = SourceRange{Lo: lo, Hi: hi}
-		lo = hi
-	}
-	return ranges
-}
-
 // WeightedSourceRangesFor partitions [0, n) into shards contiguous source
-// ranges of approximately equal cost under model. Growth traces assign low
-// IDs to old nodes, and old nodes are the hubs, so equal-count ranges pile
-// the expensive sources — and, under the min(u, v) ownership rule, nearly
-// all hub–hub candidates — onto shard 0; measured on renren-100k, shard 0
-// of 4 carries ~65% of the wedge sweep.
+// ranges of approximately equal cost under model, by prefix-sum against
+// evenly spaced targets. Growth traces assign low IDs to old nodes, and old
+// nodes are the hubs, so equal-count ranges pile the expensive sources —
+// and, under the min(u, v) ownership rule, nearly all hub–hub candidates —
+// onto shard 0; measured on renren-100k, shard 0 of 4 carries ~65% of the
+// wedge sweep. The ranges are contiguous, disjoint, and cover the whole
+// span, so the ownership rule and merge-exactness argument above apply at
+// any boundary placement.
 //
 // The split is a pure function of the snapshot's degree sequence and the
 // model: replicas holding identical snapshots compute identical boundaries
@@ -214,8 +187,52 @@ func WeightedSourceRangesFor(g *graph.Graph, shards int, model CostModel) []Sour
 	if shards <= 0 {
 		panic("predict: invalid shard count")
 	}
+	end := rangeEnds(g, shards, model)
+	ranges := make([]SourceRange, shards)
+	lo := 0
+	for s := range ranges {
+		hi := end(s)
+		ranges[s] = SourceRange{Lo: lo, Hi: hi}
+		lo = hi
+	}
+	return ranges
+}
+
+// WeightedSourceRangeFor is WeightedSourceRangesFor(g, shards, model)[shard]
+// without the other shards−1 ranges: a request that names its own shard
+// count costs the O(n) cost pass, whatever count it names.
+func WeightedSourceRangeFor(g *graph.Graph, shard, shards int, model CostModel) SourceRange {
+	if shard < 0 || shard >= shards {
+		panic("predict: invalid shard index")
+	}
+	end := rangeEnds(g, shards, model)
+	lo := 0
+	if shard > 0 {
+		lo = end(shard - 1)
+	}
+	return SourceRange{Lo: lo, Hi: end(shard)}
+}
+
+// rangeEnds returns end(s), the exclusive upper end of range s of the
+// shards-way split: the longest prefix whose cost stays within
+// total·(s+1)/shards (128-bit, so a hostile shard count cannot wrap the
+// target). The scan resumes where the previous call stopped, so s must not
+// decrease between calls.
+func rangeEnds(g *graph.Graph, shards int, model CostModel) func(s int) int {
 	costs, total := SourceCosts(g, model)
-	return RangesFromCosts(costs, total, shards)
+	hi, acc := 0, uint64(0)
+	return func(s int) int {
+		if s == shards-1 {
+			return len(costs)
+		}
+		th, tl := bits.Mul64(total, uint64(s+1))
+		target, _ := bits.Div64(th, tl, uint64(shards))
+		for hi < len(costs) && acc+costs[hi] <= target {
+			acc += costs[hi]
+			hi++
+		}
+		return hi
+	}
 }
 
 // WeightedSourceRanges is WeightedSourceRangesFor under CostWedge, the

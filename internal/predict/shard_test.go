@@ -2,6 +2,8 @@ package predict
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"linkpred/internal/graph"
@@ -85,6 +87,29 @@ func TestMergeTopKOrderInvariance(t *testing.T) {
 	assertSamePairs(t, want, MergeTopK(regrouped, k, opt.Seed), "merge of merges")
 }
 
+// TestHostileSizesAllocateByResult: a request's k and shard count size
+// nothing. MergeTopK at k = MaxInt32 and one range of a 2·10⁹-way split
+// return what the candidate-count-sized call returns, inside a heap budget
+// five orders of magnitude under what sizing by the request would take.
+func TestHostileSizesAllocateByResult(t *testing.T) {
+	g := randomGraph(3, 200, 800)
+	parts := [][]Pair{CN.Predict(g, 7, DefaultOptions()), AA.Predict(g, 5, DefaultOptions())}
+	want := MergeTopK(parts, 12, 1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	merged := MergeTopK(parts, math.MaxInt32, 1)
+	first := WeightedSourceRangeFor(g, 0, 2_000_000_000, CostWedge)
+	last := WeightedSourceRangeFor(g, 1_999_999_999, 2_000_000_000, CostWedge)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("hostile sizes allocated %d bytes, want under 1 MiB", grew)
+	}
+	assertSamePairs(t, want, merged, "MergeTopK k=MaxInt32")
+	if first != (SourceRange{0, 0}) || last.Hi != g.NumNodes() || last.Lo >= last.Hi {
+		t.Errorf("2e9-way split: shard 0 = %v, last shard = %v over %d nodes", first, last, g.NumNodes())
+	}
+}
+
 // TestWeightedSourceRanges pins the weighted split's invariants — a
 // contiguous disjoint cover of [0, n) at every shard count — and the merge
 // contract on weighted boundaries (the partition the serving layer actually
@@ -92,7 +117,7 @@ func TestMergeTopKOrderInvariance(t *testing.T) {
 func TestWeightedSourceRanges(t *testing.T) {
 	g := randomGraph(21, 300, 1500)
 	n := g.NumNodes()
-	for _, shards := range []int{1, 2, 3, 7, 16} {
+	for _, shards := range []int{1, 2, 3, 7, 16, 400} {
 		ranges := WeightedSourceRanges(g, shards)
 		if len(ranges) != shards {
 			t.Fatalf("shards=%d: got %d ranges", shards, len(ranges))
@@ -101,6 +126,9 @@ func TestWeightedSourceRanges(t *testing.T) {
 		for s, r := range ranges {
 			if r.Lo != prev || r.Hi < r.Lo {
 				t.Fatalf("shards=%d: shard %d range [%d,%d) breaks cover at %d", shards, s, r.Lo, r.Hi, prev)
+			}
+			if one := WeightedSourceRangeFor(g, s, shards, CostWedge); one != r {
+				t.Fatalf("shards=%d: WeightedSourceRangeFor(shard %d) = %v, want %v", shards, s, one, r)
 			}
 			prev = r.Hi
 		}

@@ -1020,7 +1020,7 @@ func (s *Server) servePredict(r *request, snap *Snapshot) {
 		// the same epoch derives the same disjoint cover, and the router
 		// learns the ranges from shard_range.
 		model := predict.CostModelFor(r.alg)
-		srange = predict.WeightedSourceRangesFor(snap.Graph, r.shards, model)[r.shard]
+		srange = predict.WeightedSourceRangeFor(snap.Graph, r.shard, r.shards, model)
 		opt.SourceRange = &srange
 	}
 	pairs := alg.Predict(snap.Graph, r.k, opt)

@@ -2,11 +2,16 @@ package serve
 
 import (
 	"fmt"
+	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
+	"linkpred/internal/gen"
 	"linkpred/internal/graph"
+	"linkpred/internal/predict"
 )
 
 // TestPredictQueryEncodeRoundTrip: Encode is the parser's inverse, and for
@@ -86,5 +91,46 @@ func TestIDMapAdmit(t *testing.T) {
 	}
 	if u, v, ok := seeded.Admit(Event{U: 20, V: 40}); !ok || u != 1 || v != 2 {
 		t.Errorf("seeded Admit = (%d, %d, %v), want (1, 2, true)", u, v, ok)
+	}
+}
+
+// TestHostileSizesServedByResult (ROADMAP item 6a): a request's k and shard
+// count size nothing. k=2·10⁹ answers byte-for-byte what k = the candidate
+// count answers, and shard 0 of 2·10⁹ answers its (empty) range with 200,
+// each inside a heap budget three orders of magnitude under what sizing by
+// the request would take.
+func TestHostileSizesServedByResult(t *testing.T) {
+	tr, err := gen.Generate(gen.Renren(1).Scaled(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{SnapshotEvery: 1 << 20, Workers: 1})
+	if _, rej, err := s.Ingest(traceEvents(tr)); err != nil || rej != 0 {
+		t.Fatalf("ingest: rejected=%d err=%v", rej, err)
+	}
+	snap := s.Flush()
+	get := func(query string) (int, string) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/predict?"+query, nil))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 8<<20 {
+			t.Errorf("%s allocated %d bytes, want under 8 MiB", query, grew)
+		}
+		return rec.Code, rec.Body.String()
+	}
+	candidates := len(predict.CN.Predict(snap.Graph, 1<<20, s.cfg.Opt))
+	if candidates < 1000 || candidates >= 1<<20 {
+		t.Fatalf("fixture has %d CN candidates; want a count the 1<<20 probe cannot have clipped", candidates)
+	}
+	wantCode, want := get(fmt.Sprintf("alg=CN&k=%d", candidates))
+	if code, body := get("alg=CN&k=2000000000"); code != 200 || wantCode != 200 || body != want {
+		t.Errorf("k=2e9: status %d (k=%d: %d), bodies equal: %v", code, candidates, wantCode, body == want)
+	}
+	code, body := get("alg=CN&k=10&shard=0&shards=2000000000")
+	if code != 200 || !strings.Contains(body, `"shard_range":[0,0]`) || !strings.Contains(body, `"pairs":[]`) {
+		t.Errorf("shard 0 of 2e9: status %d body %s", code, body)
 	}
 }
