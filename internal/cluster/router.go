@@ -171,7 +171,7 @@ func (e *ShardRejection) Error() string { return e.Msg }
 // missingRanges turn a gather into a response. Predict, Score, Ingest,
 // Flush and Health are policy over those.
 //
-// Shard recovery (ROADMAP item 2): a shard that misses ingest batches
+// Shard recovery (ROADMAP item 4's debt): a shard that misses ingest batches
 // (crash, partition) diverges, and the router detects this as persistent
 // epoch misalignment, serving partial responses for that shard's ranges.
 // With the durable trace landed (internal/wal), a crashed shard restarts
@@ -571,8 +571,9 @@ func (r *Router) Predict(ctx context.Context, alg string, k int) (*Response, err
 // missingRanges lists the source ranges no shard aligned on target answered
 // for: dead or still-stale shards contribute their owned ranges. The
 // boundaries are derived from the aligned responses: the split is
-// degree-weighted and computed shard-side from the snapshot
-// (predict.WeightedSourceRanges), so the router cannot reconstruct a dead
+// degree-weighted and computed shard-side from the snapshot under the
+// requested algorithm's cost model (predict.WeightedSourceRangeFor with
+// predict.CostModelFor), so the router cannot reconstruct a dead
 // shard's range alone — but the ranges are contiguous and ordered by shard
 // index, so a run of unanswered shards owns exactly the gap between its
 // alive neighbors' boundaries (closed by 0 on the left and the snapshot's

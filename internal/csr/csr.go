@@ -20,9 +20,7 @@
 package csr
 
 import (
-	"cmp"
 	"math/bits"
-	"slices"
 
 	"linkpred/internal/graph"
 )
@@ -56,28 +54,22 @@ type View struct {
 // IDs; iterating set bits ascending yields neighbors in ascending ID order.
 type Bits []uint64
 
-// Build constructs the view for g, spending at most hubBudget bytes on hub
-// bitset rows (DefaultHubBudget when <= 0). The result depends only on g
-// and the budget.
-func Build(g *graph.Graph, hubBudget int) *View {
+// Build constructs the view for g over order — every node ID, degree
+// descending, ties by ascending ID; snapcache passes its cached DegreeOrder,
+// so a snapshot is sorted once — spending at most hubBudget bytes on hub
+// bitset rows (DefaultHubBudget when <= 0). The view aliases order, which
+// must not be modified afterwards. The result depends only on g and the
+// budget.
+func Build(g *graph.Graph, order []graph.NodeID, hubBudget int) *View {
 	if hubBudget <= 0 {
 		hubBudget = DefaultHubBudget
 	}
 	n := g.NumNodes()
 	v := &View{
-		Order: make([]graph.NodeID, n),
+		Order: order,
 		Rank:  make([]int32, n),
 		words: (n + 63) / 64,
 	}
-	for i := range v.Order {
-		v.Order[i] = graph.NodeID(i)
-	}
-	slices.SortStableFunc(v.Order, func(a, b graph.NodeID) int {
-		if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
 	for r, u := range v.Order {
 		v.Rank[u] = int32(r)
 	}

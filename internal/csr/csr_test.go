@@ -1,6 +1,7 @@
 package csr
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -29,9 +30,26 @@ func hubbyGraph(t *testing.T, n, hubs int, seed int64) *graph.Graph {
 	return graph.Build(n, edges)
 }
 
+// degreeOrder is the canonical order Build expects: degree descending, ties
+// by ascending ID (snapcache.DegreeOrder, rebuilt here so the package tests
+// stay below snapcache).
+func degreeOrder(g *graph.Graph) []graph.NodeID {
+	order := make([]graph.NodeID, g.NumNodes())
+	for i := range order {
+		order[i] = graph.NodeID(i)
+	}
+	slices.SortStableFunc(order, func(a, b graph.NodeID) int {
+		if c := cmp.Compare(g.Degree(b), g.Degree(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
+}
+
 func TestBuildOrderIsCanonical(t *testing.T) {
 	g := hubbyGraph(t, 500, 4, 1)
-	v := Build(g, 0)
+	v := Build(g, degreeOrder(g), 0)
 	if len(v.Order) != g.NumNodes() || len(v.Rank) != g.NumNodes() {
 		t.Fatalf("order/rank sizes = %d/%d, want %d", len(v.Order), len(v.Rank), g.NumNodes())
 	}
@@ -51,7 +69,7 @@ func TestBuildOrderIsCanonical(t *testing.T) {
 
 func TestHubBitsMatchAdjacency(t *testing.T) {
 	g := hubbyGraph(t, 800, 6, 2)
-	v := Build(g, 0)
+	v := Build(g, degreeOrder(g), 0)
 	if v.Hubs == 0 {
 		t.Fatal("expected at least one hub row")
 	}
@@ -83,7 +101,7 @@ func TestHubBudgetLimitsRows(t *testing.T) {
 	g := hubbyGraph(t, 1000, 8, 3)
 	// Budget for exactly three rows.
 	words := (g.NumNodes() + 63) / 64
-	v := Build(g, 3*words*8)
+	v := Build(g, degreeOrder(g), 3*words*8)
 	if v.Hubs > 3 {
 		t.Fatalf("Hubs = %d, want <= 3 under a 3-row budget", v.Hubs)
 	}
@@ -94,7 +112,7 @@ func TestHubBudgetLimitsRows(t *testing.T) {
 
 func TestAndCountAndIterMatchMerge(t *testing.T) {
 	g := hubbyGraph(t, 600, 5, 4)
-	v := Build(g, 0)
+	v := Build(g, degreeOrder(g), 0)
 	if v.Hubs < 2 {
 		t.Fatal("need at least two hubs")
 	}
@@ -118,7 +136,7 @@ func TestAndCountAndIterMatchMerge(t *testing.T) {
 func TestEmptyAndTinyGraphs(t *testing.T) {
 	for _, n := range []int{0, 1, 3} {
 		g := graph.Build(n, nil)
-		v := Build(g, 0)
+		v := Build(g, degreeOrder(g), 0)
 		if v.Hubs != 0 {
 			t.Fatalf("n=%d: Hubs = %d, want 0 (all degrees < MinHubDegree)", n, v.Hubs)
 		}

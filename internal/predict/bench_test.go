@@ -63,7 +63,7 @@ func benchWorkerCounts() []int {
 func BenchmarkPredictParallel(b *testing.B) {
 	g, _ := benchGraph(b)
 	k := 200
-	for _, alg := range All() {
+	for _, alg := range registry {
 		for _, w := range benchWorkerCounts() {
 			opt := DefaultOptions()
 			opt.Workers = w

@@ -103,17 +103,25 @@ func fuseLHN(g *graph.Graph, _ *naiveBayes, u, v graph.NodeID, count int32, _ fl
 // DESIGN.md §10); LHN's denominator grows with deg(u), giving it the
 // strongest per-source bound in the family.
 
+var (
+	salton   = &localMetric{name: "Salton", score: scoreSalton, fuse: fuseSalton, boundKind: boundUnit}
+	sorensen = &localMetric{name: "Sorensen", score: scoreSorensen, fuse: fuseSorensen, boundKind: boundUnit}
+	hpi      = &localMetric{name: "HPI", score: scoreHPI, fuse: fuseHPI, boundKind: boundUnit}
+	hdi      = &localMetric{name: "HDI", score: scoreHDI, fuse: fuseHDI, boundKind: boundUnit}
+	lhn      = &localMetric{name: "LHN", score: scoreLHN, fuse: fuseLHN, boundKind: boundInvDeg}
+)
+
 // Salton is the cosine similarity index (|Γu∩Γv| / sqrt(ku·kv)).
-var Salton Algorithm = &localMetric{name: "Salton", score: scoreSalton, fuse: fuseSalton, boundKind: boundUnit}
+var Salton Algorithm = salton.row()
 
 // Sorensen is the Sørensen index (2|Γu∩Γv| / (ku+kv)).
-var Sorensen Algorithm = &localMetric{name: "Sorensen", score: scoreSorensen, fuse: fuseSorensen, boundKind: boundUnit}
+var Sorensen Algorithm = sorensen.row()
 
 // HPI is the Hub Promoted Index (|Γu∩Γv| / min(ku,kv)).
-var HPI Algorithm = &localMetric{name: "HPI", score: scoreHPI, fuse: fuseHPI, boundKind: boundUnit}
+var HPI Algorithm = hpi.row()
 
 // HDI is the Hub Depressed Index (|Γu∩Γv| / max(ku,kv)).
-var HDI Algorithm = &localMetric{name: "HDI", score: scoreHDI, fuse: fuseHDI, boundKind: boundUnit}
+var HDI Algorithm = hdi.row()
 
 // LHN is the Leicht-Holme-Newman index (|Γu∩Γv| / (ku·kv)).
-var LHN Algorithm = &localMetric{name: "LHN", score: scoreLHN, fuse: fuseLHN, boundKind: boundInvDeg}
+var LHN Algorithm = lhn.row()

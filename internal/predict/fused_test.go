@@ -15,11 +15,7 @@ import (
 // fusedMetrics returns every algorithm implemented as a localMetric: the
 // paper's 7 local metrics plus the 5 survey extensions.
 func fusedMetrics() []*localMetric {
-	var ms []*localMetric
-	for _, a := range []Algorithm{CN, JC, AA, RA, BCN, BAA, BRA, Salton, Sorensen, HPI, HDI, LHN} {
-		ms = append(ms, a.(*localMetric))
-	}
-	return ms
+	return []*localMetric{cn, jc, aa, ra, bcn, baa, bra, salton, sorensen, hpi, hdi, lhn}
 }
 
 // fusedWorkerCounts are the engine configurations the kernels are checked

@@ -10,18 +10,16 @@ import (
 	"linkpred/internal/snapcache"
 )
 
-// katzLR is the low-rank Katz approximation (Katz_lr, Acar et al. [1]):
-// with the rank-r eigendecomposition A ≈ Q Λ Qᵀ,
+// KatzLR is the low-rank Katz approximation (Katz_lr, Acar et al. [1]; after
+// §4.2 the paper calls it simply Katz): with the rank-r eigendecomposition
+// A ≈ Q Λ Qᵀ,
 //
 //	Katz(u,v) = Σ_{l>=1} βˡ (Aˡ)_{uv} ≈ Σ_i f(λ_i) q_ui q_vi,
 //	f(λ) = βλ / (1 - βλ).
-type katzLR struct{}
-
-// KatzLR is the low-rank Katz algorithm; the paper calls it Katz_lr and,
-// after §4.2, simply Katz.
-var KatzLR Algorithm = katzLR{}
-
-func (katzLR) Name() string { return "Katz" }
+var KatzLR Algorithm = latent(func(g *graph.Graph, opt Options) func(u, v graph.NodeID) float64 {
+	scaled, raw := katzFactors(g, opt)
+	return func(u, v graph.NodeID) float64 { return linalg.Dot(scaled.Row(int(u)), raw.Row(int(v))) }
+}).row("Katz")
 
 // katzFactors returns the rank-r factors: scaled[u] · raw[v] = score(u,v).
 // The factors are cached per snapshot under the full parameter set, so
@@ -58,48 +56,16 @@ func katzFactors(g *graph.Graph, opt Options) (scaled, raw *linalg.Dense) {
 	})
 }
 
-func (katzLR) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	mustFullGraph(g, "Katz")
-	validateOptions(opt)
-	r := beginRun("Katz", opPredict)
-	defer r.end()
-	opt.rec = r
-	// The factors build once (parallel eigensolve, cached per snapshot) and
-	// are read-only across the scoring workers.
-	scaled, raw := katzFactors(g, opt)
-	return predictGlobal(g, k, opt, func(u, v graph.NodeID) float64 {
-		return linalg.Dot(scaled.Row(int(u)), raw.Row(int(v)))
-	})
-}
-
-func (katzLR) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	mustFullGraph(g, "Katz")
-	r := beginRun("Katz", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
-	scaled, raw := katzFactors(g, opt)
-	out := make([]float64, len(pairs))
-	shardRange(opt, len(pairs), workerCount(opt), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := pairs[i]
-			out[i] = linalg.Dot(scaled.Row(int(p.U)), raw.Row(int(p.V)))
-		}
-	})
-	return out
-}
-
-// katzSC is the scalable Katz proximity estimation (Katz_sc, after Song et
+// KatzSC is the scalable Katz proximity estimation (Katz_sc, after Song et
 // al. [38]): a Nyström-style landmark embedding. Truncated Katz columns are
 // computed exactly for L landmark nodes (half top-degree, half random), and
 // Katz(u,v) ≈ C W⁺ Cᵀ where C holds the landmark columns and W the
 // landmark-landmark submatrix. Cheaper but less accurate than Katz_lr,
 // matching the paper's observed ordering.
-type katzSC struct{}
-
-// KatzSC is the scalable Katz approximation.
-var KatzSC Algorithm = katzSC{}
-
-func (katzSC) Name() string { return "KatzSC" }
+var KatzSC Algorithm = latent(func(g *graph.Graph, opt Options) func(u, v graph.NodeID) float64 {
+	p, c := katzSCFactors(g, opt)
+	return func(u, v graph.NodeID) float64 { return linalg.Dot(p.Row(int(u)), c.Row(int(v))) }
+}).row("KatzSC")
 
 // katzSCFactors returns P = C W⁺ (n x L) and C (n x L); score = P_u · C_v.
 // Cached per snapshot under the full parameter set.
@@ -133,16 +99,15 @@ func buildKatzSCFactors(g *graph.Graph, opt Options, n, L, maxLen int) (p, c *li
 	// disjoint columns of c.
 	c = linalg.NewDense(n, L)
 	workers := workerCount(opt)
-	scratch := make([]*katzScratch, workers)
+	scratch := make([]*walkScratch, workers)
 	shardRange(opt, len(landmarks), workers, func(wk, lo, hi int) {
 		if scratch[wk] == nil {
-			scratch[wk] = newKatzScratch(n)
+			scratch[wk] = newWalkScratch(n)
 		}
-		s := scratch[wk]
 		for j := lo; j < hi; j++ {
-			katzVector(g, landmarks[j], opt.KatzBeta, maxLen, s)
-			for _, v := range s.acc.touched {
-				c.Set(int(v), j, s.acc.val[v])
+			col := katzVector(g, landmarks[j], opt.KatzBeta, maxLen, scratch[wk])
+			for _, v := range col.touched {
+				c.Set(int(v), j, col.val[v])
 			}
 		}
 	})
@@ -196,32 +161,4 @@ func pickLandmarks(g *graph.Graph, L int, seed int64) []graph.NodeID {
 	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
 	landmarks = append(landmarks, rest[:L-half]...)
 	return landmarks
-}
-
-func (katzSC) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	mustFullGraph(g, "KatzSC")
-	validateOptions(opt)
-	r := beginRun("KatzSC", opPredict)
-	defer r.end()
-	opt.rec = r
-	p, c := katzSCFactors(g, opt)
-	return predictGlobal(g, k, opt, func(u, v graph.NodeID) float64 {
-		return linalg.Dot(p.Row(int(u)), c.Row(int(v)))
-	})
-}
-
-func (katzSC) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	mustFullGraph(g, "KatzSC")
-	r := beginRun("KatzSC", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
-	p, c := katzSCFactors(g, opt)
-	out := make([]float64, len(pairs))
-	shardRange(opt, len(pairs), workerCount(opt), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			pr := pairs[i]
-			out[i] = linalg.Dot(p.Row(int(pr.U)), c.Row(int(pr.V)))
-		}
-	})
-	return out
 }

@@ -4,7 +4,7 @@ import (
 	"linkpred/internal/graph"
 )
 
-// katzExactT is the truncated-exact Katz variant: the series Σ βˡ (Aˡ)_{uv}
+// KatzExact is the truncated-exact Katz comparator: the series Σ βˡ (Aˡ)_{uv}
 // computed exactly up to l = KatzMaxLen by per-source sparse propagation.
 // With the paper's β = 0.001 the truncated tail is negligible, so this is
 // effectively exact Katz — the reference the approximations are benchmarked
@@ -12,24 +12,14 @@ import (
 // implementations (they could not afford exact Katz at their scale; §3.2's
 // footnote reports 27 days for a single Renren snapshot), which is exactly
 // why having it at our scale is useful for validating Katz_lr and Katz_sc.
-type katzExactT struct{}
+var KatzExact Algorithm = propagation(func(g *graph.Graph, opt Options) sourceFill {
+	beta, maxLen := opt.KatzBeta, katzLen(opt)
+	return func(u graph.NodeID, s *walkScratch) *sparseVec { return katzVector(g, u, beta, maxLen, s) }
+}).row("KatzExact")
 
-// KatzExact is the truncated-exact Katz comparator.
-var KatzExact Algorithm = katzExactT{}
-
-func (katzExactT) Name() string { return "KatzExact" }
-
-// katzScratch is one worker's propagation state for truncated Katz columns.
-type katzScratch struct {
-	cur, next, acc *sparseVec
-}
-
-func newKatzScratch(n int) *katzScratch {
-	return &katzScratch{cur: newSparseVec(n), next: newSparseVec(n), acc: newSparseVec(n)}
-}
-
-// katzVector accumulates Σ_{l=1..maxLen} βˡ Aˡ e_u into s.acc.
-func katzVector(g *graph.Graph, u graph.NodeID, beta float64, maxLen int, s *katzScratch) {
+// katzVector accumulates Σ_{l=1..maxLen} βˡ Aˡ e_u into s.acc and returns
+// it.
+func katzVector(g *graph.Graph, u graph.NodeID, beta float64, maxLen int, s *walkScratch) *sparseVec {
 	cur, next, acc := s.cur, s.next, s.acc
 	cur.reset()
 	acc.reset()
@@ -45,6 +35,7 @@ func katzVector(g *graph.Graph, u graph.NodeID, beta float64, maxLen int, s *kat
 		weight *= beta
 	}
 	s.cur, s.next = cur, next
+	return acc
 }
 
 func katzLen(opt Options) int {
@@ -52,71 +43,4 @@ func katzLen(opt Options) int {
 		return 4
 	}
 	return opt.KatzMaxLen
-}
-
-func (katzExactT) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	mustFullGraph(g, "KatzExact")
-	validateOptions(opt)
-	r := beginRun("KatzExact", opPredict)
-	defer r.end()
-	opt.rec = r
-	n := g.NumNodes()
-	base, end := opt.sourceSpan(n)
-	maxLen := katzLen(opt)
-	workers := workerCount(opt)
-	parts := make([]*topK, workers)
-	scratch := make([]*katzScratch, workers)
-	shardRange(opt, end-base, workers, func(wk, lo, hi int) {
-		if parts[wk] == nil {
-			parts[wk] = newTopKRec(k, opt)
-			scratch[wk] = newKatzScratch(n)
-		}
-		opt.rec.addNodes(int64(hi - lo))
-		top, s := parts[wk], scratch[wk]
-		for u := base + lo; u < base+hi; u++ {
-			uid := graph.NodeID(u)
-			if g.Degree(uid) == 0 {
-				continue
-			}
-			katzVector(g, uid, opt.KatzBeta, maxLen, s)
-			for _, v := range s.acc.touched {
-				if v <= uid || g.HasEdge(uid, v) {
-					continue
-				}
-				top.Add(uid, v, s.acc.val[v])
-			}
-		}
-	})
-	return mergeTopK(k, opt.Seed, parts).Result()
-}
-
-func (katzExactT) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	mustFullGraph(g, "KatzExact")
-	r := beginRun("KatzExact", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
-	n := g.NumNodes()
-	out := make([]float64, len(pairs))
-	idx := sourceSortedIndex(pairs, func(p Pair) graph.NodeID { return p.U })
-	maxLen := katzLen(opt)
-	workers := workerCount(opt)
-	scratch := make([]*katzScratch, workers)
-	shardRange(opt, len(idx), workers, func(wk, lo, hi int) {
-		if scratch[wk] == nil {
-			scratch[wk] = newKatzScratch(n)
-		}
-		s := scratch[wk]
-		curU := graph.NodeID(-1)
-		first := true
-		for _, i := range idx[lo:hi] {
-			p := pairs[i]
-			if p.U != curU || first {
-				curU = p.U
-				first = false
-				katzVector(g, curU, opt.KatzBeta, maxLen, s)
-			}
-			out[i] = s.acc.val[p.V]
-		}
-	})
-	return out
 }

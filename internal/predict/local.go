@@ -41,8 +41,6 @@ type localMetric struct {
 	boundTerm func(g *graph.Graph, ld []float64, nb *naiveBayes, w graph.NodeID) float64
 }
 
-func (m *localMetric) Name() string { return m.name }
-
 // kernel binds the metric's accumulate/finish forms to one snapshot's
 // read-only state (the graph and, for the B* family, the naive Bayes
 // statistics); the returned closures are shared by all workers of a call.
@@ -57,48 +55,44 @@ func (m *localMetric) kernel(g *graph.Graph, nb *naiveBayes) sweepKernel {
 	return k
 }
 
-func (m *localMetric) Predict(g *graph.Graph, k int, opt Options) []Pair {
+// row is the metric's registry row. Its facts follow from the metric's
+// shape: the naive Bayes triangle prepass reads rows a partition drops and
+// its hub bounds collapse under pruning (CostCappedWedge), and only the
+// witness-weighted kernels read the log-degree table.
+func (m *localMetric) row() *algo {
+	a := &algo{name: m.name, cost: CostWedge, partitionSafe: !m.usesNB, predict: m.predict, score: m.scorePairs}
 	if m.usesNB {
-		mustFullGraph(g, m.name)
+		a.cost = CostCappedWedge
 	}
-	opt = resolvePartition(g, opt)
-	validateOptions(opt)
-	r := beginRun(m.name, opPredict)
-	defer r.end()
-	opt.rec = r
-	// The naive Bayes statistics are built once per snapshot (snapcache) and
-	// are read-only across workers and calls.
-	var nb *naiveBayes
-	if m.usesNB {
-		nb = cachedNaiveBayes(g, opt)
+	if m.witness != nil {
+		a.warm = func(g *graph.Graph, _ Options) { logDegTable(g) }
 	}
+	return a
+}
+
+func (m *localMetric) predict(g *graph.Graph, k int, opt Options) []Pair {
+	nb := m.stats(g, opt)
 	return predictPruned(g, k, opt, m, nb, m.kernel(g, nb))
 }
 
-func (m *localMetric) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	if m.usesNB {
-		mustFullGraph(g, m.name)
-	}
-	r := beginRun(m.name, opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
-	var nb *naiveBayes
-	if m.usesNB {
-		nb = cachedNaiveBayes(g, opt)
-	}
-	return scorePairsFused(g, pairs, opt, m.kernel(g, nb))
+func (m *localMetric) scorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
+	return scorePairsFused(g, pairs, opt, m.kernel(g, m.stats(g, opt)))
 }
 
-// cachedNaiveBayes returns the snapshot's naive Bayes statistics, built at
-// most once per snapshot and shared across calls via snapcache. The
-// statistics are integer-exact and path-independent (newNaiveBayes), so
-// sharing is safe at any worker count; the build strips the caller's
-// context so a cancelled request can never poison the cache — the same
-// discipline as the latent factor builds. This matters most under
-// sharding: the prepass costs the full graph's triangle census no matter
-// how narrow the shard's SourceRange is, and uncached it was the serial
-// term pinning BCN/BAA/BRA to ~1.8× at 4 shards.
-func cachedNaiveBayes(g *graph.Graph, opt Options) *naiveBayes {
+// stats returns the snapshot's naive Bayes statistics for the B* family
+// (nil for the rest), built at most once per snapshot and shared read-only
+// across workers and calls via snapcache. The statistics are integer-exact
+// and path-independent (newNaiveBayes), so sharing is safe at any worker
+// count; the build strips the caller's context so a cancelled request can
+// never poison the cache — the same discipline as the latent factor
+// builds. This matters most under sharding: the prepass costs the full
+// graph's triangle census no matter how narrow the shard's SourceRange is,
+// and uncached it was the serial term pinning BCN/BAA/BRA to ~1.8× at 4
+// shards.
+func (m *localMetric) stats(g *graph.Graph, opt Options) *naiveBayes {
+	if !m.usesNB {
+		return nil
+	}
 	v, _ := snapcache.For(g).Artifact("predict/naivebayes", func() (any, error) {
 		return newNaiveBayes(g, Options{Workers: opt.Workers}), nil
 	})
@@ -326,25 +320,34 @@ func termBCN(_ *graph.Graph, _ []float64, nb *naiveBayes, w graph.NodeID) float6
 	return nb.logS + nb.logR[w]
 }
 
-// The exported local algorithms.
+// The local metrics of Table 3 and the rows that export them.
+var (
+	cn  = &localMetric{name: "CN", score: scoreCN, fuse: fuseCN, boundTerm: termOne}
+	jc  = &localMetric{name: "JC", score: scoreJC, fuse: fuseJC, boundKind: boundUnit}
+	aa  = &localMetric{name: "AA", score: scoreAA, witness: witAA, fuse: fuseWeight, boundTerm: witAA}
+	ra  = &localMetric{name: "RA", score: scoreRA, witness: witRA, fuse: fuseWeight, boundTerm: witRA}
+	bcn = &localMetric{name: "BCN", score: scoreBCN, usesNB: true, witness: witBCN, fuse: fuseBCN, boundTerm: termBCN}
+	baa = &localMetric{name: "BAA", score: scoreBAA, usesNB: true, witness: witBAA, fuse: fuseWeight, boundTerm: witBAA}
+	bra = &localMetric{name: "BRA", score: scoreBRA, usesNB: true, witness: witBRA, fuse: fuseWeight, boundTerm: witBRA}
+)
 
 // CN is Common Neighbors [Newman 2001].
-var CN Algorithm = &localMetric{name: "CN", score: scoreCN, fuse: fuseCN, boundTerm: termOne}
+var CN Algorithm = cn.row()
 
 // JC is Jaccard's Coefficient.
-var JC Algorithm = &localMetric{name: "JC", score: scoreJC, fuse: fuseJC, boundKind: boundUnit}
+var JC Algorithm = jc.row()
 
 // AA is the Adamic/Adar index.
-var AA Algorithm = &localMetric{name: "AA", score: scoreAA, witness: witAA, fuse: fuseWeight, boundTerm: witAA}
+var AA Algorithm = aa.row()
 
 // RA is the Resource Allocation index [Zhou et al. 2009].
-var RA Algorithm = &localMetric{name: "RA", score: scoreRA, witness: witRA, fuse: fuseWeight, boundTerm: witRA}
+var RA Algorithm = ra.row()
 
 // BCN is Local Naive Bayes Common Neighbors [Liu et al. 2011].
-var BCN Algorithm = &localMetric{name: "BCN", score: scoreBCN, usesNB: true, witness: witBCN, fuse: fuseBCN, boundTerm: termBCN}
+var BCN Algorithm = bcn.row()
 
 // BAA is Local Naive Bayes Adamic/Adar.
-var BAA Algorithm = &localMetric{name: "BAA", score: scoreBAA, usesNB: true, witness: witBAA, fuse: fuseWeight, boundTerm: witBAA}
+var BAA Algorithm = baa.row()
 
 // BRA is Local Naive Bayes Resource Allocation.
-var BRA Algorithm = &localMetric{name: "BRA", score: scoreBRA, usesNB: true, witness: witBRA, fuse: fuseWeight, boundTerm: witBRA}
+var BRA Algorithm = bra.row()

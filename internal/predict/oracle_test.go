@@ -8,6 +8,16 @@ import "linkpred/internal/graph"
 // and the fuzz target are all compared against it; production code holds
 // only the engine they test.
 
+// Predict and ScorePairs run the metric's registry row, so the suites that
+// range over fusedMetrics compare the oracle with what callers reach.
+func (m *localMetric) Predict(g *graph.Graph, k int, opt Options) []Pair {
+	return byName[m.name].Predict(g, k, opt)
+}
+
+func (m *localMetric) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
+	return byName[m.name].ScorePairs(g, pairs, opt)
+}
+
 // predictTwoHop is the full sharded 2-hop Predict path: sweep, merge, sort.
 func predictTwoHop(g *graph.Graph, k int, opt Options, visit func(u, v graph.NodeID, top *topK)) []Pair {
 	return mergeTopK(k, opt.Seed, twoHopParts(g, k, opt, visit)).Result()

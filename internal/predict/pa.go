@@ -5,24 +5,18 @@ import (
 	"linkpred/internal/snapcache"
 )
 
-// paAlgorithm is Preferential Attachment: score(u,v) = deg(u) * deg(v).
-// Predict computes the exact global top-k with a frontier heap over the
-// degree-sorted node list, the "top-K node pairs" optimization the paper
-// mentions for PA's fast runtime (§3.2). The frontier expansion is
+// PA is Preferential Attachment [Barabási & Albert 1999]: score(u,v) =
+// deg(u) * deg(v). Predict computes the exact global top-k with a frontier
+// heap over the degree-sorted node list, the "top-K node pairs" optimization
+// the paper mentions for PA's fast runtime (§3.2). The frontier expansion is
 // inherently sequential (each pop decides the next pushes), so Predict runs
 // on one goroutine regardless of Options.Workers — it is already the
 // cheapest algorithm by orders of magnitude; ScorePairs shards normally.
-type paAlgorithm struct{}
+// Degrees are global and exact on a partitioned snapshot, so PA is
+// partition-safe.
+var PA Algorithm = &algo{name: "PA", cost: CostWedge, partitionSafe: true, predict: paPredict, score: paScorePairs}
 
-// PA is the Preferential Attachment algorithm [Barabási & Albert 1999].
-var PA Algorithm = paAlgorithm{}
-
-func (paAlgorithm) Name() string { return "PA" }
-
-func (paAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	r := beginRun("PA", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
+func paScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
 	out := make([]float64, len(pairs))
 	shardRange(opt, len(pairs), workerCount(opt), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -80,12 +74,7 @@ func (f *paFrontier) pop() paItem {
 	return top
 }
 
-func (paAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	opt = resolvePartition(g, opt)
-	validateOptions(opt)
-	r := beginRun("PA", opPredict)
-	defer r.end()
-	opt.rec = r
+func paPredict(g *graph.Graph, k int, opt Options) []Pair {
 	n := g.NumNodes()
 	if n < 2 || k <= 0 {
 		return nil

@@ -3,6 +3,7 @@ package predict
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"linkpred/internal/graph"
@@ -260,32 +261,83 @@ func TestCostModelRanges(t *testing.T) {
 	}
 }
 
-// TestCostModelFor pins the family assignments the router relies on.
+// TestCostModelFor pins the family assignments the router relies on: every
+// registry row carries the cost model written here, and a row added
+// without a line in this table fails.
 func TestCostModelFor(t *testing.T) {
-	for name, want := range map[string]CostModel{
-		"CN": CostWedge, "AA": CostWedge, "Salton": CostWedge,
+	want := map[string]CostModel{
+		"CN": CostWedge, "JC": CostWedge, "AA": CostWedge, "RA": CostWedge, "PA": CostWedge,
+		"Salton": CostWedge, "Sorensen": CostWedge, "HPI": CostWedge, "HDI": CostWedge, "LHN": CostWedge,
 		"BCN": CostCappedWedge, "BAA": CostCappedWedge, "BRA": CostCappedWedge,
 		"SP": CostRows, "LP": CostRows, "PPR": CostRows, "LRW": CostRows,
 		"SRW": CostRows, "Katz": CostRows, "KatzSC": CostRows, "KatzExact": CostRows, "Rescal": CostRows,
 		"nonsense": CostWedge,
-	} {
+	}
+	for _, alg := range registry {
+		if _, ok := want[alg.Name()]; !ok {
+			t.Errorf("registry row %q has no expected cost model in this table", alg.Name())
+		}
+	}
+	for name, want := range want {
 		if got := CostModelFor(name); got != want {
-			t.Fatalf("CostModelFor(%q) = %d, want %d", name, got, want)
+			t.Errorf("CostModelFor(%q) = %d, want %d", name, got, want)
 		}
 	}
 }
 
 // TestPartitionSafeRegistry: the safe set is exactly the symmetric local
 // family whose scores are functions of owned rows, frontier suffixes, and
-// global degrees.
+// global degrees. Every registry row must be listed, safe or not.
 func TestPartitionSafeRegistry(t *testing.T) {
 	safe := map[string]bool{
 		"CN": true, "JC": true, "AA": true, "RA": true, "PA": true,
 		"Salton": true, "Sorensen": true, "HPI": true, "HDI": true, "LHN": true,
+		"BCN": false, "BAA": false, "BRA": false, "SP": false, "LP": false, "PPR": false, "LRW": false,
+		"SRW": false, "Katz": false, "KatzSC": false, "KatzExact": false, "Rescal": false,
 	}
 	for _, alg := range registry {
-		if PartitionSafe(alg.Name()) != safe[alg.Name()] {
-			t.Fatalf("PartitionSafe(%q) = %v, want %v", alg.Name(), PartitionSafe(alg.Name()), safe[alg.Name()])
+		want, ok := safe[alg.Name()]
+		if !ok {
+			t.Errorf("registry row %q is missing from this table", alg.Name())
+		}
+		if PartitionSafe(alg.Name()) != want {
+			t.Errorf("PartitionSafe(%q) = %v, want %v", alg.Name(), PartitionSafe(alg.Name()), want)
+		}
+	}
+	if PartitionSafe("nonsense") {
+		t.Error("an unknown name is partition-safe")
+	}
+}
+
+// TestUnsafeRowsRefusePartitions drives the flag through both entry points:
+// a row with it unset refuses a partitioned snapshot with the full-snapshot
+// message from Predict and from ScorePairs alike (before touching a row the
+// partition dropped), and a row with it set answers both.
+func TestUnsafeRowsRefusePartitions(t *testing.T) {
+	pv := graph.PartitionView(randomGraph(42, 400, 1600), 100, 200)
+	pairs := []Pair{{U: 120, V: 300}, {U: 150, V: 160}}
+	refusal := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f()
+		return ""
+	}
+	for _, alg := range registry {
+		calls := map[string]func(){
+			"Predict":    func() { alg.Predict(pv, 10, DefaultOptions()) },
+			"ScorePairs": func() { alg.ScorePairs(pv, pairs, DefaultOptions()) },
+		}
+		for op, call := range calls {
+			msg := refusal(call)
+			switch {
+			case PartitionSafe(alg.Name()) && msg != "":
+				t.Errorf("%s.%s on a partition panicked: %s", alg.Name(), op, msg)
+			case !PartitionSafe(alg.Name()) && !strings.Contains(msg, alg.Name()+" requires a full snapshot"):
+				t.Errorf("%s.%s on a partition: panic %q, want the full-snapshot refusal", alg.Name(), op, msg)
+			}
 		}
 	}
 }

@@ -6,23 +6,37 @@ import (
 	"linkpred/internal/graph"
 )
 
-// spAlgorithm is Shortest Path: score(u,v) = -hops(u,v), so closer pairs
-// rank higher. As the paper observes (§4.2), its top-k is effectively a
-// random draw over all 2-hop pairs; our deterministic tie-break hash
-// reproduces exactly that behaviour.
-type spAlgorithm struct{}
+// SP is Shortest Path: score(u,v) = -hops(u,v), so closer pairs rank higher.
+// As the paper observes (§4.2), its top-k is effectively a random draw over
+// all 2-hop pairs; our deterministic tie-break hash reproduces exactly that
+// behaviour.
+var SP Algorithm = &algo{name: "SP", cost: CostRows, predict: spPredict, score: spScorePairs}
 
-// SP is the Shortest Path algorithm.
-var SP Algorithm = spAlgorithm{}
+// spBFS fills dist with the hop counts from u out to maxDepth (-1 beyond
+// the horizon) and returns the drained queue for reuse.
+func spBFS(g *graph.Graph, u graph.NodeID, maxDepth int32, dist []int32, queue []graph.NodeID) []graph.NodeID {
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[u] = 0
+	queue = append(queue[:0], u)
+	for len(queue) > 0 {
+		x := queue[0]
+		queue = queue[1:]
+		if dist[x] >= maxDepth {
+			continue
+		}
+		for _, y := range g.Neighbors(x) {
+			if dist[y] < 0 {
+				dist[y] = dist[x] + 1
+				queue = append(queue, y)
+			}
+		}
+	}
+	return queue
+}
 
-func (spAlgorithm) Name() string { return "SP" }
-
-func (spAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	mustFullGraph(g, "SP")
-	validateOptions(opt)
-	r := beginRun("SP", opPredict)
-	defer r.end()
-	opt.rec = r
+func spPredict(g *graph.Graph, k int, opt Options) []Pair {
 	// Distance-2 pairs dominate; they are cheap to enumerate exactly.
 	var count int64
 	parts := twoHopParts(g, k, opt, func(u, v graph.NodeID, top *topK) {
@@ -59,24 +73,7 @@ func (spAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
 		top, dist, queue := bfsParts[wk], dists[wk], queues[wk]
 		for u := base + lo; u < base+hi; u++ {
 			uid := graph.NodeID(u)
-			for i := range dist {
-				dist[i] = -1
-			}
-			dist[uid] = 0
-			queue = append(queue[:0], uid)
-			for len(queue) > 0 {
-				x := queue[0]
-				queue = queue[1:]
-				if dist[x] >= maxDepth {
-					continue
-				}
-				for _, y := range g.Neighbors(x) {
-					if dist[y] < 0 {
-						dist[y] = dist[x] + 1
-						queue = append(queue, y)
-					}
-				}
-			}
+			queue = spBFS(g, uid, maxDepth, dist, queue)
 			for v := u + 1; v < n; v++ {
 				if d := dist[v]; d >= 2 {
 					top.Add(uid, graph.NodeID(v), float64(-d))
@@ -88,11 +85,7 @@ func (spAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
 	return mergeTopK(k, opt.Seed, bfsParts).Result()
 }
 
-func (spAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	mustFullGraph(g, "SP")
-	r := beginRun("SP", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
+func spScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
 	maxDepth := int32(opt.SPMaxDepth)
 	if maxDepth <= 0 {
 		maxDepth = 6
@@ -117,24 +110,7 @@ func (spAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float
 			if p.U != cur || first {
 				cur = p.U
 				first = false
-				for j := range dist {
-					dist[j] = -1
-				}
-				dist[cur] = 0
-				queue = append(queue[:0], cur)
-				for len(queue) > 0 {
-					x := queue[0]
-					queue = queue[1:]
-					if dist[x] >= maxDepth {
-						continue
-					}
-					for _, y := range g.Neighbors(x) {
-						if dist[y] < 0 {
-							dist[y] = dist[x] + 1
-							queue = append(queue, y)
-						}
-					}
-				}
+				queue = spBFS(g, cur, maxDepth, dist, queue)
 			}
 			if d := dist[p.V]; d >= 0 {
 				out[i] = float64(-d)
@@ -147,110 +123,30 @@ func (spAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float
 	return out
 }
 
-// lpAlgorithm is the Local Path index: |paths²(u,v)| + ε |paths³(u,v)|,
-// where path counts are walk counts (entries of A² and A³) as in Zhou et
-// al. [45]. Support is contained within three hops, so per-source sparse
-// propagation enumerates every nonzero pair exactly.
-type lpAlgorithm struct{}
+// LP is the Local Path index: |paths²(u,v)| + ε |paths³(u,v)|, where path
+// counts are walk counts (entries of A² and A³) as in Zhou et al. [45].
+// Support is contained within three hops, so per-source sparse propagation
+// enumerates every nonzero pair exactly.
+var LP Algorithm = propagation(lpFill).row("LP")
 
-// LP is the Local Path algorithm.
-var LP Algorithm = lpAlgorithm{}
-
-func (lpAlgorithm) Name() string { return "LP" }
-
-// lpScratch is one worker's reusable propagation state.
-type lpScratch struct {
-	w1, w2, w3 *sparseVec
-}
-
-func newLPScratch(n int) *lpScratch {
-	return &lpScratch{w1: newSparseVec(n), w2: newSparseVec(n), w3: newSparseVec(n)}
-}
-
-// lpCounts computes w1 = A e_u, w2 = A² e_u and w3 = A³ e_u into the
-// scratch vectors.
-func lpCounts(g *graph.Graph, u graph.NodeID, s *lpScratch) {
-	s.w1.reset()
-	s.w2.reset()
-	s.w3.reset()
-	for _, y := range g.Neighbors(u) {
-		s.w1.add(y, 1)
-	}
-	propagate(g, s.w1, s.w2)
-	propagate(g, s.w2, s.w3)
-}
-
-func (lpAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	mustFullGraph(g, "LP")
-	validateOptions(opt)
-	r := beginRun("LP", opPredict)
-	defer r.end()
-	opt.rec = r
-	n := g.NumNodes()
-	base, end := opt.sourceSpan(n)
-	workers := workerCount(opt)
-	parts := make([]*topK, workers)
-	scratch := make([]*lpScratch, workers)
-	shardRange(opt, end-base, workers, func(wk, lo, hi int) {
-		if parts[wk] == nil {
-			parts[wk] = newTopKRec(k, opt)
-			scratch[wk] = newLPScratch(n)
-		}
-		opt.rec.addNodes(int64(hi - lo))
-		top, s := parts[wk], scratch[wk]
-		for u := base + lo; u < base+hi; u++ {
-			uid := graph.NodeID(u)
-			if g.Degree(uid) == 0 {
-				continue
-			}
-			lpCounts(g, uid, s)
-			// The support of the score is the union of the A² and A³
-			// supports; the second loop skips pairs already covered by the
-			// first.
-			for _, v := range s.w2.touched {
-				if v <= uid || g.HasEdge(uid, v) {
-					continue
-				}
-				top.Add(uid, v, s.w2.val[v]+opt.LPEpsilon*s.w3.val[v])
-			}
-			for _, v := range s.w3.touched {
-				if v <= uid || s.w2.val[v] != 0 || g.HasEdge(uid, v) {
-					continue
-				}
-				top.Add(uid, v, opt.LPEpsilon*s.w3.val[v])
-			}
-		}
-	})
-	return mergeTopK(k, opt.Seed, parts).Result()
-}
-
-func (lpAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	mustFullGraph(g, "LP")
-	r := beginRun("LP", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
+// lpFill computes w1 = A e_u, w2 = A² e_u and w3 = A³ e_u, then folds ε·w3
+// into w2: the A² support keeps its order and the A³-only targets follow
+// it, each holding w2 + ε·w3.
+func lpFill(g *graph.Graph, opt Options) sourceFill {
 	eps := opt.LPEpsilon
-	out := make([]float64, len(pairs))
-	idx := sourceSortedIndex(pairs, func(p Pair) graph.NodeID { return p.U })
-	n := g.NumNodes()
-	workers := workerCount(opt)
-	scratch := make([]*lpScratch, workers)
-	shardRange(opt, len(idx), workers, func(wk, lo, hi int) {
-		if scratch[wk] == nil {
-			scratch[wk] = newLPScratch(n)
+	return func(u graph.NodeID, s *walkScratch) *sparseVec {
+		w1, w2, w3 := s.cur, s.next, s.acc
+		w1.reset()
+		w2.reset()
+		w3.reset()
+		for _, y := range g.Neighbors(u) {
+			w1.add(y, 1)
 		}
-		s := scratch[wk]
-		cur := graph.NodeID(-1)
-		first := true
-		for _, i := range idx[lo:hi] {
-			p := pairs[i]
-			if p.U != cur || first {
-				cur = p.U
-				first = false
-				lpCounts(g, cur, s)
-			}
-			out[i] = s.w2.val[p.V] + eps*s.w3.val[p.V]
+		propagate(g, w1, w2)
+		propagate(g, w2, w3)
+		for _, v := range w3.touched {
+			w2.add(v, eps*w3.val[v])
 		}
-	})
-	return out
+		return w2
+	}
 }

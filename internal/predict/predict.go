@@ -120,8 +120,8 @@ type Options struct {
 	// added to the global candidate set.
 	RandomCandidates int
 
-	// rec collects telemetry for the current call. Each algorithm entry
-	// point attaches it on its local Options copy via beginRun; nil (the
+	// rec collects telemetry for the current call. The registry row's
+	// Predict attaches it on its local Options copy via beginRun; nil (the
 	// zero value, and always when obs is disabled) makes every hook a
 	// no-op. Never set by callers.
 	rec *obsRun
@@ -380,8 +380,8 @@ func TruthSet(prev *graph.Graph, newEdges []graph.Edge) map[uint64]bool {
 	return truth
 }
 
-// validateOptions panics on nonsensical option values; algorithms call it at
-// the top of Predict.
+// validateOptions panics on nonsensical option values; the registry row's
+// Predict calls it before any engine runs.
 func validateOptions(opt Options) {
 	if opt.KatzBeta < 0 || opt.LPEpsilon < 0 || opt.PPRAlpha <= 0 || opt.PPRAlpha >= 1 || opt.Workers < 0 {
 		panic(fmt.Sprintf("predict: invalid options %+v", opt))

@@ -13,6 +13,53 @@ import (
 // callers (e.g. the serving layer's HTTP 400 mapping) can errors.Is it.
 var ErrUnknownAlgorithm = errors.New("unknown algorithm")
 
+// algo is the registry row: the one description of an algorithm. Every
+// layer that asks a question about an algorithm by name (shard planning,
+// partition admission, artifact warming) reads a field here, and every
+// exported algorithm value is a *algo, so Predict and ScorePairs run one
+// shared prologue before the family engine behind predict/score.
+type algo struct {
+	name string
+	// cost is the per-source work estimate shard boundaries are balanced
+	// over (CostModelFor).
+	cost CostModel
+	// partitionSafe marks the algorithms that read only what a partitioned
+	// snapshot materializes (PartitionSafe); every other row panics on one.
+	partitionSafe bool
+	// warm prebuilds the per-snapshot artifacts this algorithm reads beyond
+	// the degree-derived set Warm always builds; nil when there are none.
+	warm func(g *graph.Graph, opt Options)
+	// predict and score are the family engine instantiated for this
+	// algorithm; they run under the prologue of the methods below.
+	predict func(g *graph.Graph, k int, opt Options) []Pair
+	score   func(g *graph.Graph, pairs []Pair, opt Options) []float64
+}
+
+func (a *algo) Name() string { return a.name }
+
+func (a *algo) Predict(g *graph.Graph, k int, opt Options) []Pair {
+	if a.partitionSafe {
+		opt = resolvePartition(g, opt)
+	} else {
+		mustFullGraph(g, a.name)
+	}
+	validateOptions(opt)
+	r := beginRun(a.name, opPredict)
+	defer r.end()
+	opt.rec = r
+	return a.predict(g, k, opt)
+}
+
+func (a *algo) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
+	if !a.partitionSafe {
+		mustFullGraph(g, a.name)
+	}
+	r := beginRun(a.name, opScorePairs)
+	defer r.end()
+	r.addPairs(int64(len(pairs)))
+	return a.score(g, pairs, opt)
+}
+
 // registry is every algorithm ByName resolves, in lookup order: the
 // evaluated set (All), the survey extensions (Extensions), then KatzExact,
 // the truncated-exact reference the paper's Katz approximations are
@@ -23,11 +70,12 @@ var (
 	registry   = slices.Concat(evaluated, extensions, []Algorithm{KatzExact})
 )
 
-// byName indexes registry once; names are unique (TestComparatorsRegistry).
-var byName = func() map[string]Algorithm {
-	m := make(map[string]Algorithm, len(registry))
+// byName indexes registry's rows once; names are unique
+// (TestComparatorsRegistry).
+var byName = func() map[string]*algo {
+	m := make(map[string]*algo, len(registry))
 	for _, a := range registry {
-		m[a.Name()] = a
+		m[a.Name()] = a.(*algo)
 	}
 	return m
 }()

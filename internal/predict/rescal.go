@@ -8,20 +8,21 @@ import (
 	"linkpred/internal/linalg"
 )
 
-// rescalAlgorithm factorizes the adjacency matrix as A ≈ X R Xᵀ (Nickel et
-// al. [33], restricted to the single "friendship" relation) with ridge-
-// regularized alternating least squares, and scores
+// Rescal is the tensor-factorization algorithm: it factorizes the adjacency
+// matrix as A ≈ X R Xᵀ (Nickel et al. [33], restricted to the single
+// "friendship" relation) with ridge-regularized alternating least squares,
+// and scores
 //
-//	score(u,v) = (X R Xᵀ)_{uv} + (X R Xᵀ)_{vu}.
+//	score(u,v) = (X R Xᵀ)_{uv} + (X R Xᵀ)_{vu} = XR_u · X_v + XR_v · X_u.
 //
 // The latent space concentrates weight on structurally central nodes, which
 // is why Rescal excels on the supernode-driven YouTube-style network (§4.2).
-type rescalAlgorithm struct{}
-
-// Rescal is the tensor-factorization algorithm.
-var Rescal Algorithm = rescalAlgorithm{}
-
-func (rescalAlgorithm) Name() string { return "Rescal" }
+var Rescal Algorithm = latent(func(g *graph.Graph, opt Options) func(u, v graph.NodeID) float64 {
+	xr, x := rescalFactors(g, opt)
+	return func(u, v graph.NodeID) float64 {
+		return linalg.Dot(xr.Row(int(u)), x.Row(int(v))) + linalg.Dot(xr.Row(int(v)), x.Row(int(u)))
+	}
+}).row("Rescal")
 
 // rescalFactors runs ALS and returns XR = X·R and XRt = X·Rᵀ along with X;
 // score(u,v) = XR_u · X_v + XRt_v · X_u... equivalently XR_u·X_v + XR_v·X_u.
@@ -99,39 +100,4 @@ func buildRescalFactors(g *graph.Graph, opt Options, n, rank, iters int, lambda 
 		x = linalg.CholSolve(s, b.T()).T()
 	}
 	return x.MatMul(r, workers), x
-}
-
-// rescalScore is XR_u · X_v + XR_v · X_u.
-func rescalScore(xr, x *linalg.Dense, u, v graph.NodeID) float64 {
-	return linalg.Dot(xr.Row(int(u)), x.Row(int(v))) + linalg.Dot(xr.Row(int(v)), x.Row(int(u)))
-}
-
-func (rescalAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	mustFullGraph(g, "Rescal")
-	validateOptions(opt)
-	r := beginRun("Rescal", opPredict)
-	defer r.end()
-	opt.rec = r
-	// ALS runs once (parallel, cached per snapshot); the factors are
-	// read-only across workers.
-	xr, x := rescalFactors(g, opt)
-	return predictGlobal(g, k, opt, func(u, v graph.NodeID) float64 {
-		return rescalScore(xr, x, u, v)
-	})
-}
-
-func (rescalAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	mustFullGraph(g, "Rescal")
-	r := beginRun("Rescal", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
-	xr, x := rescalFactors(g, opt)
-	out := make([]float64, len(pairs))
-	shardRange(opt, len(pairs), workerCount(opt), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := pairs[i]
-			out[i] = rescalScore(xr, x, p.U, p.V)
-		}
-	})
-	return out
 }

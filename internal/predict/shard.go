@@ -91,17 +91,13 @@ const (
 const WedgeCap = 64
 
 // CostModelFor maps an algorithm name to the cost model that best predicts
-// its per-source sweep cost. Unknown names get CostWedge, the conservative
-// default.
+// its per-source sweep cost: the registry row's. Unknown names get
+// CostWedge, the conservative default.
 func CostModelFor(alg string) CostModel {
-	switch alg {
-	case "BCN", "BAA", "BRA":
-		return CostCappedWedge
-	case "SP", "LP", "LRW", "SRW", "PPR", "Katz", "KatzSC", "KatzExact", "Rescal":
-		return CostRows
-	default:
-		return CostWedge
+	if a := byName[alg]; a != nil {
+		return a.cost
 	}
+	return CostWedge
 }
 
 // SourceCosts returns the per-source cost array of model over g, plus its
@@ -252,11 +248,8 @@ func WeightedSourceRanges(g *graph.Graph, shards int) []SourceRange {
 // drops, and panics on partitioned snapshots rather than silently
 // mis-scoring.
 func PartitionSafe(name string) bool {
-	switch name {
-	case "CN", "JC", "AA", "RA", "PA", "Salton", "Sorensen", "HPI", "HDI", "LHN":
-		return true
-	}
-	return false
+	a := byName[name]
+	return a != nil && a.partitionSafe
 }
 
 // mustFullGraph panics when g is a partitioned snapshot: op's traversal

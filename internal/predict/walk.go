@@ -7,7 +7,7 @@ import (
 	"linkpred/internal/graph"
 )
 
-// lrwAlgorithm is the Local Random Walk index [Liu & Lü 2010]:
+// LRW is the Local Random Walk index [Liu & Lü 2010]:
 //
 //	score(u,v) = deg(u)/(2|E|) π_uv(m) + deg(v)/(2|E|) π_vu(m)
 //
@@ -15,12 +15,18 @@ import (
 // at v. Because the walk is reversible with respect to the degree
 // distribution, deg(u) π_uv(m) = deg(v) π_vu(m) exactly, so the score equals
 // deg(u) π_uv(m)/|E| and one propagation direction suffices.
-type lrwAlgorithm struct{}
+var LRW Algorithm = walkScores(lrwDistribution).row("LRW")
 
-// LRW is the Local Random Walk algorithm.
-var LRW Algorithm = lrwAlgorithm{}
-
-func (lrwAlgorithm) Name() string { return "LRW" }
+// SRW is the Superposed Random Walk index [Liu & Lü 2010], LRW's companion
+// in the survey catalogue: the LRW scores summed over every walk length
+// 1..m, which rewards targets reachable both early and repeatedly:
+//
+//	SRW(u,v) = Σ_{l=1..m} LRW_l(u,v).
+//
+// The same degree-reversibility argument that collapses LRW to one
+// propagation direction holds per step, so one walk from the lower endpoint
+// suffices here too.
+var SRW Algorithm = walkScores(srwDistribution).row("SRW")
 
 func steps(opt Options) int {
 	if opt.LRWSteps <= 0 {
@@ -29,13 +35,25 @@ func steps(opt Options) int {
 	return opt.LRWSteps
 }
 
-// walkScratch is one worker's pair of propagation vectors.
-type walkScratch struct {
-	cur, next *sparseVec
-}
-
-func newWalkScratch(n int) *walkScratch {
-	return &walkScratch{cur: newSparseVec(n), next: newSparseVec(n)}
+// walkScores is the fill step of the walk indices: dist leaves the walk
+// distribution of u in a scratch vector, scaled in place to
+// deg(u)·π/|E|.
+func walkScores(dist func(g *graph.Graph, u graph.NodeID, m int, s *walkScratch) *sparseVec) propagation {
+	return func(g *graph.Graph, opt Options) sourceFill {
+		edges := float64(g.NumEdges())
+		if edges == 0 {
+			return nil
+		}
+		m := steps(opt)
+		return func(u graph.NodeID, s *walkScratch) *sparseVec {
+			vec := dist(g, u, m, s)
+			du := float64(g.Degree(u))
+			for _, v := range vec.touched {
+				vec.val[v] = du * vec.val[v] / edges
+			}
+			return vec
+		}
+	}
 }
 
 // lrwDistribution fills a scratch vector with π_u·(m) and returns it.
@@ -52,113 +70,12 @@ func lrwDistribution(g *graph.Graph, u graph.NodeID, m int, s *walkScratch) *spa
 	return cur
 }
 
-func (lrwAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	mustFullGraph(g, "LRW")
-	validateOptions(opt)
-	r := beginRun("LRW", opPredict)
-	defer r.end()
-	opt.rec = r
-	n := g.NumNodes()
-	edges := float64(g.NumEdges())
-	if edges == 0 {
-		return nil
-	}
-	m := steps(opt)
-	base, end := opt.sourceSpan(n)
-	workers := workerCount(opt)
-	parts := make([]*topK, workers)
-	scratch := make([]*walkScratch, workers)
-	shardRange(opt, end-base, workers, func(wk, lo, hi int) {
-		if parts[wk] == nil {
-			parts[wk] = newTopKRec(k, opt)
-			scratch[wk] = newWalkScratch(n)
-		}
-		opt.rec.addNodes(int64(hi - lo))
-		top, s := parts[wk], scratch[wk]
-		for u := base + lo; u < base+hi; u++ {
-			uid := graph.NodeID(u)
-			du := float64(g.Degree(uid))
-			if du == 0 {
-				continue
-			}
-			dist := lrwDistribution(g, uid, m, s)
-			for _, v := range dist.touched {
-				if v <= uid || g.HasEdge(uid, v) {
-					continue
-				}
-				top.Add(uid, v, du*dist.val[v]/edges)
-			}
-		}
-	})
-	return mergeTopK(k, opt.Seed, parts).Result()
-}
-
-func (lrwAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	mustFullGraph(g, "LRW")
-	r := beginRun("LRW", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
-	n := g.NumNodes()
-	edges := float64(g.NumEdges())
-	m := steps(opt)
-	out := make([]float64, len(pairs))
-	if edges == 0 {
-		return out
-	}
-	idx := sourceSortedIndex(pairs, func(p Pair) graph.NodeID { return p.U })
-	workers := workerCount(opt)
-	scratch := make([]*walkScratch, workers)
-	shardRange(opt, len(idx), workers, func(wk, lo, hi int) {
-		if scratch[wk] == nil {
-			scratch[wk] = newWalkScratch(n)
-		}
-		s := scratch[wk]
-		var dist *sparseVec
-		curU := graph.NodeID(-1)
-		for _, i := range idx[lo:hi] {
-			p := pairs[i]
-			if p.U != curU || dist == nil {
-				curU = p.U
-				dist = lrwDistribution(g, curU, m, s)
-			}
-			out[i] = float64(g.Degree(p.U)) * dist.val[p.V] / edges
-		}
-	})
-	return out
-}
-
-// srwAlgorithm is the Superposed Random Walk index [Liu & Lü 2010], LRW's
-// companion in the survey catalogue: the LRW scores summed over every walk
-// length 1..m, which rewards targets reachable both early and repeatedly:
-//
-//	SRW(u,v) = Σ_{l=1..m} LRW_l(u,v).
-//
-// The same degree-reversibility argument that collapses LRW to one
-// propagation direction holds per step, so one walk from the lower endpoint
-// suffices here too.
-type srwAlgorithm struct{}
-
-// SRW is the Superposed Random Walk survey extension.
-var SRW Algorithm = srwAlgorithm{}
-
-func (srwAlgorithm) Name() string { return "SRW" }
-
-// srwScratch is one worker's propagation state plus the step accumulator.
-type srwScratch struct {
-	walk *walkScratch
-	acc  *sparseVec
-}
-
-func newSRWScratch(n int) *srwScratch {
-	return &srwScratch{walk: newWalkScratch(n), acc: newSparseVec(n)}
-}
-
 // srwDistribution fills s.acc with Σ_{l=1..m} π_u·(l) and returns it. The
 // accumulation order (per step, in touch order) is a fixed function of the
 // source, so results are worker-count independent.
-func srwDistribution(g *graph.Graph, u graph.NodeID, m int, s *srwScratch) *sparseVec {
+func srwDistribution(g *graph.Graph, u graph.NodeID, m int, s *walkScratch) *sparseVec {
 	s.acc.reset()
-	cur, next := s.walk.cur, s.walk.next
+	cur, next := s.cur, s.next
 	cur.reset()
 	cur.add(u, 1)
 	for step := 0; step < m; step++ {
@@ -169,86 +86,11 @@ func srwDistribution(g *graph.Graph, u graph.NodeID, m int, s *srwScratch) *spar
 			s.acc.add(v, cur.val[v])
 		}
 	}
-	s.walk.cur, s.walk.next = cur, next
+	s.cur, s.next = cur, next
 	return s.acc
 }
 
-func (srwAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	mustFullGraph(g, "SRW")
-	validateOptions(opt)
-	r := beginRun("SRW", opPredict)
-	defer r.end()
-	opt.rec = r
-	n := g.NumNodes()
-	edges := float64(g.NumEdges())
-	if edges == 0 {
-		return nil
-	}
-	m := steps(opt)
-	base, end := opt.sourceSpan(n)
-	workers := workerCount(opt)
-	parts := make([]*topK, workers)
-	scratch := make([]*srwScratch, workers)
-	shardRange(opt, end-base, workers, func(wk, lo, hi int) {
-		if parts[wk] == nil {
-			parts[wk] = newTopKRec(k, opt)
-			scratch[wk] = newSRWScratch(n)
-		}
-		opt.rec.addNodes(int64(hi - lo))
-		top, s := parts[wk], scratch[wk]
-		for u := base + lo; u < base+hi; u++ {
-			uid := graph.NodeID(u)
-			du := float64(g.Degree(uid))
-			if du == 0 {
-				continue
-			}
-			acc := srwDistribution(g, uid, m, s)
-			for _, v := range acc.touched {
-				if v <= uid || g.HasEdge(uid, v) {
-					continue
-				}
-				top.Add(uid, v, du*acc.val[v]/edges)
-			}
-		}
-	})
-	return mergeTopK(k, opt.Seed, parts).Result()
-}
-
-func (srwAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	mustFullGraph(g, "SRW")
-	r := beginRun("SRW", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
-	n := g.NumNodes()
-	edges := float64(g.NumEdges())
-	m := steps(opt)
-	out := make([]float64, len(pairs))
-	if edges == 0 {
-		return out
-	}
-	idx := sourceSortedIndex(pairs, func(p Pair) graph.NodeID { return p.U })
-	workers := workerCount(opt)
-	scratch := make([]*srwScratch, workers)
-	shardRange(opt, len(idx), workers, func(wk, lo, hi int) {
-		if scratch[wk] == nil {
-			scratch[wk] = newSRWScratch(n)
-		}
-		s := scratch[wk]
-		var acc *sparseVec
-		curU := graph.NodeID(-1)
-		for _, i := range idx[lo:hi] {
-			p := pairs[i]
-			if p.U != curU || acc == nil {
-				curU = p.U
-				acc = srwDistribution(g, curU, m, s)
-			}
-			out[i] = float64(g.Degree(p.U)) * acc.val[p.V] / edges
-		}
-	})
-	return out
-}
-
-// pprAlgorithm is Personalized PageRank: score(u,v) = π_uv + π_vu with
+// PPR is Personalized PageRank: score(u,v) = π_uv + π_vu with
 // restart probability α, estimated with the Andersen-Chung-Lang forward-push
 // local approximation. Predict accumulates π contributions from every
 // source's push into a global pair map, keeping the strongest
@@ -260,15 +102,10 @@ func (srwAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []floa
 // score — and only the accumulation is filtered by pair ownership:
 // sharding PPR partitions accumulator memory and selection work across
 // shards, not push work (DESIGN.md §12 records the limitation).
-type pprAlgorithm struct{}
-
-// PPR is the Personalized PageRank algorithm.
-var PPR Algorithm = pprAlgorithm{}
+var PPR Algorithm = &algo{name: "PPR", cost: CostRows, predict: pprPredict, score: pprScorePairs}
 
 // pprPerSource bounds retained targets per push source in Predict.
 const pprPerSource = 256
-
-func (pprAlgorithm) Name() string { return "PPR" }
 
 // pprScratch is one worker's forward-push state.
 type pprScratch struct {
@@ -323,12 +160,7 @@ func pprPush(g *graph.Graph, u graph.NodeID, alpha, eps float64, s *pprScratch) 
 	s.queue = q[:0]
 }
 
-func (pprAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	mustFullGraph(g, "PPR")
-	validateOptions(opt)
-	r := beginRun("PPR", opPredict)
-	defer r.end()
-	opt.rec = r
+func pprPredict(g *graph.Graph, k int, opt Options) []Pair {
 	n := g.NumNodes()
 	type hit struct {
 		v graph.NodeID
@@ -410,11 +242,7 @@ func (pprAlgorithm) Predict(g *graph.Graph, k int, opt Options) []Pair {
 	return top.Result()
 }
 
-func (pprAlgorithm) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	mustFullGraph(g, "PPR")
-	r := beginRun("PPR", opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
+func pprScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
 	n := g.NumNodes()
 	out := make([]float64, len(pairs))
 	workers := workerCount(opt)

@@ -6,10 +6,13 @@ import (
 )
 
 // Warm prebuilds the per-snapshot cached artifacts the named algorithms
-// read on their scoring paths: the degree order and top-degree candidate
-// block, the log-degree table for the log-weighted local metrics, and the
-// latent factor matrices (Katz eigensolve, KatzSC landmark embedding, Rescal
-// ALS) under the parameter set opt encodes.
+// read on their scoring paths: the degree-derived set every algorithm
+// shares, the top-degree candidate block, and whatever each name's registry
+// row declares through its warm hook — the log-degree table for the
+// witness-weighted local metrics, the latent factor matrices (Katz
+// eigensolve, KatzSC landmark embedding, Rescal ALS) under the parameter set
+// opt encodes; path and walk algorithms keep per-source scratch, not
+// snapshot artifacts.
 //
 // The serving layer calls it off the request path right after a snapshot is
 // published, so the first query against the new snapshot pays a cache hit
@@ -25,43 +28,23 @@ func Warm(g *graph.Graph, names []string, opt Options) {
 	// Artifact builds must not inherit a request deadline (see Options.Ctx).
 	opt.Ctx = nil
 	arts := snapcache.For(g)
-	if g.Partition() != nil {
-		// Partitioned snapshots serve only the partition-safe local family.
-		// The latent factorizations would silently read the truncated
-		// frontier rows, so only the degree-derived artifacts are warmed
-		// (CSRView disables its hub block on partitions itself).
-		arts.DegreeOrder()
-		arts.CSRView()
-		wedgeWork(g)
-		for _, name := range names {
-			if name == "AA" || name == "RA" {
-				logDegTable(g)
-			}
-		}
-		return
-	}
+	// The degree order, the degree-ordered view with hub bitsets (which backs
+	// the local metrics' batch probes and naive Bayes statistics, and
+	// disables its hub block on partitions itself) and the wedge-work
+	// estimate the worker clamp reads serve every algorithm.
 	arts.DegreeOrder()
-	// The degree-ordered view with hub bitsets backs the local metrics'
-	// batch probes and naive Bayes statistics; build it off the request
-	// path along with the wedge-work estimate the worker clamp reads.
 	arts.CSRView()
 	wedgeWork(g)
+	// A partitioned snapshot serves only the partition-safe rows: the other
+	// rows' builders (the latent factorizations) would silently read the
+	// truncated frontier rows.
+	partitioned := g.Partition() != nil
 	for _, name := range names {
-		switch name {
-		case "CN", "JC":
-			// Count-only local metrics: the sweep needs no cached tables.
-		case "AA", "RA", "BCN", "BAA", "BRA":
-			logDegTable(g)
-		case "Katz":
-			katzFactors(g, opt)
-		case "KatzSC":
-			katzSCFactors(g, opt)
-		case "Rescal":
-			rescalFactors(g, opt)
-		default:
-			// Walk/path algorithms keep per-source scratch, not snapshot
-			// artifacts.
+		if a := byName[name]; a != nil && a.warm != nil && (a.partitionSafe || !partitioned) {
+			a.warm(g, opt)
 		}
 	}
-	arts.Block(opt.TopDegreeBlock)
+	if !partitioned {
+		arts.Block(opt.TopDegreeBlock)
+	}
 }

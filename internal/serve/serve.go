@@ -80,11 +80,9 @@ type Config struct {
 	// parallelism (default 1 — total concurrency is Workers × Opt.Workers).
 	Opt predict.Options
 	// Warm prebuilds the new snapshot's shared artifacts (degree
-	// order, latent factors) off the request path after each publish.
+	// order, latent factors) for warmAlgorithms off the request path after
+	// each publish.
 	Warm bool
-	// WarmAlgorithms overrides which algorithms Warm prebuilds for
-	// (default: AA, BAA, Katz, KatzSC, Rescal).
-	WarmAlgorithms []string
 	// Degrade tunes the graceful-degradation controller.
 	Degrade DegradeConfig
 	// Trace warm-starts the server from an existing history; ownership of
@@ -267,6 +265,11 @@ var latentProxy = map[string]string{
 	"Rescal": "CN",
 }
 
+// warmAlgorithms is what Config.Warm prebuilds for after each publish: the
+// latent factorizations (seconds on a cold snapshot) and the log-degree
+// table of the weighted local metrics.
+var warmAlgorithms = []string{"AA", "BAA", "Katz", "KatzSC", "Rescal"}
+
 type reqKind int
 
 const (
@@ -388,9 +391,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Resolve == nil {
 		cfg.Resolve = predict.ByName
-	}
-	if cfg.WarmAlgorithms == nil {
-		cfg.WarmAlgorithms = []string{"AA", "BAA", "Katz", "KatzSC", "Rescal"}
 	}
 	if cfg.Trace != nil {
 		if err := cfg.Trace.Validate(); err != nil {
@@ -729,7 +729,7 @@ func (s *Server) publishLocked() *Snapshot {
 		go func() {
 			defer s.wg.Done()
 			start := time.Now()
-			predict.Warm(g, s.cfg.WarmAlgorithms, s.cfg.Opt)
+			predict.Warm(g, warmAlgorithms, s.cfg.Opt)
 			if obs.Enabled() {
 				obs.GetHistogram("serve/warm_ns").Observe(time.Since(start).Nanoseconds())
 			}

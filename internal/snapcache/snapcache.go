@@ -147,11 +147,10 @@ func (a *Artifacts) Artifact(key string, build func() (any, error)) (any, error)
 
 // CSRView returns the snapshot's degree-ordered relabeling and hub-block
 // bitsets (csr.Build with the default budget), building them on first use.
-// The view is shared read-only; its Order agrees element-for-element with
-// DegreeOrder.
+// The view is shared read-only; its Order is the DegreeOrder slice itself.
 func (a *Artifacts) CSRView() *csr.View {
 	v, _ := a.Artifact("csrview", func() (any, error) {
-		return csr.Build(a.g, csr.DefaultHubBudget), nil
+		return csr.Build(a.g, a.DegreeOrder(), csr.DefaultHubBudget), nil
 	})
 	return v.(*csr.View)
 }

@@ -102,15 +102,18 @@ func TestHitMissCounters(t *testing.T) {
 	obs.Reset()
 	Reset()
 	a := For(pathGraph(6))
-	a.CSRView()
-	a.DegreeOrder()
-	a.CSRView()     // hit
-	a.DegreeOrder() // hit
+	view := a.CSRView()      // misses: the view and the degree order it is built over
+	order := a.DegreeOrder() // hit: the view's build sorted the snapshot already
+	a.CSRView()              // hit
+	a.DegreeOrder()          // hit
 	if got := counterValue("snapcache/misses"); got != 2 {
 		t.Errorf("misses = %d, want 2", got)
 	}
-	if got := counterValue("snapcache/hits"); got != 2 {
-		t.Errorf("hits = %d, want 2", got)
+	if got := counterValue("snapcache/hits"); got != 3 {
+		t.Errorf("hits = %d, want 3", got)
+	}
+	if &view.Order[0] != &order[0] {
+		t.Error("CSRView sorted its own order instead of sharing DegreeOrder's")
 	}
 }
 
