@@ -4,8 +4,7 @@
 //
 //	sweep/<preset>/<alg>/w=<n>             pruned top-k sweep, ns/op
 //	shard/<preset>/<alg>/w=<n>/s=<shards>  scatter/gather: slowest shard + merge, ns/op
-//	mem/<preset>/full                      resident adjacency bytes, full snapshot
-//	mem/<preset>/s=<shards>/<shard>        ... of one ownership-partitioned shard
+//	mem/<preset>/full                      resident adjacency bytes of the snapshot
 //	publish/renren/rebuild                 snapshot rebuilt from scratch, ns/op
 //	publish/renren/b=<batch>               one delta publish, ns/op
 //	publish/renren/b=<batch>/allocs        mallocs per delta publish
@@ -13,9 +12,8 @@
 // Byte and alloc rows are exact — functions of the trace and the batch
 // schedule, not of the machine — and -compare fails when one grows more
 // than 10% over the baseline file. Timing rows print old -> new and never
-// gate. The run itself fails when an algorithm predicts nothing, when the
-// merged sharded top-k differs from the single sweep, or when the merged
-// top-k over graph.PartitionViews differs from the full sweep.
+// gate. The run itself fails when an algorithm predicts nothing or when the
+// merged sharded top-k differs from the single sweep.
 //
 // Usage:
 //
@@ -197,29 +195,9 @@ func sweepRows(r *report, g *graph.Graph, c config, shardCounts []int) error {
 	return nil
 }
 
-// memRows records the resident adjacency bytes of the full snapshot and of
-// every ownership-partitioned shard (graph.PartitionView at the wedge-
-// weighted boundaries, DESIGN.md §13). Shard 0 saves nothing by
-// construction — its min-endpoint rows are the duplicate detector — so the
-// rows are per shard, not an average. The smaller snapshots are only worth
-// their bytes if they still answer exactly: CN merged over the views must
-// equal CN on the full snapshot.
-func memRows(r *report, g *graph.Graph, c config, shardCounts []int) error {
+// memRows records the resident adjacency bytes of the snapshot.
+func memRows(r *report, g *graph.Graph, c config) {
 	r.add("mem/"+c.preset+"/full", g.ResidentBytes(), "bytes", true)
-	opt := predict.DefaultOptions()
-	full := predict.CN.Predict(g, c.k, opt)
-	for _, shards := range shardCounts {
-		parts := make([][]predict.Pair, shards)
-		for s, sr := range predict.WeightedSourceRanges(g, shards) {
-			pv := graph.PartitionView(g, graph.NodeID(sr.Lo), graph.NodeID(sr.Hi))
-			parts[s] = predict.CN.Predict(pv, c.k, opt)
-			r.add(fmt.Sprintf("mem/%s/s=%d/%d", c.preset, shards, s), pv.ResidentBytes(), "bytes", true)
-		}
-		if !slices.Equal(predict.MergeTopK(parts, c.k, opt.Seed), full) {
-			return fmt.Errorf("mem/%s/s=%d: merged top-k over partition views differs from the full sweep", c.preset, shards)
-		}
-	}
-	return nil
 }
 
 // publishRows measures the delta publish (copy-on-write row patching,
@@ -265,9 +243,7 @@ func run(c config) (*report, error) {
 	if err := sweepRows(r, g, c, shardCounts); err != nil {
 		return nil, err
 	}
-	if err := memRows(r, g, c, shardCounts); err != nil {
-		return nil, err
-	}
+	memRows(r, g, c)
 	publishRows(r, c)
 	return r, nil
 }
@@ -278,7 +254,7 @@ func main() {
 	flag.Int64Var(&c.seed, "seed", c.seed, "generation seed")
 	flag.IntVar(&c.k, "k", c.k, "top-k prediction budget")
 	flag.StringVar(&c.algs, "algs", c.algs, "comma-separated algorithms for the sweep and shard rows")
-	flag.StringVar(&c.shards, "shards", c.shards, "comma-separated shard counts for the shard and mem rows")
+	flag.StringVar(&c.shards, "shards", c.shards, "comma-separated shard counts for the shard rows")
 	flag.BoolVar(&c.short, "short", false, "one timing sample per cell instead of 2 s; exact rows are unaffected")
 	out := flag.String("out", "", "write the rows to this JSON file")
 	baseline := flag.String("compare", "", "baseline file: fail when an exact row grew more than 10% over it")

@@ -33,7 +33,7 @@ func TestCompare(t *testing.T) {
 // TestExactRowsMatchCommittedBaseline is CI's bench-smoke gate inside
 // `go test ./...`: the mem and publish sections, re-measured at the
 // committed baseline's configuration, go through the same compare against
-// the repo's BENCH_predict.json. A change that grows a shard's resident
+// the repo's BENCH_predict.json. A change that grows the snapshot's resident
 // bytes or a publish's mallocs past 10%, or a baseline that no longer
 // shares an exact key with what the tool emits, fails here — in the PR that
 // causes it.
@@ -48,7 +48,7 @@ func TestExactRowsMatchCommittedBaseline(t *testing.T) {
 	}
 	c := defaults
 	c.preset, c.k, c.short = old.Preset, old.K, true
-	g, shardCounts, err := setup(c)
+	g, _, err := setup(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +57,7 @@ func TestExactRowsMatchCommittedBaseline(t *testing.T) {
 			c.preset, g.NumNodes(), g.NumEdges(), baseline, old.Nodes, old.Edges)
 	}
 	var r report
-	if err := memRows(&r, g, c, shardCounts); err != nil {
-		t.Fatal(err)
-	}
+	memRows(&r, g, c)
 	publishRows(&r, c)
 	if n := compare(old.Rows, r.Rows); n > 0 {
 		t.Errorf("%d exact-row failure(s) against %s (rows above)", n, baseline)

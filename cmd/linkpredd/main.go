@@ -18,7 +18,6 @@
 //	linkpredd -snapshot-every 256 -workers 4 -queue 512
 //	linkpredd -degrade-p95 100ms -recover-after 32
 //	linkpredd -eval-topk 64 -eval-window 512              # prequential tuning
-//	linkpredd -partition 0:25000                          # memory-partitioned shard (DESIGN.md §13)
 //	linkpredd -metrics-out metrics.json -metrics-every 15s
 //	linkpredd -wal-dir /var/lib/linkpred/wal              # durable ingest (DESIGN.md §14)
 //	linkpredd -wal-dir ... -recover                       # replay checkpoint + log after a crash
@@ -68,7 +67,6 @@ func main() {
 	evalOn := flag.Bool("eval", true, "prequential live evaluation: score ingested edges against served predictions")
 	evalTopK := flag.Int("eval-topk", 128, "ranked pairs retained per recorded prediction set")
 	evalWindow := flag.Int("eval-window", 1024, "sliding window (scored edges) for windowed hit rate and AUPR")
-	partition := flag.String("partition", "", "serve as one memory-partitioned shard owning dense sources [lo:hi); materializes only owned adjacency rows plus frontier and serves the partition-safe local family only")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: every accepted ingest event is fsynced here before it is acked, so acked events survive a crash (DESIGN.md §14)")
 	checkpointEvery := flag.Int("checkpoint-every", 4096, "with -wal-dir: write a checkpoint snapshot after the replay horizon grows by N edges (negative disables)")
 	recoverWAL := flag.Bool("recover", false, "with -wal-dir: allow booting from a non-empty log directory, replaying checkpoint + tail and resuming at the recovered position; without it existing state is an error, so a stale directory is never reused silently")
@@ -110,14 +108,6 @@ func main() {
 	cfg.Opt.Workers = *engineWorkers
 	if *evalOn {
 		cfg.Eval = liveeval.New(liveeval.Config{TopK: *evalTopK, Window: *evalWindow})
-	}
-	if *partition != "" {
-		var lo, hi int
-		if _, err := fmt.Sscanf(*partition, "%d:%d", &lo, &hi); err != nil || lo < 0 || hi <= lo {
-			fail(fmt.Errorf("bad -partition %q (want lo:hi with 0 <= lo < hi)", *partition))
-		}
-		cfg.Partition = &[2]int{lo, hi}
-		fmt.Printf("linkpredd: partitioned shard owning sources [%d, %d)\n", lo, hi)
 	}
 	if *walDir != "" {
 		st, err := wal.NewDirStorage(*walDir)

@@ -22,7 +22,6 @@
 //	linkpredr -addr :8080 -shard http://127.0.0.1:8081 -shard http://127.0.0.1:8082
 //	linkpredr -hedge-after 100ms -epoch-retries 6 -timeout 5s
 //	linkpredr -metrics-out router-metrics.json
-//	linkpredr -partitioned -shard ... -shard ...   # memory-partitioned workers (linkpredd -partition)
 //	linkpredr -eval                                # router-side prequential evaluation of merged rankings
 //
 // -seed must match the workers' -seed: the merge breaks score ties with the
@@ -66,7 +65,6 @@ func main() {
 	obsOn := flag.Bool("obs", true, "enable telemetry counters (served at /metrics)")
 	metricsOut := flag.String("metrics-out", "", "write the telemetry report as JSON to this path periodically and at shutdown; implies -obs")
 	metricsEvery := flag.Duration("metrics-every", 30*time.Second, "rewrite -metrics-out on this period")
-	partitioned := flag.Bool("partitioned", false, "workers are memory-partitioned (linkpredd -partition, listed in ascending ownership order): predict scatters without shard parameters, score broadcasts and merges by ownership")
 	evalOn := flag.Bool("eval", false, "router-side prequential evaluation: score replicated ingest edges against merged predict rankings (served in /metrics)")
 	evalTopK := flag.Int("eval-topk", 128, "ranked pairs retained per recorded merged prediction set")
 	evalWindow := flag.Int("eval-window", 1024, "sliding window (scored edges) for windowed hit rate and AUPR")
@@ -84,7 +82,6 @@ func main() {
 		HedgeAfter:   *hedgeAfter,
 		EpochRetries: *epochRetries,
 		EpochBackoff: *epochBackoff,
-		Partitioned:  *partitioned,
 	}
 	if *evalOn {
 		ccfg.Eval = liveeval.New(liveeval.Config{TopK: *evalTopK, Window: *evalWindow})

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"linkpred/internal/liveeval"
 	"linkpred/internal/serve"
 )
 
@@ -34,7 +35,7 @@ type testCluster struct {
 	mu    sync.Mutex
 }
 
-func newTestCluster(t *testing.T, shards int, seed int64) *testCluster {
+func newTestCluster(t *testing.T, shards int, seed int64, opts ...func(*Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{snaps: make([]map[int64]snapRecord, shards)}
 	urls := make([]string, shards)
@@ -59,7 +60,11 @@ func newTestCluster(t *testing.T, shards int, seed int64) *testCluster {
 		tc.ts = append(tc.ts, ts)
 		urls[i] = ts.URL
 	}
-	tc.router = New(Config{Shards: urls, Seed: seed, Timeout: 30 * time.Second})
+	cfg := Config{Shards: urls, Seed: seed, Timeout: 30 * time.Second}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	tc.router = New(cfg)
 	t.Cleanup(func() {
 		for _, ts := range tc.ts {
 			ts.Close()
@@ -435,5 +440,45 @@ func TestClusterCatchingUpHealth(t *testing.T) {
 	h = tc.router.Health(ctx)
 	if !h.OK || h.CatchingUp != 0 {
 		t.Fatalf("after delta replay: ok=%v catching_up=%d (%+v)", h.OK, h.CatchingUp, h.Workers)
+	}
+}
+
+// TestClusterRouterEval exercises router-side prequential evaluation: the
+// merged (cluster-level) /predict rankings are recorded, and subsequently
+// replicated ingest edges are scored against them — measurements no single
+// shard could produce, since none holds the merged ranking.
+func TestClusterRouterEval(t *testing.T) {
+	const seed = 7
+	eval := liveeval.New(liveeval.Config{TopK: 64, Window: 256})
+	tc := newTestCluster(t, 3, seed, func(c *Config) { c.Eval = eval })
+	ctx := context.Background()
+
+	events := randomEvents(11, 900)
+	warm, rest := events[:600], events[600:]
+	if _, err := tc.router.Ingest(ctx, warm); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.router.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.router.Predict(ctx, "CN", 64); err != nil {
+		t.Fatal(err)
+	}
+	st, ok := eval.Stats("CN")
+	if !ok || st.Recorded == 0 {
+		t.Fatalf("merged prediction not recorded: ok=%v stats=%+v", ok, st)
+	}
+	if _, err := tc.router.Ingest(ctx, rest); err != nil {
+		t.Fatal(err)
+	}
+	st, _ = eval.Stats("CN")
+	if st.ScoredEdges == 0 {
+		t.Fatalf("no replicated edges scored against the merged ranking: %+v", st)
+	}
+	// The fixture revisits a small ID pool, so some top-64 CN pairs come
+	// true; a zero hit count would mean the dense remap diverged from the
+	// workers' and nothing the cluster predicted could ever match.
+	if st.Hits == 0 {
+		t.Fatalf("no hits against merged predictions (remap divergence?): %+v", st)
 	}
 }

@@ -5,9 +5,11 @@
 // The scatter/gather contract: every shard holds the FULL graph (ingest is
 // replicated to all shards in identical order), but /predict?shard=i&shards=N
 // restricts the sweep to pairs owned by shard i — those whose min endpoint
-// falls in ShardSourceRange(n, i, N). The shard ranges partition the dense
-// node space, so the union of the shards' ownership universes is exactly the
-// unrestricted candidate universe, and merging the N partial top-k lists
+// falls in predict.WeightedSourceRangeFor(g, i, N, predict.CostModelFor(alg)),
+// a cost-balanced contiguous split every shard derives from its own copy of
+// the snapshot. The shard ranges partition the dense node space, so the
+// union of the shards' ownership universes is exactly the unrestricted
+// candidate universe, and merging the N partial top-k lists
 // with predict.MergeTopK — which reuses the engine's seeded tie-break hash —
 // reproduces the single-process top-k bit for bit, at any shard count and
 // any per-shard worker count.
@@ -46,7 +48,8 @@ import (
 type Config struct {
 	// Shards lists the worker base URLs (e.g. http://127.0.0.1:8081), one
 	// per source shard, in shard-index order. The order is the sharding:
-	// Shards[i] answers for ShardSourceRange(n, i, len(Shards)).
+	// Shards[i] answers for predict.WeightedSourceRangeFor(g, i,
+	// len(Shards), predict.CostModelFor(alg)) on its snapshot g.
 	Shards []string
 	// Seed must equal every shard's engine seed (predict.Options.Seed):
 	// the gather merge breaks score ties with the same seeded hash the
@@ -69,23 +72,12 @@ type Config struct {
 	// EpochBackoff is the wait between epoch re-asks (default 25ms): the
 	// stale shard's publish is usually mid-flight, not missing.
 	EpochBackoff time.Duration
-	// Partitioned declares the shards memory-partitioned (linkpredd
-	// -partition, DESIGN.md §13): each worker materializes only its owned
-	// adjacency rows plus frontier, with the partition bounds configured on
-	// the workers in ascending shard order. /predict then scatters with NO
-	// shard parameters — each worker sweeps exactly its ownership range and
-	// reports it via shard_range — and /score broadcasts to every shard,
-	// keeping the Owned answer per pair. Only the partition-safe local
-	// algorithm family is servable in this mode (workers reject the rest
-	// with 400).
-	Partitioned bool
 	// Eval, when set, runs prequential evaluation at the router: every
 	// merged (non-partial) /predict response is recorded and every
 	// replicated ingest edge is scored against the merged predictions that
 	// existed before it arrived. This measures what the cluster actually
-	// serves — shard-local evaluation cannot see the merged ranking, and in
-	// partitioned mode no single shard even holds it. The live series
-	// appear in the router's /metrics.
+	// serves — shard-local evaluation cannot see the merged ranking. The
+	// live series appear in the router's /metrics.
 	Eval *liveeval.Engine
 }
 
@@ -127,9 +119,7 @@ type ShardHealth struct {
 }
 
 // ClusterHealth is the router's /healthz payload. SnapshotBytes sums the
-// up shards' resident adjacency footprints — on a partitioned cluster
-// (Partitioned true) that total plus frontier overhead replaces N full
-// copies of the graph, which is the memory win §13 quantifies.
+// up shards' resident adjacency footprints.
 type ClusterHealth struct {
 	OK        bool  `json:"ok"`
 	Shards    int   `json:"shards"`
@@ -139,7 +129,6 @@ type ClusterHealth struct {
 	// crash-recovery restart (see ShardHealth.CatchingUp).
 	CatchingUp    int           `json:"catching_up,omitempty"`
 	SnapshotBytes int64         `json:"snapshot_bytes"`
-	Partitioned   bool          `json:"partitioned,omitempty"`
 	Workers       []ShardHealth `json:"workers"`
 }
 
@@ -148,10 +137,9 @@ type ClusterHealth struct {
 var ErrAllShardsDown = errors.New("cluster: all shards down")
 
 // ShardRejection is a shard's deterministic client-error refusal (unknown
-// algorithm, partition-unsupported family). All shards share one
-// configuration, so retrying or hedging cannot change the answer; the
-// gather surfaces the refusal with its original status instead of
-// misreporting a healthy cluster as an outage.
+// algorithm, bad k). All shards share one configuration, so retrying or
+// hedging cannot change the answer; the gather surfaces the refusal with its
+// original status instead of misreporting a healthy cluster as an outage.
 type ShardRejection struct {
 	Status int
 	Msg    string
@@ -167,7 +155,7 @@ func (e *ShardRejection) Error() string { return e.Msg }
 // The file is four pieces that each exist once (DESIGN.md §12), mechanism
 // first: call is the transport every request goes through, fanOut the one
 // "ask these shards in parallel", alignedGather the one same-epoch gather
-// (fetchShard is its retry/hedge policy for /predict), and merge plus
+// (fetchShard is its retry/hedge policy per shard), and merge plus
 // missingRanges turn a gather into a response. Predict, Score, Ingest,
 // Flush and Health are policy over those.
 //
@@ -371,27 +359,17 @@ func (g *gather) aligned() []*serve.Result {
 	return out
 }
 
-// shardReply is a shard's complete non-200 answer. A fetch that returns one
-// in the first round ends the gather with it: the shards share one
-// configuration, so the refusal is the cluster's answer (scoreBroadcast).
-type shardReply struct {
-	status int
-	raw    []byte
-}
-
-func (e *shardReply) Error() string { return fmt.Sprintf("cluster: shard status %d", e.status) }
-
-// alignedGather is the one epoch-aligned gather: ask every shard through
-// fetch, take the newest snapshot epoch among the answers, and re-ask the
-// shards that answered from an older one — up to EpochRetries rounds,
-// EpochBackoff apart, since a re-ask may itself raise the target (the
-// straggler published again while we waited). Shards that failed are not
-// re-asked; how hard one ask tries is fetch's business.
-func (r *Router) alignedGather(ctx context.Context, fetch func(ctx context.Context, shard int) (*serve.Result, error)) (*gather, error) {
+// alignedGather is the one epoch-aligned gather: ask every shard for its
+// alg/k partial list, take the newest snapshot epoch among the answers, and
+// re-ask the shards that answered from an older one — up to EpochRetries
+// rounds, EpochBackoff apart, since a re-ask may itself raise the target
+// (the straggler published again while we waited). Shards that failed are
+// not re-asked; how hard one ask tries is fetchShard's business.
+func (r *Router) alignedGather(ctx context.Context, alg string, k int) (*gather, error) {
 	n := len(r.cfg.Shards)
 	g := &gather{got: make([]*serve.Result, n), errs: make([]error, n), target: -1}
 	ask := func(shards []int) {
-		fanOut(shards, func(i int) { g.got[i], g.errs[i] = fetch(ctx, i) })
+		fanOut(shards, func(i int) { g.got[i], g.errs[i] = r.fetchShard(ctx, i, alg, k) })
 		for i, res := range g.got {
 			if res != nil {
 				r.lastSeq[i].Store(res.SnapshotSeq)
@@ -400,12 +378,6 @@ func (r *Router) alignedGather(ctx context.Context, fetch func(ctx context.Conte
 		}
 	}
 	ask(r.all)
-	for _, err := range g.errs {
-		var reply *shardReply
-		if errors.As(err, &reply) {
-			return g, reply
-		}
-	}
 	for try := 0; try < r.cfg.EpochRetries; try++ {
 		var stale []int
 		for i, res := range g.got {
@@ -431,14 +403,7 @@ func (r *Router) alignedGather(ctx context.Context, fetch func(ctx context.Conte
 // and one hedged backup after cfg.HedgeAfter. At most two attempts are ever
 // in flight; the first success wins and cancels the other.
 func (r *Router) fetchShard(ctx context.Context, shard int, alg string, k int) (*serve.Result, error) {
-	// Memory-partitioned workers define their own sweep range (the
-	// configured ownership bounds); shard parameters would conflict with
-	// it, so the partitioned scatter sends none.
-	q := serve.PredictQuery{Alg: alg, K: k}
-	if !r.cfg.Partitioned {
-		q.Shard, q.Shards = shard, len(r.cfg.Shards)
-	}
-	query := q.Encode()
+	query := serve.PredictQuery{Alg: alg, K: k, Shard: shard, Shards: len(r.cfg.Shards)}.Encode()
 	type attempt struct {
 		res *serve.Result
 		err error
@@ -526,9 +491,7 @@ func (r *Router) Predict(ctx context.Context, alg string, k int) (*Response, err
 		ctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
 		defer cancel()
 	}
-	g, err := r.alignedGather(ctx, func(ctx context.Context, shard int) (*serve.Result, error) {
-		return r.fetchShard(ctx, shard, alg, k)
-	})
+	g, err := r.alignedGather(ctx, alg, k)
 	if obs.Enabled() && g.reasks > 0 {
 		obs.GetCounter("cluster/epoch_reasks").Add(int64(g.reasks))
 	}
@@ -743,17 +706,10 @@ func (r *Router) Flush(ctx context.Context) (int64, error) {
 	return maxSeq, nil
 }
 
-// Score answers one /score body. On a replicated cluster every shard holds
-// the full graph, so the body forwards to a single shard (round-robin with
-// failover) and the raw response passes through untouched. On a partitioned
-// cluster no single shard can score an arbitrary pair, so the body
-// broadcasts to every shard and the router keeps, per pair, the answer from
-// the shard that flagged it Owned — ownership is a disjoint cover, so
-// exactly one shard is authoritative for each resolvable pair.
+// Score answers one /score body. Every shard holds the full graph, so the
+// body forwards to a single shard (round-robin with failover) and the raw
+// response passes through untouched.
 func (r *Router) Score(ctx context.Context, body []byte) (status int, respBody []byte, err error) {
-	if r.cfg.Partitioned {
-		return r.scoreBroadcast(ctx, body)
-	}
 	n := len(r.cfg.Shards)
 	start := int(r.rr.Add(1)-1) % n
 	var lastErr error
@@ -769,66 +725,6 @@ func (r *Router) Score(ctx context.Context, body []byte) (status int, respBody [
 		return status, raw, nil
 	}
 	return 0, nil, fmt.Errorf("cluster: score forward failed on all shards: %w", lastErr)
-}
-
-// scoreBroadcast fans one /score body to every partitioned shard, aligns
-// the responses on the maximum snapshot epoch (alignedGather, one plain ask
-// per shard), and merges by the Owned flag. A pair whose owning shard is
-// down or stale scores zero — the same value a single node reports for an
-// unresolvable pair — rather than failing the whole request. A non-200
-// from any shard (unknown algorithm, partition-unsupported family) passes
-// through as the response: the shards share one configuration, so they
-// agree on rejections.
-func (r *Router) scoreBroadcast(ctx context.Context, body []byte) (int, []byte, error) {
-	g, err := r.alignedGather(ctx, func(ctx context.Context, shard int) (*serve.Result, error) {
-		status, raw, err := r.call(ctx, shard, http.MethodPost, "/score", body, resultCap)
-		if err != nil {
-			return nil, err
-		}
-		if status != http.StatusOK {
-			return nil, &shardReply{status, raw}
-		}
-		var res serve.Result
-		if err := json.Unmarshal(raw, &res); err != nil {
-			return nil, err
-		}
-		return &res, nil
-	})
-	var reply *shardReply
-	if errors.As(err, &reply) {
-		return reply.status, reply.raw, nil
-	}
-	if err != nil {
-		return 0, nil, err
-	}
-	if g.target < 0 {
-		return 0, nil, ErrAllShardsDown
-	}
-	// The merged payload carries plain scores with the Owned flags dropped:
-	// a full broadcast serializes exactly like a single replicated node's
-	// score response.
-	aligned := g.aligned()
-	out := *aligned[0]
-	out.Pairs = make([]serve.PairScore, len(aligned[0].Pairs))
-	for i, p := range aligned[0].Pairs {
-		out.Pairs[i] = serve.PairScore{U: p.U, V: p.V}
-		for _, res := range aligned {
-			if i < len(res.Pairs) && res.Pairs[i].Owned {
-				out.Pairs[i].Score = res.Pairs[i].Score
-				break
-			}
-		}
-	}
-	raw, err := json.Marshal(&out)
-	if err != nil {
-		return 0, nil, err
-	}
-	if obs.Enabled() {
-		obs.GetCounter("cluster/score_broadcasts").Inc()
-	}
-	// handleScore on a worker answers via json.Encoder, which terminates
-	// with a newline; match it so the broadcast is byte-compatible.
-	return http.StatusOK, append(raw, '\n'), nil
 }
 
 // Health probes every shard and aggregates. OK requires all shards up with
@@ -868,7 +764,6 @@ func (r *Router) Health(ctx context.Context) *ClusterHealth {
 		}
 		out.ShardsUp++
 		out.SnapshotBytes += w.SnapshotBytes
-		out.Partitioned = out.Partitioned || w.PartitionRange != nil
 		maxEdges = max(maxEdges, w.TraceEdges)
 	}
 	// A recovering shard is up and self-consistent but behind the
@@ -888,11 +783,6 @@ func (r *Router) Health(ctx context.Context) *ClusterHealth {
 		obs.GetGauge("cluster/shards_up").Set(float64(out.ShardsUp))
 		obs.GetGauge("cluster/shards_catching_up").Set(float64(out.CatchingUp))
 		obs.GetGauge("cluster/snapshot_bytes").Set(float64(out.SnapshotBytes))
-		partBytes := 0.0
-		if out.Partitioned {
-			partBytes = float64(out.SnapshotBytes)
-		}
-		obs.GetGauge("cluster/partitioned_bytes").Set(partBytes)
 	}
 	return out
 }

@@ -22,11 +22,10 @@ import (
 
 // The router scripts characterise the gather paths no real-server test can
 // reach deterministically: retry, hedge, the 4xx short-circuit, epoch
-// re-asks, dead-shard range reconstruction, /score fail-over and the
-// partitioned broadcast. The shards are a scripted http.RoundTripper in
-// Config.Client: shard i answers its k-th request with the k-th step of its
-// script, and the script's length is the exact number of requests the
-// router may send it. Responses are released by channels, never slept for,
+// re-asks, dead-shard range reconstruction and /score fail-over. The shards
+// are a scripted http.RoundTripper in Config.Client: shard i answers its
+// k-th request with the k-th step of its script, and the script's length is
+// the exact number of requests the router may send it. Responses are released by channels, never slept for,
 // so the table is order-independent of wall time (CI runs it under -race
 // -count=20).
 
@@ -134,13 +133,11 @@ func merged(seq int64, missing [][2]int, shards ...int) string {
 	return encode(out)
 }
 
-// scores is one /score body: per pair (score, owned).
-func scores(seq int64, vals ...any) string {
+// scores is one /score body: one score per pair of scoreBody.
+func scores(seq int64, vals ...float64) string {
 	res := serve.Result{Alg: "CN", ServedBy: "CN", SnapshotSeq: seq, SnapshotEdges: 10, SnapshotTime: 7}
-	for i := 0; i < len(vals); i += 2 {
-		res.Pairs = append(res.Pairs, serve.PairScore{
-			U: int64(100 + i), V: int64(101 + i), Score: vals[i].(float64), Owned: vals[i+1].(bool),
-		})
+	for i, v := range vals {
+		res.Pairs = append(res.Pairs, serve.PairScore{U: int64(100 + 2*i), V: int64(101 + 2*i), Score: v})
 	}
 	return encode(res)
 }
@@ -182,8 +179,6 @@ type routerScript struct {
 	// cancels is how many silent requests the router must cancel.
 	cancels int
 }
-
-func partitioned(c *Config) { c.Partitioned = true }
 
 var routerScripts = []routerScript{
 	{
@@ -293,17 +288,10 @@ var routerScripts = []routerScript{
 		metrics: map[string]int64{"cluster/gather_full": 1},
 	},
 	{
-		name:   "partitioned predict scatters without shard parameters",
-		cfg:    partitioned,
-		shards: [][]step{{partial(0, 2, 5)}, {partial(1, 2, 5)}},
-		target: "/predict?alg=A+B&k=10", status: 200, want: strings.Replace(merged(5, nil, 0, 1), `"alg":"CN"`, `"alg":"A B"`, 1),
-		seen: [][]string{{"GET /predict?alg=A+B&k=10"}, {"GET /predict?alg=A+B&k=10"}},
-	},
-	{
 		name:   "/score fails over to the next shard",
-		shards: [][]step{{refuse}, {answer(200, scores(5, 3.0, false, 4.0, false))}},
+		shards: [][]step{{refuse}, {answer(200, scores(5, 3.0, 4.0))}},
 		method: "POST", target: "/score", body: scoreBody,
-		status: 200, want: scores(5, 3.0, false, 4.0, false),
+		status: 200, want: scores(5, 3.0, 4.0),
 		seen:    [][]string{{"POST /score " + scoreBody}, {"POST /score " + scoreBody}},
 		metrics: map[string]int64{"cluster/score_forwarded": 1},
 	},
@@ -319,43 +307,6 @@ var routerScripts = []routerScript{
 		shards: [][]step{{refuse}, {refuse}},
 		method: "POST", target: "/score", body: scoreBody,
 		status: 502, want: `{"error":"cluster: score forward failed on all shards: Post \"http://s1/score\": dial s1: connection refused"}` + "\n",
-	},
-	{
-		name:   "broadcast /score: stale shard re-asked, merged by ownership",
-		cfg:    partitioned,
-		shards: [][]step{{answer(200, scores(5, 3.0, true, 0.0, false))}, {answer(200, scores(4, 0.0, false, 9.0, true)), answer(200, scores(5, 0.0, false, 4.0, true))}},
-		method: "POST", target: "/score", body: scoreBody,
-		status: 200, want: scores(5, 3.0, false, 4.0, false),
-		metrics: map[string]int64{"cluster/score_broadcasts": 1, "cluster/epoch_reasks": 0},
-	},
-	{
-		name:   "broadcast /score: owner still stale after EpochRetries scores zero",
-		cfg:    partitioned,
-		shards: [][]step{{answer(200, scores(5, 3.0, true, 0.0, false))}, {answer(200, scores(4, 0.0, false, 9.0, true)), answer(200, scores(4, 0.0, false, 9.0, true)), answer(200, scores(4, 0.0, false, 9.0, true))}},
-		method: "POST", target: "/score", body: scoreBody,
-		status: 200, want: scores(5, 3.0, false, 0.0, false),
-	},
-	{
-		name:   "broadcast /score: non-200 passes through",
-		cfg:    partitioned,
-		shards: [][]step{{answer(400, unknownAlg)}, {answer(400, unknownAlg)}},
-		method: "POST", target: "/score", body: scoreBody,
-		status: 400, want: unknownAlg,
-		metrics: map[string]int64{"cluster/score_broadcasts": 0},
-	},
-	{
-		name:   "broadcast /score: one non-200 wins over a stale shard, nothing is re-asked",
-		cfg:    partitioned,
-		shards: [][]step{{answer(200, scores(5, 3.0, true, 0.0, false))}, {answer(200, scores(4, 0.0, false, 0.0, false))}, {answer(429, overloaded)}},
-		method: "POST", target: "/score", body: scoreBody,
-		status: 429, want: overloaded,
-	},
-	{
-		name:   "broadcast /score with every shard dead: 502",
-		cfg:    partitioned,
-		shards: [][]step{{refuse}, {refuse}},
-		method: "POST", target: "/score", body: scoreBody,
-		status: 502, want: allDown,
 	},
 	{
 		name:   "ingest replicates to every shard and reports the one that failed",

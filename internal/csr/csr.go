@@ -85,13 +85,6 @@ func Build(g *graph.Graph, order []graph.NodeID, hubBudget int) *View {
 	for hubs > 0 && g.Degree(v.Order[hubs-1]) < MinHubDegree {
 		hubs--
 	}
-	// Partitioned snapshots materialize truncated frontier rows, so a hub
-	// bitset would encode an incomplete neighbor set; the order and ranks
-	// above depend only on the (global, exact) degree table and stay
-	// identical to the full snapshot's, but the hub block is disabled.
-	if g.Partition() != nil {
-		hubs = 0
-	}
 	v.Hubs = hubs
 	if hubs > 0 {
 		v.bits = make([]uint64, hubs*v.words)

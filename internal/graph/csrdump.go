@@ -29,7 +29,7 @@ func FromCSR(n int, rowptr []int64, cols []NodeID, edges int, tm int64) (*Graph,
 	if int64(len(cols)) != 2*int64(edges) {
 		return nil, fmt.Errorf("graph: FromCSR %d entries for %d edges, want %d", len(cols), edges, 2*edges)
 	}
-	g := &Graph{pages: make([][][]NodeID, pageCount(n)), n: n, edges: edges, resident: int64(len(cols)), Time: tm}
+	g := &Graph{pages: make([][][]NodeID, pageCount(n)), n: n, edges: edges, Time: tm}
 	for u := 0; u < n; u++ {
 		lo, hi := rowptr[u], rowptr[u+1]
 		if lo > hi {
@@ -65,7 +65,7 @@ func FromCSR(n int, rowptr []int64, cols []NodeID, edges int, tm int64) (*Graph,
 	return g, nil
 }
 
-// NewIncrementalBuilderFrom returns a builder seeded from an existing full
+// NewIncrementalBuilderFrom returns a builder seeded from an existing
 // snapshot g at trace edge count m, positioned to continue applying edges
 // m, m+1, ... of t. The builder shares g's rows copy-on-write: emitGen
 // starts at 1 with all row/page generations at 0, so the first mutation of
@@ -74,9 +74,6 @@ func FromCSR(n int, rowptr []int64, cols []NodeID, edges int, tm int64) (*Graph,
 // start: replaying a trace tail on top of a checkpoint snapshot instead of
 // rebuilding from edge zero.
 func NewIncrementalBuilderFrom(t *Trace, g *Graph, m int) *IncrementalBuilder {
-	if g.Partition() != nil {
-		panic("graph: NewIncrementalBuilderFrom requires a full snapshot")
-	}
 	n := g.NumNodes()
 	b := &IncrementalBuilder{t: t, m: m, n: n, edges: g.NumEdges(), emitGen: 1}
 	b.pages = append([][][]NodeID(nil), g.pages...)

@@ -29,16 +29,8 @@ const (
 // across epochs, so a warm publish of a small batch allocates O(touched
 // rows).
 //
-// A builder may be partitioned (NewPartitionedBuilder): it still consumes
-// the full replicated edge stream, maintaining exact full-graph degrees and
-// the global unique-edge count, but materializes only the rows its owned
-// source range [lo, hi) can ever read under the min-endpoint ownership
-// rule: complete rows for owned sources, and for every other node only the
-// entries >= lo (the candidate side of any wedge swept from an owned
-// source) plus the min-endpoint entry that makes duplicate detection exact.
-//
-// AtEdge must be called with non-decreasing edge counts; unpartitioned
-// snapshots are identical to t.SnapshotAtEdge(m) row for row (pinned by
+// AtEdge must be called with non-decreasing edge counts; snapshots are
+// identical to t.SnapshotAtEdge(m) row for row (pinned by
 // TestIncrementalMatchesSnapshotAtEdge).
 type IncrementalBuilder struct {
 	t     *Trace
@@ -55,13 +47,6 @@ type IncrementalBuilder struct {
 	rowGen  []int32
 	slab    []NodeID
 
-	// Partition mode.
-	partitioned bool
-	lo, hi      NodeID
-	degPages    [][]int32
-	degPageGen  []int32
-
-	resident   int64
 	deltaRows  int64 // rows cloned or created, cumulative across emits
 	deltaPages int64 // pages cloned or created, cumulative across emits
 }
@@ -71,16 +56,6 @@ func NewIncrementalBuilder(t *Trace) *IncrementalBuilder {
 	return &IncrementalBuilder{t: t}
 }
 
-// NewPartitionedBuilder returns a builder that emits partitioned snapshots
-// owning source range [lo, hi). hi is an exclusive bound and may be set
-// beyond any plausible node count for an open-ended last shard.
-func NewPartitionedBuilder(t *Trace, lo, hi NodeID) *IncrementalBuilder {
-	if lo < 0 || hi < lo {
-		panic(fmt.Sprintf("graph: NewPartitionedBuilder range [%d, %d) invalid", lo, hi))
-	}
-	return &IncrementalBuilder{t: t, partitioned: true, lo: lo, hi: hi}
-}
-
 // Applied returns the number of trace edges already folded into the
 // builder's adjacency — the edge count of the last emitted snapshot. Live
 // ingestion uses it to measure how far published snapshots lag the trace.
@@ -88,15 +63,6 @@ func (b *IncrementalBuilder) Applied() int { return b.m }
 
 // Trace returns the trace this builder materializes snapshots of.
 func (b *IncrementalBuilder) Trace() *Trace { return b.t }
-
-// ResidentEntries returns the number of adjacency entries currently
-// materialized (2*edges unpartitioned; fewer in partition mode).
-func (b *IncrementalBuilder) ResidentEntries() int64 {
-	if b.partitioned {
-		return b.resident
-	}
-	return 2 * int64(b.edges)
-}
 
 // DeltaRows returns the cumulative number of row clones performed — the
 // copy-on-write work the delta publishes did. Serving layers diff it across
@@ -159,23 +125,7 @@ func (b *IncrementalBuilder) insert(u, v NodeID) bool {
 	row[i] = v
 	pg := b.touchPage(int(u) >> pageShift)
 	pg[int(u)&pageMask] = row
-	b.resident++
 	return true
-}
-
-// bumpDeg increments the full-graph degree of u (partition mode only),
-// copy-on-write against emitted snapshots.
-func (b *IncrementalBuilder) bumpDeg(u NodeID) {
-	p := int(u) >> pageShift
-	pg := b.degPages[p]
-	if pg == nil || b.degPageGen[p] != b.emitGen {
-		clone := make([]int32, pageSize)
-		copy(clone, pg)
-		b.degPages[p] = clone
-		b.degPageGen[p] = b.emitGen
-		pg = clone
-	}
-	pg[int(u)&pageMask]++
 }
 
 // apply folds one trace edge into the builder state.
@@ -186,38 +136,14 @@ func (b *IncrementalBuilder) apply(e Edge) {
 	if top := max(e.U, e.V); int(top) >= b.n {
 		b.grow(int(top) + 1)
 	}
-	if !b.partitioned {
-		if b.insert(e.U, e.V) {
-			b.insert(e.V, e.U)
-			b.edges++
-		}
-		return
-	}
-	// Partition mode. Canonicalize so u < v; the min endpoint's row always
-	// keeps the entry (owned rows are complete, and the suffix rule keeps
-	// entries >= lo — for a min endpoint u >= lo the entry v > u >= lo
-	// qualifies; for u < lo it is kept expressly so this insert stays an
-	// exact duplicate detector even for edges both of whose endpoints lie
-	// below the owned range).
-	u, v := e.U, e.V
-	if u > v {
-		u, v = v, u
-	}
-	if !b.insert(u, v) {
-		return
-	}
-	b.edges++
-	b.bumpDeg(u)
-	b.bumpDeg(v)
-	// The reverse entry u in v's row is needed only if v's row can be read
-	// by an owned sweep: complete when v is owned, suffix >= lo otherwise.
-	if (v >= b.lo && v < b.hi) || u >= b.lo {
-		b.insert(v, u)
+	if b.insert(e.U, e.V) {
+		b.insert(e.V, e.U)
+		b.edges++
 	}
 }
 
 // AtEdge applies trace edges up to count m and returns the snapshot, which
-// (unpartitioned) matches t.SnapshotAtEdge(m) exactly. m must be
+// matches t.SnapshotAtEdge(m) exactly. m must be
 // non-decreasing across calls.
 func (b *IncrementalBuilder) AtEdge(m int) *Graph {
 	if m > len(b.t.Edges) {
@@ -245,14 +171,6 @@ func (b *IncrementalBuilder) AtEdge(m int) *Graph {
 	top := make([][][]NodeID, np)
 	copy(top, b.pages[:np])
 	g := &Graph{pages: top, n: n, edges: b.edges, Time: tm}
-	if b.partitioned {
-		dtop := make([][]int32, np)
-		copy(dtop, b.degPages[:np])
-		g.part = &Partition{Lo: b.lo, Hi: b.hi, degPages: dtop}
-		g.resident = b.resident
-	} else {
-		g.resident = 2 * int64(b.edges)
-	}
 	b.emitGen++
 	if obs.Enabled() {
 		obs.GetCounter("graph/inc_snapshots").Inc()
@@ -271,9 +189,5 @@ func (b *IncrementalBuilder) grow(n int) {
 	for np := pageCount(b.n); len(b.pages) < np; {
 		b.pages = append(b.pages, nil)
 		b.pageGen = append(b.pageGen, b.emitGen)
-		if b.partitioned {
-			b.degPages = append(b.degPages, nil)
-			b.degPageGen = append(b.degPageGen, b.emitGen)
-		}
 	}
 }

@@ -112,3 +112,75 @@ func TestIncrementalPanicsOnDecreasing(t *testing.T) {
 	}()
 	b.AtEdge(2)
 }
+
+// TestIncrementalDeltaSchedulesQuick: randomized batch schedules (not just
+// Cuts) reproduce SnapshotAtEdge exactly, including degenerate zero-edge
+// batches, on the paged delta-publish layout.
+func TestIncrementalDeltaSchedulesQuick(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		tr := randomTrace(rng)
+		b := NewIncrementalBuilder(tr)
+		m := 0
+		for m < tr.NumEdges() {
+			m += rng.Intn(7) // zero-length batches included
+			if m > tr.NumEdges() {
+				m = tr.NumEdges()
+			}
+			if !graphsEqual(b.AtEdge(m), tr.SnapshotAtEdge(m)) {
+				return false
+			}
+		}
+		return graphsEqual(b.AtEdge(tr.NumEdges()), tr.SnapshotAtEdge(tr.NumEdges()))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// warmPublishTrace builds a wide trace (all nodes arrive up front, edges in
+// timestamp order) so publish-time costs can be measured at a given node
+// count.
+func warmPublishTrace(rng *rand.Rand, n, m int) *Trace {
+	arr := make([]int64, n)
+	edges := make([]Edge, 0, m)
+	for i := 0; i < m; i++ {
+		u := NodeID(rng.Intn(n))
+		v := NodeID(rng.Intn(n))
+		if u == v {
+			continue
+		}
+		edges = append(edges, Edge{U: u, V: v, Time: 1})
+	}
+	return &Trace{Name: "warm", Arrival: arr, Edges: edges}
+}
+
+// TestWarmPublishAllocs is the delta-publish allocation guard: once the
+// builder is warm, publishing a small batch allocates O(touched rows + top
+// page table), independent of the node count. A full-CSR rebuild (or a
+// per-node page table copy) would blow the bound by orders of magnitude.
+func TestWarmPublishAllocs(t *testing.T) {
+	for _, n := range []int{4096, 32768} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		tr := warmPublishTrace(rng, n, n*4)
+		b := NewIncrementalBuilder(tr)
+		warm := tr.NumEdges() / 2
+		b.AtEdge(warm)
+		const batch = 16
+		m := warm
+		allocs := testing.AllocsPerRun(20, func() {
+			m += batch
+			if m > tr.NumEdges() {
+				t.Fatalf("trace too short for alloc run")
+			}
+			b.AtEdge(m)
+		})
+		// Per publish: one top page-table copy, up to `batch` row clones and
+		// 2*batch page clones (amortized arena slabs add a fraction more).
+		// The bound is deliberately loose but far below O(n) — a per-node
+		// cost at n=32768 would show up as thousands of allocations.
+		if allocs > 128 {
+			t.Fatalf("n=%d: warm publish of %d edges allocated %.0f times; want O(touched rows)", n, batch, allocs)
+		}
+	}
+}

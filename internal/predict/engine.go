@@ -2,7 +2,6 @@ package predict
 
 import (
 	"cmp"
-	"fmt"
 	"runtime"
 	"slices"
 
@@ -157,24 +156,7 @@ func scorePairsFused(g *graph.Graph, pairs []Pair, opt Options, kern sweepKernel
 	if len(pairs) == 0 {
 		return out
 	}
-	// On a partitioned snapshot the sweep source must be the pair's min
-	// endpoint: its row is complete (ownership is required below), and every
-	// frontier row it intersects keeps all entries >= τ_w <= min endpoint,
-	// so the accumulated count/weight match the full snapshot's exactly. All
-	// partition-safe metrics are symmetric in (u, v), so sweeping from
-	// whichever endpoint is canonical never changes the finished score.
-	part := g.Partition()
-	key := func(p Pair) graph.NodeID { return p.U }
-	if part != nil {
-		key = func(p Pair) graph.NodeID { return minID(p.U, p.V) }
-		for _, p := range pairs {
-			if !part.Owns(minID(p.U, p.V)) {
-				panic(fmt.Sprintf("predict: ScorePairs pair (%d, %d) not owned by partitioned snapshot range [%d, %d)",
-					p.U, p.V, part.Lo, part.Hi))
-			}
-		}
-	}
-	idx := sourceSortedIndex(pairs, key)
+	idx := sourceSortedIndex(pairs, func(p Pair) graph.NodeID { return p.U })
 	n := g.NumNodes()
 	view := snapcache.For(g).CSRView()
 	avgWedge := int64(1)
@@ -189,12 +171,12 @@ func scorePairsFused(g *graph.Graph, pairs []Pair, opt Options, kern sweepKernel
 		}
 		s := scratch[wk]
 		for gi := lo; gi < hi; {
-			u := key(pairs[idx[gi]])
+			u := pairs[idx[gi]].U
 			ge := gi + 1
-			for ge < hi && key(pairs[idx[ge]]) == u {
+			for ge < hi && pairs[idx[ge]].U == u {
 				ge++
 			}
-			if b := view.HubBits(u); part == nil && b != nil && probeCheaper(g, u, pairs, idx[gi:ge]) {
+			if b := view.HubBits(u); b != nil && probeCheaper(g, u, pairs, idx[gi:ge]) {
 				for _, i := range idx[gi:ge] {
 					p := pairs[i]
 					var c int32

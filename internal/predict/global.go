@@ -210,8 +210,8 @@ func predictGlobal(g *graph.Graph, k int, opt Options, score func(u, v graph.Nod
 type latent func(g *graph.Graph, opt Options) func(u, v graph.NodeID) float64
 
 // row is the registry row of a latent algorithm: the factorizations read
-// every adjacency row (no partitions), do per-source work proportional to a
-// row, and are the artifacts worth building off the request path.
+// every adjacency row, do per-source work proportional to a row, and are
+// the artifacts worth building off the request path.
 func (l latent) row(name string) *algo {
 	return &algo{name: name, cost: CostRows, predict: l.predict, score: l.scorePairs,
 		warm: func(g *graph.Graph, opt Options) { l(g, opt) }}

@@ -56,11 +56,11 @@ func (m *localMetric) kernel(g *graph.Graph, nb *naiveBayes) sweepKernel {
 }
 
 // row is the metric's registry row. Its facts follow from the metric's
-// shape: the naive Bayes triangle prepass reads rows a partition drops and
-// its hub bounds collapse under pruning (CostCappedWedge), and only the
-// witness-weighted kernels read the log-degree table.
+// shape: the naive Bayes hub bounds collapse under pruning
+// (CostCappedWedge), and only the witness-weighted kernels read the
+// log-degree table.
 func (m *localMetric) row() *algo {
-	a := &algo{name: m.name, cost: CostWedge, partitionSafe: !m.usesNB, predict: m.predict, score: m.scorePairs}
+	a := &algo{name: m.name, cost: CostWedge, predict: m.predict, score: m.scorePairs}
 	if m.usesNB {
 		a.cost = CostCappedWedge
 	}

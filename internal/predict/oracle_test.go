@@ -4,8 +4,8 @@ import "linkpred/internal/graph"
 
 // The slow, obvious oracle of the local family: enumerate every 2-hop pair,
 // intersect the two adjacency lists, fold the metric's per-pair score form.
-// The fused kernels, the pruned engine, the sharded and partitioned sweeps
-// and the fuzz target are all compared against it; production code holds
+// The fused kernels, the pruned engine, the sharded sweeps and the fuzz
+// target are all compared against it; production code holds
 // only the engine they test.
 
 // Predict and ScorePairs run the metric's registry row, so the suites that

@@ -12,9 +12,7 @@ import (
 // inherently sequential (each pop decides the next pushes), so Predict runs
 // on one goroutine regardless of Options.Workers — it is already the
 // cheapest algorithm by orders of magnitude; ScorePairs shards normally.
-// Degrees are global and exact on a partitioned snapshot, so PA is
-// partition-safe.
-var PA Algorithm = &algo{name: "PA", cost: CostWedge, partitionSafe: true, predict: paPredict, score: paScorePairs}
+var PA Algorithm = &algo{name: "PA", cost: CostWedge, predict: paPredict, score: paScorePairs}
 
 func paScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
 	out := make([]float64, len(pairs))
@@ -100,9 +98,6 @@ func paPredict(g *graph.Graph, k int, opt Options) []Pair {
 			break
 		}
 		u, v := order[it.i], order[it.j]
-		// Ownership is checked first: on a partitioned snapshot an owned pair
-		// guarantees HasEdge an owned (complete) endpoint row, and unowned
-		// pairs must not probe adjacency at all.
 		if opt.ownsPair(u, v) && !g.HasEdge(u, v) {
 			top.Add(u, v, float64(it.product))
 		}

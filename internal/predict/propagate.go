@@ -85,9 +85,8 @@ type propagation func(g *graph.Graph, opt Options) sourceFill
 type sourceFill func(u graph.NodeID, s *walkScratch) *sparseVec
 
 // row is the registry row of a propagation algorithm: path and walk
-// traversals read rows a partition drops and touch each adjacency row O(1)
-// times per step, and keep per-source scratch rather than snapshot
-// artifacts.
+// traversals touch each adjacency row O(1) times per step, and keep
+// per-source scratch rather than snapshot artifacts.
 func (p propagation) row(name string) *algo {
 	return &algo{name: name, cost: CostRows, predict: p.predict, score: p.scorePairs}
 }

@@ -15,7 +15,7 @@ var ErrUnknownAlgorithm = errors.New("unknown algorithm")
 
 // algo is the registry row: the one description of an algorithm. Every
 // layer that asks a question about an algorithm by name (shard planning,
-// partition admission, artifact warming) reads a field here, and every
+// artifact warming) reads a field here, and every
 // exported algorithm value is a *algo, so Predict and ScorePairs run one
 // shared prologue before the family engine behind predict/score.
 type algo struct {
@@ -23,9 +23,6 @@ type algo struct {
 	// cost is the per-source work estimate shard boundaries are balanced
 	// over (CostModelFor).
 	cost CostModel
-	// partitionSafe marks the algorithms that read only what a partitioned
-	// snapshot materializes (PartitionSafe); every other row panics on one.
-	partitionSafe bool
 	// warm prebuilds the per-snapshot artifacts this algorithm reads beyond
 	// the degree-derived set Warm always builds; nil when there are none.
 	warm func(g *graph.Graph, opt Options)
@@ -38,11 +35,6 @@ type algo struct {
 func (a *algo) Name() string { return a.name }
 
 func (a *algo) Predict(g *graph.Graph, k int, opt Options) []Pair {
-	if a.partitionSafe {
-		opt = resolvePartition(g, opt)
-	} else {
-		mustFullGraph(g, a.name)
-	}
 	validateOptions(opt)
 	r := beginRun(a.name, opPredict)
 	defer r.end()
@@ -51,9 +43,6 @@ func (a *algo) Predict(g *graph.Graph, k int, opt Options) []Pair {
 }
 
 func (a *algo) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	if !a.partitionSafe {
-		mustFullGraph(g, a.name)
-	}
 	r := beginRun(a.name, opScorePairs)
 	defer r.end()
 	r.addPairs(int64(len(pairs)))
@@ -114,7 +103,6 @@ func ByName(name string) (Algorithm, error) {
 // RandomPrediction draws k distinct unconnected pairs uniformly at random,
 // the paper's baseline predictor (§4.1).
 func RandomPrediction(g *graph.Graph, k int, seed int64) []Pair {
-	mustFullGraph(g, "RandomPrediction")
 	n := g.NumNodes()
 	if n < 2 || k <= 0 {
 		return nil

@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"fmt"
 	"math/bits"
 
 	"linkpred/internal/graph"
@@ -39,20 +38,6 @@ import (
 // half-open source-node interval [Lo, Hi). See Options.SourceRange.
 type SourceRange struct {
 	Lo, Hi int
-}
-
-// ShardSourceRange returns the contiguous source range owned by shard
-// index shard of shards over an n-node snapshot: [shard·n/shards,
-// (shard+1)·n/shards). Every node belongs to exactly one shard and range
-// sizes differ by at most one. Panics on an invalid shard index.
-func ShardSourceRange(n, shard, shards int) SourceRange {
-	if shards <= 0 || shard < 0 || shard >= shards {
-		panic("predict: invalid shard index")
-	}
-	if n < 0 {
-		n = 0
-	}
-	return SourceRange{Lo: shard * n / shards, Hi: (shard + 1) * n / shards}
 }
 
 // CostModel selects the per-source work estimate shard boundaries are
@@ -103,9 +88,7 @@ func CostModelFor(alg string) CostModel {
 // SourceCosts returns the per-source cost array of model over g, plus its
 // total. Costs are exact integer functions of the degree sequence (every
 // node contributes at least 1, so empty ranges only appear when shards >
-// n). Requires a full snapshot: boundary planning happens where the whole
-// degree/adjacency structure lives (replicas and the bench harness), never
-// on a partitioned shard.
+// n).
 //
 // The wedge models additionally apply a pruning-survival weight: the
 // top-k engine sweeps sources in descending upper-bound order and
@@ -121,7 +104,6 @@ func CostModelFor(alg string) CostModel {
 // reachable). Still a pure integer function of the degree sequence, so
 // replicas agree; boundary choice never affects output, only skew.
 func SourceCosts(g *graph.Graph, model CostModel) (costs []uint64, total uint64) {
-	mustFullGraph(g, "SourceCosts")
 	n := g.NumNodes()
 	costs = make([]uint64, n)
 	for u := 0; u < n; u++ {
@@ -229,77 +211,6 @@ func rangeEnds(g *graph.Graph, shards int, model CostModel) func(s int) int {
 		}
 		return hi
 	}
-}
-
-// WeightedSourceRanges is WeightedSourceRangesFor under CostWedge, the
-// historical wedge-weight split.
-func WeightedSourceRanges(g *graph.Graph, shards int) []SourceRange {
-	return WeightedSourceRangesFor(g, shards, CostWedge)
-}
-
-// PartitionSafe reports whether the named algorithm may run on a
-// partitioned snapshot (graph.PartitionView / graph.NewPartitionedBuilder).
-// Safe algorithms read only owned sources' rows plus the frontier suffixes
-// those rows certify, and finish candidates from global degrees — exactly
-// the state a partitioned snapshot materializes — so their output over the
-// owned range is bit-identical to a full snapshot's. Everything else (the
-// naive Bayes family's triangle prepass, path/walk traversals, the latent
-// factorizations, the random baseline) reads rows an ownership partition
-// drops, and panics on partitioned snapshots rather than silently
-// mis-scoring.
-func PartitionSafe(name string) bool {
-	a := byName[name]
-	return a != nil && a.partitionSafe
-}
-
-// mustFullGraph panics when g is a partitioned snapshot: op's traversal
-// reads adjacency rows outside the partition's materialized set, so its
-// result would be silently wrong rather than detectably absent.
-func mustFullGraph(g *graph.Graph, op string) {
-	if g.Partition() != nil {
-		panic("predict: " + op + " requires a full snapshot; partitioned snapshots support only the partition-safe local family (see PartitionSafe)")
-	}
-}
-
-// resolvePartition reconciles the call's source restriction with a
-// partitioned snapshot: nil defaults to the owned range, an explicit range
-// must sit inside it (sources outside the owned range have incomplete rows,
-// so sweeping them would produce silently wrong scores). Full snapshots
-// pass through untouched. The returned Options carry a fresh SourceRange;
-// the caller's is never mutated.
-func resolvePartition(g *graph.Graph, opt Options) Options {
-	p := g.Partition()
-	if p == nil {
-		return opt
-	}
-	n := g.NumNodes()
-	lo, hi := int(p.Lo), int(p.Hi)
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	if opt.SourceRange == nil {
-		opt.SourceRange = &SourceRange{Lo: lo, Hi: hi}
-		return opt
-	}
-	rlo, rhi := opt.SourceRange.Lo, opt.SourceRange.Hi
-	if rlo < 0 {
-		rlo = 0
-	}
-	if rhi > n {
-		rhi = n
-	}
-	if rhi < rlo {
-		rhi = rlo
-	}
-	if rlo < lo || rhi > hi {
-		panic(fmt.Sprintf("predict: SourceRange [%d, %d) reaches outside the partitioned snapshot's owned range [%d, %d)",
-			opt.SourceRange.Lo, opt.SourceRange.Hi, lo, hi))
-	}
-	opt.SourceRange = &SourceRange{Lo: rlo, Hi: rhi}
-	return opt
 }
 
 // sourceSpan resolves the call's source restriction against an n-node

@@ -29,22 +29,15 @@ func Warm(g *graph.Graph, names []string, opt Options) {
 	opt.Ctx = nil
 	arts := snapcache.For(g)
 	// The degree order, the degree-ordered view with hub bitsets (which backs
-	// the local metrics' batch probes and naive Bayes statistics, and
-	// disables its hub block on partitions itself) and the wedge-work
-	// estimate the worker clamp reads serve every algorithm.
+	// the local metrics' batch probes and naive Bayes statistics) and the
+	// wedge-work estimate the worker clamp reads serve every algorithm.
 	arts.DegreeOrder()
 	arts.CSRView()
 	wedgeWork(g)
-	// A partitioned snapshot serves only the partition-safe rows: the other
-	// rows' builders (the latent factorizations) would silently read the
-	// truncated frontier rows.
-	partitioned := g.Partition() != nil
 	for _, name := range names {
-		if a := byName[name]; a != nil && a.warm != nil && (a.partitionSafe || !partitioned) {
+		if a := byName[name]; a != nil && a.warm != nil {
 			a.warm(g, opt)
 		}
 	}
-	if !partitioned {
-		arts.Block(opt.TopDegreeBlock)
-	}
+	arts.Block(opt.TopDegreeBlock)
 }

@@ -124,10 +124,7 @@ func (s *Server) walNotePublish(snap *Snapshot) {
 // cadence retries at the next publish. Callers hold s.mu.
 func (s *Server) maybeCheckpointLocked(snap *Snapshot, p wal.Publish) {
 	every := s.cfg.CheckpointEvery
-	if every <= 0 || s.cfg.Partition != nil {
-		// Partitioned shards never checkpoint: their snapshots materialize
-		// only owned rows, not the full graph a checkpoint must carry.
-		// Recovery on a shard replays the whole log instead.
+	if every <= 0 {
 		return
 	}
 	if int64(snap.Edges)-s.ckptEdges.Load() < int64(every) {

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"linkpred/internal/obs"
-	"linkpred/internal/predict"
 )
 
 // Handler returns the server's HTTP API:
@@ -162,9 +161,8 @@ func ParsePredictQuery(q url.Values) (PredictQuery, error) {
 
 // Encode is the inverse of ParsePredictQuery: the query string a router
 // sends a shard. K is always written, timeout_ms only when set, and the
-// shard/shards pair whenever Shards is non-zero; Shards 0 omits the pair
-// (the scatter to memory-partitioned workers, which own their range), which
-// the parser reads back as its default 0 of 1.
+// shard/shards pair whenever Shards is non-zero; Shards 0 omits the pair,
+// which the parser reads back as its default 0 of 1.
 func (p PredictQuery) Encode() string {
 	s := "alg=" + url.QueryEscape(p.Alg) + "&k=" + strconv.Itoa(p.K)
 	if p.TimeoutMS > 0 {
@@ -176,7 +174,8 @@ func (p PredictQuery) Encode() string {
 	return s
 }
 
-// errStatus maps a serving error to its HTTP status.
+// errStatus maps a serving error to its HTTP status. Anything unlisted
+// (an unknown algorithm, a bad k or shard) is the caller's fault: 400.
 func errStatus(err error) int {
 	switch {
 	case errors.Is(err, ErrOverloaded):
@@ -187,8 +186,6 @@ func errStatus(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, ErrDurability):
 		return http.StatusInternalServerError
-	case errors.Is(err, predict.ErrUnknownAlgorithm), errors.Is(err, ErrPartitionUnsupported):
-		return http.StatusBadRequest
 	default:
 		return http.StatusBadRequest
 	}

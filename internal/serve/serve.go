@@ -121,22 +121,8 @@ type Config struct {
 	// (trace edges past the last checkpoint) grows by N edges, bounding
 	// recovery time and enabling segment pruning (default 4096; negative
 	// disables). Checkpoints serialize in the background, off the ingest
-	// path. Ignored without WAL, and on partitioned shards — a shard's
-	// snapshot holds only its owned rows, so shards always recover by full
-	// replay.
+	// path. Ignored without WAL.
 	CheckpointEvery int
-	// Partition, when non-nil, runs the server as one ownership shard of a
-	// memory-partitioned cluster: the snapshot builder still ingests the
-	// full replicated edge stream, but materializes only the adjacency rows
-	// of sources in [Partition[0], Partition[1]) plus their 1-hop frontier
-	// (DESIGN.md §13). Predict answers exactly the owned source range (the
-	// response is shard-restricted, mergeable by predict.MergeTopK), Score
-	// answers only pairs whose min endpoint is owned (flagged Owned), and
-	// only the partition-safe local family is served — anything else is
-	// rejected with ErrPartitionUnsupported. The bounds are static for the
-	// life of the process: dropped rows cannot be recovered, so resharding
-	// means replaying the trace into new servers.
-	Partition *[2]int
 }
 
 // DegradeConfig tunes graceful degradation. Zero fields take defaults.
@@ -178,12 +164,6 @@ type PairScore struct {
 	DU    graph.NodeID `json:"du,omitempty"`
 	DV    graph.NodeID `json:"dv,omitempty"`
 	Score float64      `json:"score"`
-	// Owned appears on partitioned score responses only: true when this
-	// shard owns the pair's min endpoint, so its Score is authoritative. A
-	// router broadcasting a score request to every shard keeps exactly the
-	// owned answer per pair (ownership is a disjoint cover, so exactly one
-	// shard flags each resolvable pair).
-	Owned bool `json:"owned,omitempty"`
 }
 
 // Result is the payload of one answered query.
@@ -224,12 +204,8 @@ type Health struct {
 	Degraded      bool  `json:"degraded"`
 	QueueDepth    int   `json:"queue_depth"`
 	// SnapshotBytes is the resident adjacency footprint of the published
-	// snapshot; on a partitioned shard it covers only the owned rows plus
-	// frontier, which is the point of partitioning. PartitionRange reports
-	// the configured ownership bounds (absent on full servers) so a router
-	// can verify its shards form a disjoint cover before merging.
-	SnapshotBytes  int64   `json:"snapshot_bytes"`
-	PartitionRange *[2]int `json:"partition_range,omitempty"`
+	// snapshot.
+	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// WAL reports durability state on WAL-backed servers (absent
 	// otherwise): commit/checkpoint positions, the boot-time recovery
 	// outcome, and the sticky failure latch.
@@ -246,12 +222,6 @@ var (
 	// deadline cancelled the shared sweep mid-flight; the request is safe
 	// to retry (HTTP 503).
 	ErrBatchAborted = errors.New("serve: batch aborted by leader deadline; retry")
-	// ErrPartitionUnsupported rejects an algorithm outside the
-	// partition-safe local family on a memory-partitioned server (HTTP 400):
-	// the shard's truncated frontier rows cannot support walks, paths, or
-	// latent factorizations exactly, and this system never serves silently
-	// wrong scores.
-	ErrPartitionUnsupported = errors.New("serve: algorithm not supported on a partitioned shard (see predict.PartitionSafe)")
 )
 
 // latentProxy maps each latent-family algorithm to the fused local metric
@@ -415,16 +385,10 @@ func New(cfg Config) (*Server, error) {
 		tr = &graph.Trace{Name: "live"}
 	}
 	builder := graph.NewIncrementalBuilder(tr)
-	if rec != nil && rec.Graph != nil && cfg.Partition == nil {
+	if rec != nil && rec.Graph != nil {
 		// Seed the builder with the checkpoint's zero-copy CSR so the boot
 		// publish materializes only the replayed tail, not the whole graph.
 		builder = graph.NewIncrementalBuilderFrom(tr, rec.Graph, int(rec.CheckpointEdges))
-	}
-	if p := cfg.Partition; p != nil {
-		if p[0] < 0 || p[1] <= p[0] {
-			return nil, fmt.Errorf("serve: bad partition range [%d, %d)", p[0], p[1])
-		}
-		builder = graph.NewPartitionedBuilder(tr, graph.NodeID(p[0]), graph.NodeID(p[1]))
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -530,13 +494,6 @@ func (s *Server) registerGauges() {
 	obs.SetGaugeFunc("serve/snapshot_bytes", func() float64 {
 		return float64(s.cur.Load().Graph.ResidentBytes())
 	})
-	obs.SetGaugeFunc("serve/partitioned_bytes", func() float64 {
-		snap := s.cur.Load()
-		if snap.Graph.Partition() == nil {
-			return 0
-		}
-		return float64(snap.Graph.ResidentBytes())
-	})
 }
 
 // Close stops the server: in-flight requests finish, queued requests are
@@ -592,13 +549,6 @@ func (s *Server) Health() Health {
 		QueueDepth:    len(s.queue),
 		SnapshotBytes: snap.Graph.ResidentBytes(),
 		WAL:           s.walStatus(),
-		PartitionRange: func() *[2]int {
-			if s.cfg.Partition == nil {
-				return nil
-			}
-			r := *s.cfg.Partition
-			return &r
-		}(),
 	}
 }
 
@@ -755,16 +705,8 @@ func (s *Server) PredictShard(ctx context.Context, alg string, k, shard, shards 
 	if _, err := s.cfg.Resolve(alg); err != nil {
 		return nil, err
 	}
-	if err := s.checkPartitioned(alg); err != nil {
-		return nil, err
-	}
 	if k <= 0 {
 		return nil, fmt.Errorf("serve: k must be positive, got %d", k)
-	}
-	if s.cfg.Partition != nil && shards > 1 {
-		// A partitioned shard's sweep range IS its ownership range; a
-		// router-imposed sub-range would double-partition the ID space.
-		return nil, fmt.Errorf("serve: %w: shard parameters conflict with the configured partition", ErrPartitionUnsupported)
 	}
 	if shards > 1 && (shard < 0 || shard >= shards) {
 		return nil, fmt.Errorf("serve: shard %d out of range for %d shards", shard, shards)
@@ -782,9 +724,6 @@ func (s *Server) Score(ctx context.Context, alg string, pairs [][2]int64) (*Resu
 	if _, err := s.cfg.Resolve(alg); err != nil {
 		return nil, err
 	}
-	if err := s.checkPartitioned(alg); err != nil {
-		return nil, err
-	}
 	req := &request{kind: kindScore, alg: alg, ext: pairs, ctx: ctx, done: make(chan outcome, 1)}
 	req.dense = make([]densePair, len(pairs))
 	for i, p := range pairs {
@@ -793,15 +732,6 @@ func (s *Server) Score(ctx context.Context, alg string, pairs [][2]int64) (*Resu
 		req.dense[i] = densePair{u: u, v: v, ok: uok && vok}
 	}
 	return s.submit(req)
-}
-
-// checkPartitioned rejects algorithms outside the partition-safe local
-// family on a memory-partitioned server, before they ever enter the queue.
-func (s *Server) checkPartitioned(alg string) error {
-	if s.cfg.Partition != nil && !predict.PartitionSafe(alg) {
-		return fmt.Errorf("serve: algorithm %q: %w", alg, ErrPartitionUnsupported)
-	}
-	return nil
 }
 
 // submit enqueues a request (rejecting on overload or shutdown) and waits
@@ -998,18 +928,7 @@ func (s *Server) servePredict(r *request, snap *Snapshot) {
 	opt.Ctx = r.ctx
 	sharded := r.shards > 1
 	var srange predict.SourceRange
-	switch {
-	case snap.Graph.Partition() != nil:
-		// The memory partition is the shard: sweep exactly the owned source
-		// range and report it, so the router merges this partial list the
-		// same way it merges work-sharded responses. The range is clamped to
-		// the snapshot's node count (the last shard's Hi is a sentinel).
-		p := snap.Graph.Partition()
-		n := snap.Graph.NumNodes()
-		srange = predict.SourceRange{Lo: min(int(p.Lo), n), Hi: min(int(p.Hi), n)}
-		opt.SourceRange = &srange
-		sharded = true
-	case sharded:
+	if sharded {
 		// Cost-weighted boundaries, not equal-count: growth traces put the
 		// hubs at low IDs, and equal-count ranges leave shard 0 with most of
 		// the sweep. The cost model follows the *requested* algorithm's
@@ -1105,7 +1024,6 @@ func (s *Server) serveScoreGroup(grp []*request, snap *Snapshot) {
 	// (unknown external ID, node newer than the snapshot) scores zero
 	// rather than indexing out of range in the engine.
 	n := graph.NodeID(snap.Graph.NumNodes())
-	part := snap.Graph.Partition()
 	var flat []predict.Pair
 	type span struct{ at []int } // flat index per member pair, -1 = unscorable
 	spans := make([]span, len(live))
@@ -1115,19 +1033,6 @@ func (s *Server) serveScoreGroup(grp []*request, snap *Snapshot) {
 			if !dp.ok || dp.u >= n || dp.v >= n {
 				at[i] = -1
 				continue
-			}
-			if part != nil {
-				// A partitioned shard answers only the pairs it owns (min
-				// endpoint in range); the rest score zero with Owned unset,
-				// and exactly one shard in the cover flags each pair.
-				lo := dp.u
-				if dp.v < lo {
-					lo = dp.v
-				}
-				if !part.Owns(lo) {
-					at[i] = -1
-					continue
-				}
 			}
 			at[i] = len(flat)
 			flat = append(flat, predict.Pair{U: dp.u, V: dp.v})
@@ -1164,11 +1069,10 @@ func (s *Server) serveScoreGroup(grp []*request, snap *Snapshot) {
 			Pairs:         make([]PairScore, len(r.ext)),
 		}
 		for i, p := range r.ext {
-			score, owned := 0.0, false
+			res.Pairs[i] = PairScore{U: p[0], V: p[1]}
 			if at := spans[m].at[i]; at >= 0 {
-				score, owned = vals[at], part != nil
+				res.Pairs[i].Score = vals[at]
 			}
-			res.Pairs[i] = PairScore{U: p[0], V: p[1], Score: score, Owned: owned}
 		}
 		if degraded && obs.Enabled() {
 			obs.GetCounter("serve/degraded_responses").Inc()

@@ -3,6 +3,10 @@ package serve
 import (
 	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -281,5 +285,89 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
 	if _, err := s.Predict(context.Background(), "NoSuchAlg", 5); !errors.Is(err, predict.ErrUnknownAlgorithm) {
 		t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
+	}
+}
+
+// TestServeMemoryMetrics checks the memory telemetry of a full server: the
+// health payload reports a resident footprint, the Prometheus exposition
+// carries the snapshot_bytes and publish_delta_rows families and passes the
+// linter, and the snapshot_bytes gauge equals the health figure.
+func TestServeMemoryMetrics(t *testing.T) {
+	obs.Reset()
+	obs.Enable(true)
+	defer func() {
+		obs.Enable(false)
+		obs.Reset()
+	}()
+	s := newTestServer(t, Config{SnapshotEvery: 64})
+	if _, _, err := s.Ingest(traceEvents(testTrace(t))); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	h := s.Health()
+	if h.SnapshotBytes <= 0 {
+		t.Fatalf("health snapshot_bytes = %d, want > 0", h.SnapshotBytes)
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics?format=prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readAll(t, resp)
+	if err := obs.LintPrometheus([]byte(body)); err != nil {
+		t.Fatalf("exposition does not lint: %v", err)
+	}
+	if !strings.Contains(body, "linkpred_serve_publish_delta_rows") {
+		t.Fatal("exposition missing family linkpred_serve_publish_delta_rows")
+	}
+	const family = "linkpred_serve_snapshot_bytes"
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, family+" "); ok {
+			if got, err := strconv.ParseFloat(v, 64); err != nil || got != float64(h.SnapshotBytes) {
+				t.Fatalf("%s gauge = %s, health says %d", family, v, h.SnapshotBytes)
+			}
+			return
+		}
+	}
+	t.Fatalf("family %s has no sample", family)
+}
+
+// TestServeDeltaPublish checks that graph state reaches queries through
+// incremental publishes — a freshly ingested edge's endpoints score against
+// the new snapshot — and that an earlier snapshot is untouched by a later
+// delta publish.
+func TestServeDeltaPublish(t *testing.T) {
+	s := newTestServer(t, Config{SnapshotEvery: 4})
+	ctx := context.Background()
+	var events []Event
+	for i := 0; i < 32; i++ {
+		events = append(events, Event{U: int64(i), V: int64(i + 1), T: int64(i)})
+	}
+	if _, _, err := s.Ingest(events); err != nil {
+		t.Fatal(err)
+	}
+	g1 := s.Flush().Graph
+	score := func() float64 {
+		t.Helper()
+		res, err := s.Score(ctx, "CN", [][2]int64{{0, 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Pairs[0].Score
+	}
+	if got := score(); got != 1 {
+		t.Fatalf("CN(0,2) = %v, want 1", got)
+	}
+	if _, _, err := s.Ingest([]Event{{U: 0, V: 33, T: 100}, {U: 2, V: 33, T: 101}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	if got := score(); got != 2 {
+		t.Fatalf("CN(0,2) after delta publish = %v, want 2", got)
+	}
+	if g1.NumNodes() != 33 || g1.Degree(0) != 1 || g1.Degree(2) != 2 {
+		t.Fatalf("old snapshot changed: %d nodes, deg(0)=%d, deg(2)=%d", g1.NumNodes(), g1.Degree(0), g1.Degree(2))
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // TestPredictQueryEncodeRoundTrip: Encode is the parser's inverse, and for
-// the two shapes the router sends it is byte-equal to the Sprintf calls it
+// the shape the router sends it is byte-equal to the Sprintf call it
 // replaced.
 func TestPredictQueryEncodeRoundTrip(t *testing.T) {
 	for _, q := range []PredictQuery{
@@ -38,14 +38,14 @@ func TestPredictQueryEncodeRoundTrip(t *testing.T) {
 		if want := fmt.Sprintf("alg=%s&k=%d&shard=%d&shards=%d", url.QueryEscape(alg), 25, 1, 4); replicated != want {
 			t.Errorf("replicated shape: %q, want %q", replicated, want)
 		}
-		partitioned := PredictQuery{Alg: alg, K: 25}.Encode()
-		if want := fmt.Sprintf("alg=%s&k=%d", url.QueryEscape(alg), 25); partitioned != want {
-			t.Errorf("partitioned shape: %q, want %q", partitioned, want)
+		bare := PredictQuery{Alg: alg, K: 25}.Encode()
+		if want := fmt.Sprintf("alg=%s&k=%d", url.QueryEscape(alg), 25); bare != want {
+			t.Errorf("bare shape: %q, want %q", bare, want)
 		}
 		// Shards 0 reads back as the parser's default: the whole sweep.
-		vals, _ := url.ParseQuery(partitioned)
+		vals, _ := url.ParseQuery(bare)
 		if got, err := ParsePredictQuery(vals); err != nil || got != (PredictQuery{Alg: alg, K: 25, Shards: 1}) {
-			t.Errorf("Parse(%q) = %+v, %v", partitioned, got, err)
+			t.Errorf("Parse(%q) = %+v, %v", bare, got, err)
 		}
 	}
 }

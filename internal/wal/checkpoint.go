@@ -73,8 +73,8 @@ func (l *Log) WriteCheckpoint(d CheckpointData) error {
 	if len(d.Arrival) != len(d.Rev) {
 		return fmt.Errorf("wal: checkpoint arrival/rev length mismatch (%d vs %d)", len(d.Arrival), len(d.Rev))
 	}
-	if d.Graph == nil || d.Graph.Partition() != nil {
-		return fmt.Errorf("wal: checkpoint requires a full snapshot")
+	if d.Graph == nil {
+		return fmt.Errorf("wal: checkpoint requires a snapshot")
 	}
 	E := uint64(len(d.Edges))
 
