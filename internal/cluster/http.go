@@ -23,30 +23,20 @@ import (
 //	POST /flush    — snapshot publish on every shard
 //	GET  /healthz  — aggregate shard health + epoch skew
 //	GET  /metrics  — router telemetry (JSON, or ?format=prom)
+//
+// The five request endpoints go through the shard's own wrappers
+// (serve.Instrument under cluster/http/, serve.PostOnly), so both tiers
+// refuse a wrong method with the same 405 and report the same per-endpoint
+// surface.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/predict", r.instrument("predict", r.handlePredict))
-	mux.HandleFunc("/score", r.instrument("score", r.handleScore))
-	mux.HandleFunc("/ingest", r.instrument("ingest", r.handleIngest))
-	mux.HandleFunc("/flush", r.instrument("flush", r.handleFlush))
-	mux.HandleFunc("/healthz", r.instrument("healthz", r.handleHealthz))
+	mux.HandleFunc("/predict", serve.Instrument("cluster", "predict", r.handlePredict))
+	mux.HandleFunc("/score", serve.Instrument("cluster", "score", serve.PostOnly(r.handleScore)))
+	mux.HandleFunc("/ingest", serve.Instrument("cluster", "ingest", serve.PostOnly(r.handleIngest)))
+	mux.HandleFunc("/flush", serve.Instrument("cluster", "flush", serve.PostOnly(r.handleFlush)))
+	mux.HandleFunc("/healthz", serve.Instrument("cluster", "healthz", r.handleHealthz))
 	mux.HandleFunc("/metrics", obs.Handler().ServeHTTP)
 	return mux
-}
-
-// instrument mirrors the worker's per-endpoint serving-health surface under
-// the cluster/http namespace.
-func (r *Router) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if !obs.Enabled() {
-			h(w, req)
-			return
-		}
-		start := time.Now()
-		h(w, req)
-		obs.GetHistogram(`cluster/http/latency_ns{endpoint="` + endpoint + `"}`).Observe(time.Since(start).Nanoseconds())
-		obs.GetCounter(`cluster/http/requests{endpoint="` + endpoint + `"}`).Inc()
-	}
 }
 
 // errStatus maps a gather error to its HTTP status: every shard down is an
@@ -90,10 +80,6 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleScore(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 8<<20))
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "bad score request: "+err.Error())
@@ -110,10 +96,6 @@ func (r *Router) handleScore(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var in struct {
 		Events []serve.Event `json:"events"`
 	}
@@ -131,10 +113,6 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleFlush(w http.ResponseWriter, req *http.Request) {
-	if req.Method != http.MethodPost {
-		serve.WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	seq, err := r.Flush(req.Context())
 	if err != nil {
 		serve.WriteError(w, errStatus(err), err.Error())

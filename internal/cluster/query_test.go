@@ -3,6 +3,8 @@ package cluster
 import (
 	"net/http/httptest"
 	"testing"
+
+	"linkpred/internal/obs"
 )
 
 // TestMalformedPredictQueriesMatchShard drives the same malformed /predict
@@ -29,6 +31,36 @@ func TestMalformedPredictQueriesMatchShard(t *testing.T) {
 		}
 		if routerStatus != shardStatus || string(routerBody) != string(shardBody) {
 			t.Errorf("router %q: %d %s, shard answered %d %s", tt.query, routerStatus, routerBody, shardStatus, shardBody)
+		}
+	}
+}
+
+// TestWrongMethodMatchesShard sends GET to the three POST-only endpoints of
+// a shard and of the router: both tiers register them through
+// serve.PostOnly, so each answers 405 with the same body, and each tier
+// counts the 405 under its own namespace of the shared serve.Instrument.
+func TestWrongMethodMatchesShard(t *testing.T) {
+	obs.Enable(true)
+	obs.Reset()
+	t.Cleanup(func() { obs.Enable(false) })
+	tc := newTestCluster(t, 2, 1)
+	router := httptest.NewServer(tc.router.Handler())
+	defer router.Close()
+	const want = `{"error":"POST required"}` + "\n"
+	for _, path := range []string{"/score", "/ingest", "/flush"} {
+		shardStatus, shardBody := httpGet(t, tc.ts[0].URL+path)
+		routerStatus, routerBody := httpGet(t, router.URL+path)
+		if shardStatus != 405 || string(shardBody) != want {
+			t.Errorf("shard GET %s: %d %s, want 405 %s", path, shardStatus, shardBody, want)
+		}
+		if routerStatus != shardStatus || string(routerBody) != string(shardBody) {
+			t.Errorf("router GET %s: %d %s, shard answered %d %s", path, routerStatus, routerBody, shardStatus, shardBody)
+		}
+		for _, ns := range []string{"serve", "cluster"} {
+			name := ns + `/http/responses{endpoint="` + path[1:] + `",code="405"}`
+			if got := obs.GetCounter(name).Value(); got != 1 {
+				t.Errorf("%s = %d, want 1", name, got)
+			}
 		}
 	}
 }

@@ -604,16 +604,10 @@ func (r *Router) merge(aligned []*serve.Result, k int) serve.Result {
 		parts[i] = part
 	}
 	merged := predict.MergeTopK(parts, k, r.cfg.Seed)
-	base := aligned[0]
-	out := serve.Result{
-		Alg:           base.Alg,
-		ServedBy:      base.ServedBy,
-		Degraded:      base.Degraded,
-		SnapshotSeq:   base.SnapshotSeq,
-		SnapshotEdges: base.SnapshotEdges,
-		SnapshotTime:  base.SnapshotTime,
-		Pairs:         make([]serve.PairScore, len(merged)),
-	}
+	// The header is the first aligned shard's, minus its shard fields.
+	out := *aligned[0]
+	out.SnapshotNodes, out.ShardRange = 0, nil
+	out.Pairs = make([]serve.PairScore, len(merged))
 	for _, res := range aligned[1:] {
 		if res.Degraded {
 			out.Degraded = true

@@ -47,6 +47,36 @@ type walRecoveryInfo struct {
 	truncated bool
 }
 
+// adoptRecovery installs what wal.Open recovered before the boot publish:
+// the log itself, its ID maps, the recovery outcome, the checkpoint
+// position, and the serving epoch to resume from. New calls it before any
+// other goroutine can see s.
+func (s *Server) adoptRecovery(wlog *wal.Log, rec *wal.Recovered) {
+	// The log's ID maps are authoritative: external IDs recovered from the
+	// records themselves (or identity for a warm-start prefix).
+	s.ids = NewIDMap(rec.Remap, rec.Rev)
+	s.wal = wlog
+	s.walRecovered = walRecoveryInfo{
+		edges:     len(rec.Trace.Edges),
+		tail:      rec.TailRecords,
+		truncated: rec.Truncated,
+	}
+	s.ckptEdges.Store(int64(rec.CheckpointEdges))
+	s.walSyncStats()
+	if rec.LastPub != nil {
+		// Restore the serving epoch: republishing exactly the last logged
+		// publication keeps its seq (the boot snapshot is bit-identical to
+		// the pre-crash one); recovering past it — edges acked after the
+		// last publish — advances the epoch so routers never see one seq
+		// with two different edge counts.
+		if rec.LastPub.Edges == uint64(len(rec.Trace.Edges)) {
+			s.seq = rec.LastPub.Seq - 1
+		} else {
+			s.seq = rec.LastPub.Seq
+		}
+	}
+}
+
 // walFail records the first durability error and trips the sticky failure
 // latch. The in-memory trace may now be ahead of the durable log, so no
 // further writes are accepted.
@@ -186,8 +216,16 @@ func (s *Server) walStatus() *WALStatus {
 	return st
 }
 
-// registerWALGauges adds the durability gauges (WAL-backed servers only).
+// registerWALGauges adds the durability gauges and counts the boot-time
+// recovery (WAL-backed servers only).
 func (s *Server) registerWALGauges() {
+	if obs.Enabled() {
+		obs.GetCounter("serve/wal_recovered_edges").Add(int64(s.walRecovered.edges))
+		obs.GetCounter("serve/wal_recovered_tail").Add(int64(s.walRecovered.tail))
+		if s.walRecovered.truncated {
+			obs.GetCounter("serve/wal_recovered_truncations").Inc()
+		}
+	}
 	obs.SetGaugeFunc("serve/wal_appended", func() float64 {
 		return float64(s.walAppendedN.Load())
 	})

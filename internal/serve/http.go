@@ -30,17 +30,17 @@ import (
 // latency histograms plus one-minute rolling windows, in-flight gauges,
 // and per-status response counters, all labeled {endpoint=...}.
 //
-// Error mapping: unknown algorithm or malformed input → 400, queue full →
-// 429, request deadline → 504, aborted coalesced batch or closed server →
-// 503.
+// Error mapping: unknown algorithm or malformed input → 400, a method
+// other than POST on /score, /ingest or /flush → 405, queue full → 429,
+// request deadline → 504, aborted coalesced batch or closed server → 503.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/predict", instrument("predict", s.handlePredict))
-	mux.HandleFunc("/score", instrument("score", s.handleScore))
-	mux.HandleFunc("/ingest", instrument("ingest", s.handleIngest))
-	mux.HandleFunc("/flush", instrument("flush", s.handleFlush))
-	mux.HandleFunc("/healthz", instrument("healthz", s.handleHealthz))
-	mux.HandleFunc("/metrics", instrument("metrics", obs.Handler().ServeHTTP))
+	mux.HandleFunc("/predict", Instrument("serve", "predict", s.handlePredict))
+	mux.HandleFunc("/score", Instrument("serve", "score", PostOnly(s.handleScore)))
+	mux.HandleFunc("/ingest", Instrument("serve", "ingest", PostOnly(s.handleIngest)))
+	mux.HandleFunc("/flush", Instrument("serve", "flush", PostOnly(s.handleFlush)))
+	mux.HandleFunc("/healthz", Instrument("serve", "healthz", s.handleHealthz))
+	mux.HandleFunc("/metrics", Instrument("serve", "metrics", obs.Handler().ServeHTTP))
 	return mux
 }
 
@@ -71,26 +71,39 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// instrument wraps one endpoint with the serving-health surface:
+// Instrument wraps one endpoint with the serving-health surface under the
+// metric namespace ns ("serve" on a shard, "cluster" on the router):
 // request latency (cumulative histogram + one-minute rolling window for
 // scraper-free rates), an in-flight gauge, and per-status response
-// counters. One atomic load when telemetry is disabled.
-func instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
+// counters, all under ns/http/. One atomic load when telemetry is disabled.
+func Instrument(ns, endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !obs.Enabled() {
 			h(w, r)
 			return
 		}
-		inflight := obs.GetGauge(`serve/http/in_flight{endpoint="` + endpoint + `"}`)
+		inflight := obs.GetGauge(ns + `/http/in_flight{endpoint="` + endpoint + `"}`)
 		inflight.Add(1)
 		defer inflight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		h(sw, r)
 		lat := time.Since(start).Nanoseconds()
-		obs.GetHistogram(`serve/http/latency_ns{endpoint="` + endpoint + `"}`).Observe(lat)
-		obs.GetRolling(`serve/http/latency_ns{endpoint="`+endpoint+`"}`, time.Minute).Add(lat)
-		obs.GetCounter(fmt.Sprintf(`serve/http/responses{endpoint=%q,code="%d"}`, endpoint, sw.code)).Inc()
+		obs.GetHistogram(ns + `/http/latency_ns{endpoint="` + endpoint + `"}`).Observe(lat)
+		obs.GetRolling(ns+`/http/latency_ns{endpoint="`+endpoint+`"}`, time.Minute).Add(lat)
+		obs.GetCounter(fmt.Sprintf(`%s/http/responses{endpoint=%q,code="%d"}`, ns, endpoint, sw.code)).Inc()
+	}
+}
+
+// PostOnly refuses every method but POST with a 405, the same body on
+// both tiers.
+func PostOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			WriteError(w, http.StatusMethodNotAllowed, "POST required")
+			return
+		}
+		h(w, r)
 	}
 }
 
@@ -222,10 +235,6 @@ type scoreRequest struct {
 }
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req scoreRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err := dec.Decode(&req); err != nil {
@@ -260,10 +269,6 @@ type IngestResponse struct {
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req ingestRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	if err := dec.Decode(&req); err != nil {
@@ -292,10 +297,6 @@ type FlushResponse struct {
 }
 
 func (s *Server) handleFlush(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		WriteError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	snap := s.Flush()
 	WriteJSON(w, http.StatusOK, FlushResponse{
 		SnapshotSeq:   snap.Seq,

@@ -1,0 +1,216 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"time"
+
+	"linkpred/internal/graph"
+	"linkpred/internal/obs"
+	"linkpred/internal/predict"
+)
+
+// Predict answers a top-k query: the k highest-scored candidate links on
+// the current snapshot under the named algorithm.
+func (s *Server) Predict(ctx context.Context, alg string, k int) (*Result, error) {
+	return s.PredictShard(ctx, alg, k, 0, 1)
+}
+
+// PredictShard answers the shard-restricted top-k query behind the cluster
+// scatter/gather path: the top k among the candidate pairs owned by shard
+// index shard of shards, computed against the server's current snapshot.
+// shards <= 1 is the unrestricted Predict. The response carries the swept
+// source range and the snapshot's node count so a router can merge
+// same-epoch partial lists (predict.MergeTopK) and account for missing
+// ranges when a shard is down.
+func (s *Server) PredictShard(ctx context.Context, alg string, k, shard, shards int) (*Result, error) {
+	if k <= 0 {
+		return nil, fmt.Errorf("serve: k must be positive, got %d", k)
+	}
+	if shards > 1 && (shard < 0 || shard >= shards) {
+		return nil, fmt.Errorf("serve: shard %d out of range for %d shards", shard, shards)
+	}
+	return s.submit(&request{kind: kindPredict, alg: alg, k: k, shard: shard, shards: shards, ctx: ctx})
+}
+
+// Score answers a pair-score query: one score per requested pair, in
+// request order, in external IDs. Unknown endpoints and pairs beyond the
+// current snapshot score zero.
+func (s *Server) Score(ctx context.Context, alg string, pairs [][2]int64) (*Result, error) {
+	req := &request{kind: kindScore, alg: alg, ext: pairs, ctx: ctx}
+	req.dense = make([]densePair, len(pairs))
+	for i, p := range pairs {
+		u, uok := s.ids.Lookup(p[0])
+		v, vok := s.ids.Lookup(p[1])
+		req.dense[i] = densePair{u: u, v: v, ok: uok && vok}
+	}
+	return s.submit(req)
+}
+
+// answer hands r its Result: the header for the routed sweep on snap around
+// pairs, plus the swept range and the snapshot's node count when the sweep
+// was shard-restricted. It is the one place a Result is built and a
+// degraded response counted.
+func (rt routing) answer(r *request, snap *Snapshot, pairs []PairScore, srange *predict.SourceRange) {
+	res := &Result{
+		Alg:           r.alg,
+		ServedBy:      rt.served,
+		Degraded:      rt.degraded,
+		SnapshotSeq:   snap.Seq,
+		SnapshotEdges: snap.Edges,
+		SnapshotTime:  snap.Time,
+		Pairs:         pairs,
+	}
+	if srange != nil {
+		res.SnapshotNodes = snap.Graph.NumNodes()
+		res.ShardRange = &[2]int{srange.Lo, srange.Hi}
+	}
+	if rt.degraded && obs.Enabled() {
+		obs.GetCounter("serve/degraded_responses").Inc()
+	}
+	r.done <- outcome{res: res}
+}
+
+// servePredict runs one top-k request in three steps: plan (route, plus
+// the source range when the request is sharded), sweep, and render.
+func (s *Server) servePredict(r *request, snap *Snapshot) {
+	start := time.Now()
+	if r.ctx.Err() != nil {
+		s.finishDeadline(r)
+		return
+	}
+	rt := s.deg.route(r.alg, r.resolved, s.cfg.Resolve)
+	var srange *predict.SourceRange
+	if r.shards > 1 {
+		// Cost-weighted boundaries, not equal-count: growth traces put the
+		// hubs at low IDs, and equal-count ranges leave shard 0 with most of
+		// the sweep. The cost model follows the *requested* algorithm's
+		// kernel family (wedge, capped-wedge for the pruned bounded sweeps,
+		// row-count for the latents), so BCN no longer inherits a boundary
+		// priced for an unpruned hub sweep it will never run. The split is a
+		// pure function of (snapshot, shards, alg) — every replica serving
+		// the same epoch derives the same disjoint cover, and the router
+		// learns the ranges from shard_range.
+		sr := predict.WeightedSourceRangeFor(snap.Graph, r.shard, r.shards, predict.CostModelFor(r.alg))
+		srange = &sr
+	}
+	pairs := s.sweep(r.ctx, snap, rt.alg, r.k, srange)
+	if r.ctx.Err() != nil {
+		// The sweep was cut short; the partial top-k is not the contract's
+		// bit-identical answer, so it is discarded.
+		s.finishDeadline(r)
+		return
+	}
+	s.render(r, snap, rt, srange, pairs, start)
+}
+
+// sweep is the server's only top-k sweep. Its answer is a pure function of
+// (snapshot, served algorithm, k, source range); ctx only cuts it short.
+func (s *Server) sweep(ctx context.Context, snap *Snapshot, alg predict.Algorithm, k int, srange *predict.SourceRange) []predict.Pair {
+	opt := s.cfg.Opt
+	opt.Ctx, opt.SourceRange = ctx, srange
+	return alg.Predict(snap.Graph, k, opt)
+}
+
+// render turns a finished sweep into r's response: external IDs (plus the
+// dense ones a router merges on, when sharded), the liveeval record of an
+// unrestricted ranking, and the served sweep's observation.
+func (s *Server) render(r *request, snap *Snapshot, rt routing, srange *predict.SourceRange, pairs []predict.Pair, start time.Time) {
+	out := make([]PairScore, len(pairs))
+	ext := s.ids.Externals()
+	for i, p := range pairs {
+		out[i] = PairScore{U: ext[p.U], V: ext[p.V], Score: p.Score}
+		if srange != nil {
+			out[i].DU, out[i].DV = p.U, p.V
+		}
+	}
+	if srange != nil && obs.Enabled() {
+		obs.GetCounter("serve/shard_predicts").Inc()
+	}
+	if srange == nil && s.cfg.Eval != nil {
+		// Prequential record: the ranked top-k in dense IDs, keyed by the
+		// snapshot epoch it was computed on, credited to the algorithm
+		// that actually ran. The current trace length fences off edges
+		// that arrived before this response existed. Shard-restricted
+		// responses are never recorded — a partial list is not a ranked
+		// prediction; the router owns the merged list and its accuracy.
+		ranked := make([][2]graph.NodeID, len(pairs))
+		for i, p := range pairs {
+			ranked[i] = [2]graph.NodeID{p.U, p.V}
+		}
+		s.cfg.Eval.Record(rt.served, snap.Seq, snap.Edges, int(s.traceLen.Load()), ranked)
+	}
+	s.deg.noteServed(r.alg, rt.served, time.Since(start), len(s.queue))
+	rt.answer(r, snap, out, srange)
+}
+
+// serveScoreGroup answers a coalesced batch of same-algorithm score
+// requests with one ScorePairs sweep. The first live member is the batch
+// leader; its context bounds the shared sweep.
+func (s *Server) serveScoreGroup(grp []*request, snap *Snapshot) {
+	start := time.Now()
+	live := grp[:0:0]
+	for _, r := range grp {
+		if r.ctx.Err() != nil {
+			s.finishDeadline(r)
+			continue
+		}
+		live = append(live, r)
+	}
+	if len(live) == 0 {
+		return
+	}
+	leader := live[0]
+	rt := s.deg.route(leader.alg, leader.resolved, s.cfg.Resolve)
+	if obs.Enabled() {
+		obs.GetHistogram("serve/batch_size").Observe(int64(len(live)))
+	}
+	// Concatenate the in-range pairs of every member. A pair is scorable
+	// when both endpoints exist in the queried snapshot; anything else
+	// (unknown external ID, node newer than the snapshot) scores zero
+	// rather than indexing out of range in the engine.
+	n := graph.NodeID(snap.Graph.NumNodes())
+	var flat []predict.Pair
+	at := make([][]int, len(live)) // flat index per member pair, -1 = unscorable
+	for m, r := range live {
+		at[m] = make([]int, len(r.dense))
+		for i, dp := range r.dense {
+			if !dp.ok || dp.u >= n || dp.v >= n {
+				at[m][i] = -1
+				continue
+			}
+			at[m][i] = len(flat)
+			flat = append(flat, predict.Pair{U: dp.u, V: dp.v})
+		}
+	}
+	opt := s.cfg.Opt
+	opt.Ctx = leader.ctx
+	var vals []float64
+	if len(flat) > 0 {
+		vals = rt.alg.ScorePairs(snap.Graph, flat, opt)
+	}
+	if leader.ctx.Err() != nil {
+		// The shared sweep was cancelled; followers retry, the leader owns
+		// the deadline.
+		s.finishDeadline(leader)
+		for _, r := range live[1:] {
+			r.done <- outcome{err: ErrBatchAborted}
+		}
+		return
+	}
+	s.deg.noteServed(leader.alg, rt.served, time.Since(start), len(s.queue))
+	for m, r := range live {
+		if r.ctx.Err() != nil {
+			s.finishDeadline(r)
+			continue
+		}
+		pairs := make([]PairScore, len(r.ext))
+		for i, p := range r.ext {
+			pairs[i] = PairScore{U: p[0], V: p[1]}
+			if j := at[m][i]; j >= 0 {
+				pairs[i].Score = vals[j]
+			}
+		}
+		rt.answer(r, snap, pairs, nil)
+	}
+}

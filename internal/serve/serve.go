@@ -37,7 +37,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -79,9 +78,10 @@ type Config struct {
 	// predict.DefaultOptions; Opt.Workers is the per-request engine
 	// parallelism (default 1 — total concurrency is Workers × Opt.Workers).
 	Opt predict.Options
-	// Warm prebuilds the new snapshot's shared artifacts (degree
-	// order, latent factors) for warmAlgorithms off the request path after
-	// each publish.
+	// Warm prebuilds published snapshots' shared artifacts (degree order,
+	// latent factors) for warmAlgorithms off the request path, on one
+	// background warmer: a publish replaces a snapshot it has not started,
+	// so a burst of publishes warms the newest, not each one.
 	Warm bool
 	// Degrade tunes the graceful-degradation controller.
 	Degrade DegradeConfig
@@ -224,55 +224,6 @@ var (
 	ErrBatchAborted = errors.New("serve: batch aborted by leader deadline; retry")
 )
 
-// latentProxy maps each latent-family algorithm to the fused local metric
-// that answers for it under degradation. The proxies run zero-allocation
-// wedge sweeps (DESIGN.md §7) — orders of magnitude cheaper than an
-// eigensolve or ALS on a cold snapshot — and remain fully deterministic, so
-// a degraded response is exactly the proxy algorithm's own output.
-var latentProxy = map[string]string{
-	"Katz":   "AA",
-	"KatzSC": "RA",
-	"Rescal": "CN",
-}
-
-// warmAlgorithms is what Config.Warm prebuilds for after each publish: the
-// latent factorizations (seconds on a cold snapshot) and the log-degree
-// table of the weighted local metrics.
-var warmAlgorithms = []string{"AA", "BAA", "Katz", "KatzSC", "Rescal"}
-
-type reqKind int
-
-const (
-	kindPredict reqKind = iota
-	kindScore
-)
-
-type outcome struct {
-	res *Result
-	err error
-}
-
-type request struct {
-	kind reqKind
-	alg  string
-	k    int
-	// shards > 1 marks a shard-restricted predict: sweep only the sources
-	// owned by shard index shard of shards (computed against the answering
-	// snapshot's node count).
-	shard, shards int
-	// ext holds the queried pairs in external IDs (score only); dense the
-	// remapped pairs with ok=false for endpoints unknown at submit time.
-	ext   [][2]int64
-	dense []densePair
-	ctx   context.Context
-	done  chan outcome
-}
-
-type densePair struct {
-	u, v graph.NodeID
-	ok   bool
-}
-
 // Server is the live prediction service. Create with New, serve HTTP via
 // Handler, and stop with Close.
 type Server struct {
@@ -309,10 +260,9 @@ type Server struct {
 	// Guarded by mu (only publishLocked touches it).
 	lastDeltaRows int64
 
-	// costMu guards cost, the per-served-algorithm decayed mean latency
-	// feeding the accuracy-per-cost routing.
-	costMu sync.Mutex
-	cost   map[string]float64
+	// warmq is the warmer's one-slot mailbox (nil without Config.Warm):
+	// the newest published graph not yet warmed.
+	warmq chan *graph.Graph
 
 	// wal is the write-ahead log (nil without Config.WAL). The mirrored
 	// atomics below keep Health and the gauges off the log's lock; the
@@ -330,9 +280,86 @@ type Server struct {
 	walErrStr     string
 }
 
-// New starts a server: applies defaults, publishes the initial snapshot
-// (the warm-start trace, or an empty graph), and launches the worker pool.
+// New starts a server: applies defaults, recovers or warm-starts the trace,
+// publishes the initial snapshot (an empty graph without either), and
+// launches the worker pool, plus the warmer with Config.Warm.
 func New(cfg Config) (*Server, error) {
+	cfg = withDefaults(cfg)
+	if cfg.Trace != nil {
+		if err := cfg.Trace.Validate(); err != nil {
+			return nil, fmt.Errorf("serve: warm-start trace: %w", err)
+		}
+	}
+	tr := cfg.Trace
+	var wlog *wal.Log
+	var rec *wal.Recovered
+	if cfg.WAL != nil {
+		var err error
+		wlog, rec, err = wal.Open(cfg.WAL, cfg.WALOptions, cfg.Trace)
+		if err != nil {
+			return nil, fmt.Errorf("serve: wal recovery: %w", err)
+		}
+		tr = rec.Trace
+	}
+	if tr == nil {
+		tr = &graph.Trace{Name: "live"}
+	}
+	builder := graph.NewIncrementalBuilder(tr)
+	if rec != nil && rec.Graph != nil {
+		// Seed the builder with the checkpoint's zero-copy CSR so the boot
+		// publish materializes only the replayed tail, not the whole graph.
+		builder = graph.NewIncrementalBuilderFrom(tr, rec.Graph, int(rec.CheckpointEdges))
+	}
+	s := &Server{
+		cfg:     cfg,
+		queue:   make(chan *request, cfg.QueueDepth),
+		done:    make(chan struct{}),
+		trace:   tr,
+		builder: builder,
+		seq:     -1, // the initial publication is seq 0
+		deg:     newDegrader(cfg.Degrade, cfg.QueueDepth, cfg.Eval),
+	}
+	if cfg.Warm {
+		s.warmq = make(chan *graph.Graph, 1)
+	}
+	s.traceLen.Store(int64(len(tr.Edges)))
+	if rec != nil {
+		s.adoptRecovery(wlog, rec)
+	} else {
+		// Warm-start IDs are the trace's own dense IDs.
+		ext := make([]int64, tr.NumNodes())
+		for i := range ext {
+			ext[i] = int64(i)
+		}
+		s.ids = NewIDMap(nil, ext)
+	}
+	s.mu.Lock()
+	s.publishLocked()
+	if s.wal != nil {
+		if err := s.walCommit(); err != nil {
+			s.mu.Unlock()
+			wlog.Close()
+			return nil, fmt.Errorf("serve: wal boot commit: %w", err)
+		}
+	}
+	s.mu.Unlock()
+	s.registerGauges()
+	if s.wal != nil {
+		s.registerWALGauges()
+	}
+	s.wg.Add(cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		go s.worker()
+	}
+	if s.warmq != nil {
+		s.wg.Add(1)
+		go s.warmer()
+	}
+	return s, nil
+}
+
+// withDefaults fills in every zero Config field that has a default.
+func withDefaults(cfg Config) Config {
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = 512
 	}
@@ -362,103 +389,10 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Resolve == nil {
 		cfg.Resolve = predict.ByName
 	}
-	if cfg.Trace != nil {
-		if err := cfg.Trace.Validate(); err != nil {
-			return nil, fmt.Errorf("serve: warm-start trace: %w", err)
-		}
+	if cfg.WAL != nil && cfg.CheckpointEvery == 0 {
+		cfg.CheckpointEvery = 4096
 	}
-	tr := cfg.Trace
-	var wlog *wal.Log
-	var rec *wal.Recovered
-	if cfg.WAL != nil {
-		if cfg.CheckpointEvery == 0 {
-			cfg.CheckpointEvery = 4096
-		}
-		var err error
-		wlog, rec, err = wal.Open(cfg.WAL, cfg.WALOptions, cfg.Trace)
-		if err != nil {
-			return nil, fmt.Errorf("serve: wal recovery: %w", err)
-		}
-		tr = rec.Trace
-	}
-	if tr == nil {
-		tr = &graph.Trace{Name: "live"}
-	}
-	builder := graph.NewIncrementalBuilder(tr)
-	if rec != nil && rec.Graph != nil {
-		// Seed the builder with the checkpoint's zero-copy CSR so the boot
-		// publish materializes only the replayed tail, not the whole graph.
-		builder = graph.NewIncrementalBuilderFrom(tr, rec.Graph, int(rec.CheckpointEdges))
-	}
-	s := &Server{
-		cfg:     cfg,
-		queue:   make(chan *request, cfg.QueueDepth),
-		done:    make(chan struct{}),
-		trace:   tr,
-		builder: builder,
-		deg:     newDegrader(cfg.Degrade, cfg.QueueDepth),
-		cost:    make(map[string]float64),
-	}
-	s.traceLen.Store(int64(len(tr.Edges)))
-	if rec != nil {
-		// The log's ID maps are authoritative: external IDs recovered from
-		// the records themselves (or identity for a warm-start prefix).
-		s.ids = NewIDMap(rec.Remap, rec.Rev)
-		s.wal = wlog
-		s.walRecovered = walRecoveryInfo{
-			edges:     len(tr.Edges),
-			tail:      rec.TailRecords,
-			truncated: rec.Truncated,
-		}
-		s.ckptEdges.Store(int64(rec.CheckpointEdges))
-		s.walSyncStats()
-	} else {
-		// Warm-start IDs are the trace's own dense IDs.
-		ext := make([]int64, tr.NumNodes())
-		for i := range ext {
-			ext[i] = int64(i)
-		}
-		s.ids = NewIDMap(nil, ext)
-	}
-	s.mu.Lock()
-	s.seq = -1 // the initial publication is seq 0
-	if rec != nil && rec.LastPub != nil {
-		// Restore the serving epoch: republishing exactly the last logged
-		// publication keeps its seq (the boot snapshot is bit-identical to
-		// the pre-crash one); recovering past it — edges acked after the
-		// last publish — advances the epoch so routers never see one seq
-		// with two different edge counts.
-		if rec.LastPub.Edges == uint64(len(tr.Edges)) {
-			s.seq = rec.LastPub.Seq - 1
-		} else {
-			s.seq = rec.LastPub.Seq
-		}
-	}
-	s.publishLocked()
-	if s.wal != nil {
-		if err := s.walCommit(); err != nil {
-			s.mu.Unlock()
-			wlog.Close()
-			return nil, fmt.Errorf("serve: wal boot commit: %w", err)
-		}
-	}
-	s.mu.Unlock()
-	s.registerGauges()
-	if s.wal != nil {
-		s.registerWALGauges()
-		if obs.Enabled() {
-			obs.GetCounter("serve/wal_recovered_edges").Add(int64(s.walRecovered.edges))
-			obs.GetCounter("serve/wal_recovered_tail").Add(int64(s.walRecovered.tail))
-			if s.walRecovered.truncated {
-				obs.GetCounter("serve/wal_recovered_truncations").Inc()
-			}
-		}
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s, nil
+	return cfg
 }
 
 // registerGauges publishes the serving-health callback gauges: evaluated
@@ -497,7 +431,8 @@ func (s *Server) registerGauges() {
 }
 
 // Close stops the server: in-flight requests finish, queued requests are
-// answered with ErrClosed, and new calls are rejected. Idempotent.
+// answered with ErrClosed by the draining workers, and new calls are
+// rejected. Idempotent.
 func (s *Server) Close() {
 	s.closeMu.Lock()
 	if s.closed {
@@ -507,21 +442,13 @@ func (s *Server) Close() {
 	s.closed = true
 	close(s.done)
 	s.closeMu.Unlock()
-	s.wg.Wait() // workers, warmers, and any in-flight background checkpoint
+	s.wg.Wait() // workers, the warmer, and any in-flight background checkpoint
 	if s.wal != nil {
 		s.mu.Lock()
 		if err := s.wal.Close(); err != nil && !s.walFailed.Load() {
 			s.walFail(err)
 		}
 		s.mu.Unlock()
-	}
-	for {
-		select {
-		case r := <-s.queue:
-			r.done <- outcome{err: ErrClosed}
-		default:
-			return
-		}
 	}
 }
 
@@ -550,546 +477,4 @@ func (s *Server) Health() Health {
 		SnapshotBytes: snap.Graph.ResidentBytes(),
 		WAL:           s.walStatus(),
 	}
-}
-
-// Ingest appends edge events to the live trace, publishing snapshots on
-// the configured cadence. Events with negative IDs or equal endpoints are
-// rejected individually; the rest are accepted in order. It returns the
-// accepted and rejected counts.
-//
-// On a WAL-backed server the return is the durability ack: every accepted
-// event has been appended to the log and group-committed (fsynced) before
-// Ingest returns nil. A log failure returns ErrDurability with zero counts
-// — none of the batch should be considered durable — and latches the
-// server read-only for writes.
-func (s *Server) Ingest(events []Event) (accepted, rejected int, err error) {
-	s.closeMu.RLock()
-	closed := s.closed
-	s.closeMu.RUnlock()
-	if closed {
-		return 0, 0, ErrClosed
-	}
-	if s.wal != nil && s.walFailed.Load() {
-		return 0, 0, s.walErr()
-	}
-	s.mu.Lock()
-	for _, ev := range events {
-		u, v, ok := s.ids.Admit(ev)
-		if !ok {
-			rejected++
-			continue
-		}
-		e, aerr := s.trace.Append(u, v, ev.T)
-		if aerr != nil {
-			rejected++
-			continue
-		}
-		if s.wal != nil {
-			// Log the event exactly as applied (post-clamp time, dense IDs):
-			// replay re-runs Append and asserts it reproduces this edge.
-			werr := s.wal.Append(wal.Record{ExtU: ev.U, ExtV: ev.V, U: e.U, V: e.V, T: e.Time})
-			if werr != nil {
-				s.walFail(werr)
-				s.mu.Unlock()
-				return 0, 0, s.walErr()
-			}
-		}
-		accepted++
-		s.pending++
-		s.traceLen.Store(int64(len(s.trace.Edges)))
-		if s.cfg.Eval != nil {
-			// The prequential step: this edge, identified by its trace
-			// index, is scored against every prediction recorded before it
-			// arrived (the engine enforces the epoch boundary).
-			s.cfg.Eval.ObserveEdge(u, v, len(s.trace.Edges)-1)
-		}
-		if s.pending >= s.cfg.SnapshotEvery {
-			s.publishLocked()
-		}
-	}
-	if s.wal != nil && accepted > 0 {
-		if werr := s.walCommit(); werr != nil {
-			s.mu.Unlock()
-			return 0, 0, werr
-		}
-	}
-	lag := len(s.trace.Edges) - s.builder.Applied()
-	s.mu.Unlock()
-	if obs.Enabled() {
-		obs.GetCounter("serve/ingest_events").Add(int64(accepted))
-		if rejected > 0 {
-			obs.GetCounter("serve/ingest_rejected").Add(int64(rejected))
-		}
-		obs.GetHistogram("serve/ingest_lag_events").Observe(int64(lag))
-	}
-	return accepted, rejected, nil
-}
-
-// Flush publishes a snapshot of everything ingested so far, regardless of
-// cadence, and returns it. With nothing new to publish it returns the
-// current snapshot unchanged.
-func (s *Server) Flush() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.builder.Applied() == len(s.trace.Edges) && s.cur.Load() != nil {
-		return s.cur.Load()
-	}
-	snap := s.publishLocked()
-	if s.wal != nil && !s.walFailed.Load() {
-		// Make the publish marker durable too: Flush is the explicit
-		// "everything so far" barrier.
-		_ = s.walCommit()
-	}
-	return snap
-}
-
-// publishLocked builds the snapshot of the full ingested prefix and swaps
-// it in. Callers hold s.mu. The OnPublish hook observes the snapshot
-// before the pointer swap, so by the time any query can reference a seq
-// the hook has already seen it.
-func (s *Server) publishLocked() *Snapshot {
-	g := s.builder.AtEdge(len(s.trace.Edges))
-	s.seq++
-	snap := &Snapshot{Graph: g, Seq: s.seq, Edges: s.builder.Applied(), Time: g.Time}
-	s.pending = 0
-	if s.cfg.OnPublish != nil {
-		s.cfg.OnPublish(snap)
-	}
-	prev := s.cur.Load()
-	s.cur.Store(snap)
-	s.lastPublishNS.Store(time.Now().UnixNano())
-	if s.wal != nil {
-		s.walNotePublish(snap)
-	}
-	deltaRows := s.builder.DeltaRows() - s.lastDeltaRows
-	s.lastDeltaRows = s.builder.DeltaRows()
-	if obs.Enabled() {
-		obs.GetCounter("serve/snapshots_published").Inc()
-		if deltaRows > 0 {
-			// Rows COW-cloned for this publish: the O(touched) work unit of the
-			// delta-CSR path, and the quantity the CI alloc gate tracks.
-			obs.GetCounter("serve/publish_delta_rows").Add(deltaRows)
-		}
-		if prev != nil {
-			obs.GetHistogram("serve/publish_batch_edges").Observe(int64(snap.Edges - prev.Edges))
-		}
-	}
-	if s.cfg.Warm {
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			start := time.Now()
-			predict.Warm(g, warmAlgorithms, s.cfg.Opt)
-			if obs.Enabled() {
-				obs.GetHistogram("serve/warm_ns").Observe(time.Since(start).Nanoseconds())
-			}
-		}()
-	}
-	return snap
-}
-
-// Predict answers a top-k query: the k highest-scored candidate links on
-// the current snapshot under the named algorithm.
-func (s *Server) Predict(ctx context.Context, alg string, k int) (*Result, error) {
-	return s.PredictShard(ctx, alg, k, 0, 1)
-}
-
-// PredictShard answers the shard-restricted top-k query behind the cluster
-// scatter/gather path: the top k among the candidate pairs owned by shard
-// index shard of shards, computed against the server's current snapshot.
-// shards <= 1 is the unrestricted Predict. The response carries the swept
-// source range and the snapshot's node count so a router can merge
-// same-epoch partial lists (predict.MergeTopK) and account for missing
-// ranges when a shard is down.
-func (s *Server) PredictShard(ctx context.Context, alg string, k, shard, shards int) (*Result, error) {
-	if _, err := s.cfg.Resolve(alg); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("serve: k must be positive, got %d", k)
-	}
-	if shards > 1 && (shard < 0 || shard >= shards) {
-		return nil, fmt.Errorf("serve: shard %d out of range for %d shards", shard, shards)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	return s.submit(&request{kind: kindPredict, alg: alg, k: k, shard: shard, shards: shards, ctx: ctx, done: make(chan outcome, 1)})
-}
-
-// Score answers a pair-score query: one score per requested pair, in
-// request order, in external IDs. Unknown endpoints and pairs beyond the
-// current snapshot score zero.
-func (s *Server) Score(ctx context.Context, alg string, pairs [][2]int64) (*Result, error) {
-	if _, err := s.cfg.Resolve(alg); err != nil {
-		return nil, err
-	}
-	req := &request{kind: kindScore, alg: alg, ext: pairs, ctx: ctx, done: make(chan outcome, 1)}
-	req.dense = make([]densePair, len(pairs))
-	for i, p := range pairs {
-		u, uok := s.ids.Lookup(p[0])
-		v, vok := s.ids.Lookup(p[1])
-		req.dense[i] = densePair{u: u, v: v, ok: uok && vok}
-	}
-	return s.submit(req)
-}
-
-// submit enqueues a request (rejecting on overload or shutdown) and waits
-// for its outcome. Every enqueued request is answered exactly once by the
-// worker pool — deadline handling happens there, so the deadline counter
-// counts each expired request exactly once.
-func (s *Server) submit(req *request) (*Result, error) {
-	if req.ctx == nil {
-		req.ctx = context.Background()
-	}
-	s.closeMu.RLock()
-	if s.closed {
-		s.closeMu.RUnlock()
-		return nil, ErrClosed
-	}
-	select {
-	case s.queue <- req:
-		s.closeMu.RUnlock()
-	default:
-		s.closeMu.RUnlock()
-		if obs.Enabled() {
-			obs.GetCounter("serve/overload_rejected").Inc()
-		}
-		return nil, ErrOverloaded
-	}
-	if obs.Enabled() {
-		obs.GetHistogram("serve/queue_depth").Observe(int64(len(s.queue)))
-	}
-	out := <-req.done
-	return out.res, out.err
-}
-
-// worker serves queued requests until Close, then drains the queue with
-// ErrClosed so no caller is left waiting.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.done:
-			for {
-				select {
-				case r := <-s.queue:
-					r.done <- outcome{err: ErrClosed}
-				default:
-					return
-				}
-			}
-		case r := <-s.queue:
-			s.serveBatch(r)
-		}
-	}
-}
-
-// serveBatch serves one dequeued request, coalescing queued same-algorithm
-// score requests behind a score leader into shared sweeps. Requests are
-// grouped in arrival order; any non-score requests swept up by the drain
-// are served after the score groups.
-func (s *Server) serveBatch(leader *request) {
-	batch := []*request{leader}
-	if leader.kind == kindScore {
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r := <-s.queue:
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-	}
-	snap := s.cur.Load()
-	// Bucket score requests by algorithm, preserving arrival order.
-	var algOrder []string
-	groups := make(map[string][]*request)
-	var rest []*request
-	for _, r := range batch {
-		if r.kind != kindScore {
-			rest = append(rest, r)
-			continue
-		}
-		if _, ok := groups[r.alg]; !ok {
-			algOrder = append(algOrder, r.alg)
-		}
-		groups[r.alg] = append(groups[r.alg], r)
-	}
-	for _, alg := range algOrder {
-		s.serveScoreGroup(groups[alg], snap)
-	}
-	for _, r := range rest {
-		s.servePredict(r, snap)
-	}
-}
-
-// finishDeadline answers a request whose context expired and counts it.
-func (s *Server) finishDeadline(r *request) {
-	if obs.Enabled() {
-		obs.GetCounter("serve/deadline_exceeded").Inc()
-	}
-	r.done <- outcome{err: r.ctx.Err()}
-}
-
-// proxyCandidates are the fused local metrics eligible to answer for a
-// degraded latent algorithm, in deterministic preference order.
-var proxyCandidates = []string{"AA", "RA", "CN"}
-
-// proxyFor picks the degradation proxy for a latent-family algorithm. With
-// a prequential engine attached the choice is data-driven: the candidate
-// with the best measured accuracy-per-cost — decayed live hit rate divided
-// by decayed mean sweep latency — wins, so the controller degrades onto
-// whichever cheap metric is actually predicting well on the live network.
-// With no engine, or before any candidate has been measured, the static
-// table applies.
-func (s *Server) proxyFor(name string) (string, bool) {
-	static, ok := latentProxy[name]
-	if !ok {
-		return "", false
-	}
-	if s.cfg.Eval == nil {
-		return static, true
-	}
-	best, bestScore := static, -1.0
-	for _, cand := range proxyCandidates {
-		acc, measured := s.cfg.Eval.Accuracy(cand)
-		if !measured {
-			continue
-		}
-		if score := acc / s.costSeconds(cand); score > bestScore {
-			best, bestScore = cand, score
-		}
-	}
-	return best, true
-}
-
-// noteCost folds one served sweep's latency into the per-algorithm decayed
-// mean feeding accuracy-per-cost routing.
-func (s *Server) noteCost(alg string, lat time.Duration) {
-	s.costMu.Lock()
-	if c, ok := s.cost[alg]; ok {
-		s.cost[alg] = c + 0.2*(lat.Seconds()-c)
-	} else {
-		s.cost[alg] = lat.Seconds()
-	}
-	s.costMu.Unlock()
-}
-
-// costSeconds returns the decayed mean latency of alg with a 1µs floor to
-// keep the accuracy-per-cost ratio finite; an unmeasured algorithm prices
-// at 1ms so a never-tried proxy is neither free nor prohibitive.
-func (s *Server) costSeconds(alg string) float64 {
-	s.costMu.Lock()
-	c, ok := s.cost[alg]
-	s.costMu.Unlock()
-	switch {
-	case !ok || c == 0:
-		return 1e-3
-	case c < 1e-6:
-		return 1e-6
-	}
-	return c
-}
-
-// route resolves the algorithm serving a request: under degradation,
-// latent-family names route to a local-metric proxy (accuracy-per-cost
-// ranked when a prequential engine is attached).
-func (s *Server) route(name string) (predict.Algorithm, string, bool, error) {
-	if s.deg.degraded() {
-		if proxy, ok := s.proxyFor(name); ok {
-			a, err := s.cfg.Resolve(proxy)
-			if err == nil {
-				if obs.Enabled() {
-					obs.GetCounter(`serve/degrade_routed{from="` + name + `",to="` + proxy + `"}`).Inc()
-				}
-				return a, proxy, true, nil
-			}
-		}
-	}
-	a, err := s.cfg.Resolve(name)
-	return a, name, false, err
-}
-
-// servePredict runs one top-k sweep.
-func (s *Server) servePredict(r *request, snap *Snapshot) {
-	start := time.Now()
-	if r.ctx.Err() != nil {
-		s.finishDeadline(r)
-		return
-	}
-	alg, served, degraded, err := s.route(r.alg)
-	if err != nil {
-		r.done <- outcome{err: err}
-		return
-	}
-	opt := s.cfg.Opt
-	opt.Ctx = r.ctx
-	sharded := r.shards > 1
-	var srange predict.SourceRange
-	if sharded {
-		// Cost-weighted boundaries, not equal-count: growth traces put the
-		// hubs at low IDs, and equal-count ranges leave shard 0 with most of
-		// the sweep. The cost model follows the *requested* algorithm's
-		// kernel family (wedge, capped-wedge for the pruned bounded sweeps,
-		// row-count for the latents), so BCN no longer inherits a boundary
-		// priced for an unpruned hub sweep it will never run. The split is a
-		// pure function of (snapshot, shards, alg) — every replica serving
-		// the same epoch derives the same disjoint cover, and the router
-		// learns the ranges from shard_range.
-		model := predict.CostModelFor(r.alg)
-		srange = predict.WeightedSourceRangeFor(snap.Graph, r.shard, r.shards, model)
-		opt.SourceRange = &srange
-	}
-	pairs := alg.Predict(snap.Graph, r.k, opt)
-	if r.ctx.Err() != nil {
-		// The sweep was cut short; the partial top-k is not the contract's
-		// bit-identical answer, so it is discarded.
-		s.finishDeadline(r)
-		return
-	}
-	res := &Result{
-		Alg:           r.alg,
-		ServedBy:      served,
-		Degraded:      degraded,
-		SnapshotSeq:   snap.Seq,
-		SnapshotEdges: snap.Edges,
-		SnapshotTime:  snap.Time,
-		Pairs:         make([]PairScore, len(pairs)),
-	}
-	if sharded {
-		res.SnapshotNodes = snap.Graph.NumNodes()
-		res.ShardRange = &[2]int{srange.Lo, srange.Hi}
-		if obs.Enabled() {
-			obs.GetCounter("serve/shard_predicts").Inc()
-		}
-	}
-	ext := s.ids.Externals()
-	for i, p := range pairs {
-		res.Pairs[i] = PairScore{U: ext[p.U], V: ext[p.V], Score: p.Score}
-		if sharded {
-			res.Pairs[i].DU, res.Pairs[i].DV = p.U, p.V
-		}
-	}
-	if degraded && obs.Enabled() {
-		obs.GetCounter("serve/degraded_responses").Inc()
-	}
-	if s.cfg.Eval != nil && !sharded {
-		// Prequential record: the ranked top-k in dense IDs, keyed by the
-		// snapshot epoch it was computed on, credited to the algorithm
-		// that actually ran. The current trace length fences off edges
-		// that arrived before this response existed. Shard-restricted
-		// responses are never recorded — a partial list is not a ranked
-		// prediction; the router owns the merged list and its accuracy.
-		ranked := make([][2]graph.NodeID, len(pairs))
-		for i, p := range pairs {
-			ranked[i] = [2]graph.NodeID{p.U, p.V}
-		}
-		s.cfg.Eval.Record(served, snap.Seq, snap.Edges, int(s.traceLen.Load()), ranked)
-	}
-	s.noteServed(r.alg, served, time.Since(start))
-	r.done <- outcome{res: res}
-}
-
-// serveScoreGroup answers a coalesced batch of same-algorithm score
-// requests with one ScorePairs sweep. The first live member is the batch
-// leader; its context bounds the shared sweep.
-func (s *Server) serveScoreGroup(grp []*request, snap *Snapshot) {
-	start := time.Now()
-	live := grp[:0:0]
-	for _, r := range grp {
-		if r.ctx.Err() != nil {
-			s.finishDeadline(r)
-			continue
-		}
-		live = append(live, r)
-	}
-	if len(live) == 0 {
-		return
-	}
-	leader := live[0]
-	alg, served, degraded, err := s.route(leader.alg)
-	if err != nil {
-		for _, r := range live {
-			r.done <- outcome{err: err}
-		}
-		return
-	}
-	if obs.Enabled() {
-		obs.GetHistogram("serve/batch_size").Observe(int64(len(live)))
-	}
-	// Concatenate the in-range pairs of every member. A pair is scorable
-	// when both endpoints exist in the queried snapshot; anything else
-	// (unknown external ID, node newer than the snapshot) scores zero
-	// rather than indexing out of range in the engine.
-	n := graph.NodeID(snap.Graph.NumNodes())
-	var flat []predict.Pair
-	type span struct{ at []int } // flat index per member pair, -1 = unscorable
-	spans := make([]span, len(live))
-	for m, r := range live {
-		at := make([]int, len(r.dense))
-		for i, dp := range r.dense {
-			if !dp.ok || dp.u >= n || dp.v >= n {
-				at[i] = -1
-				continue
-			}
-			at[i] = len(flat)
-			flat = append(flat, predict.Pair{U: dp.u, V: dp.v})
-		}
-		spans[m] = span{at: at}
-	}
-	opt := s.cfg.Opt
-	opt.Ctx = leader.ctx
-	var vals []float64
-	if len(flat) > 0 {
-		vals = alg.ScorePairs(snap.Graph, flat, opt)
-	}
-	if leader.ctx.Err() != nil {
-		// The shared sweep was cancelled; followers retry, the leader owns
-		// the deadline.
-		s.finishDeadline(leader)
-		for _, r := range live[1:] {
-			r.done <- outcome{err: ErrBatchAborted}
-		}
-		return
-	}
-	for m, r := range live {
-		if r.ctx.Err() != nil {
-			s.finishDeadline(r)
-			continue
-		}
-		res := &Result{
-			Alg:           r.alg,
-			ServedBy:      served,
-			Degraded:      degraded,
-			SnapshotSeq:   snap.Seq,
-			SnapshotEdges: snap.Edges,
-			SnapshotTime:  snap.Time,
-			Pairs:         make([]PairScore, len(r.ext)),
-		}
-		for i, p := range r.ext {
-			res.Pairs[i] = PairScore{U: p[0], V: p[1]}
-			if at := spans[m].at[i]; at >= 0 {
-				res.Pairs[i].Score = vals[at]
-			}
-		}
-		if degraded && obs.Enabled() {
-			obs.GetCounter("serve/degraded_responses").Inc()
-		}
-		r.done <- outcome{res: res}
-	}
-	s.noteServed(leader.alg, served, time.Since(start))
-}
-
-// noteServed records one executed sweep: the per-(requested, served)
-// routing counter, the served algorithm's decayed latency cost for
-// accuracy-per-cost routing, and the degradation controller's
-// latency/queue observation.
-func (s *Server) noteServed(reqAlg, served string, lat time.Duration) {
-	s.noteCost(served, lat)
-	if obs.Enabled() {
-		obs.GetCounter(`serve/served{alg="` + reqAlg + `",by="` + served + `"}`).Inc()
-	}
-	s.deg.observe(lat, len(s.queue))
 }

@@ -371,3 +371,94 @@ func TestServeDeltaPublish(t *testing.T) {
 		t.Fatalf("old snapshot changed: %d nodes, deg(0)=%d, deg(2)=%d", g1.NumNodes(), g1.Degree(0), g1.Degree(2))
 	}
 }
+
+// TestCloseAnswersQueued pins shutdown with a full queue: the only worker
+// is parked inside a request, n more wait in the queue, and Close runs
+// concurrently. Once the worker is released every caller returns — served,
+// or refused with ErrClosed by the workers' drain — and Close returns.
+func TestCloseAnswersQueued(t *testing.T) {
+	const n = 8
+	blocker := &blockingAlg{name: "Block", started: make(chan struct{}), release: make(chan struct{})}
+	s := newTestServer(t, Config{
+		Workers:    1,
+		QueueDepth: n,
+		Resolve: func(name string) (predict.Algorithm, error) {
+			if name == "Block" {
+				return blocker, nil
+			}
+			return predict.ByName(name)
+		},
+	})
+	if _, _, err := s.Ingest([]Event{{U: 0, V: 1, T: 1}, {U: 1, V: 2, T: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	errs := make(chan error, n+1)
+	go func() {
+		_, err := s.Predict(context.Background(), "Block", 5)
+		errs <- err
+	}()
+	<-blocker.started
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := s.Predict(context.Background(), "CN", 5)
+			errs <- err
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(s.queue) != n {
+		if time.Now().After(deadline) {
+			t.Fatal("queued requests never filled the queue")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	// With the queue full a probe bounces with ErrOverloaded until Close has
+	// marked the server closed; from then on it gets ErrClosed.
+	for {
+		_, err := s.Predict(context.Background(), "CN", 5)
+		if errors.Is(err, ErrClosed) {
+			break
+		}
+		if !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("probe during Close: %v", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(blocker.release)
+	for i := 0; i < n+1; i++ {
+		if err := <-errs; err != nil && !errors.Is(err, ErrClosed) {
+			t.Fatalf("caller %d: %v, want a result or ErrClosed", i, err)
+		}
+	}
+	<-closed
+}
+
+// TestWarmLatestWins pins the warmer's bound: 64 back-to-back publishes
+// (SnapshotEvery 1) followed by Close warm at least one snapshot, but not
+// one per publish — a publish replaces any graph the warmer has not
+// started.
+func TestWarmLatestWins(t *testing.T) {
+	obs.Enable(true)
+	obs.Reset()
+	t.Cleanup(func() { obs.Enable(false) })
+	s := newTestServer(t, Config{SnapshotEvery: 1, Workers: 1, Warm: true, Trace: testTrace(t)})
+	events := make([]Event, 64)
+	base := int64(s.Snapshot().Graph.NumNodes())
+	for i := range events {
+		events[i] = Event{U: int64(i % 7), V: base + int64(i), T: s.Snapshot().Time + int64(i)}
+	}
+	if acc, rej, err := s.Ingest(events); err != nil || acc != 64 {
+		t.Fatalf("ingest: accepted=%d rejected=%d err=%v", acc, rej, err)
+	}
+	s.Close()
+	warms := obs.GetHistogram("serve/warm_ns").Count()
+	if warms < 1 || warms >= 64 {
+		t.Fatalf("serve/warm_ns recorded %d warms for 64 publishes, want at least 1 and fewer than 64", warms)
+	}
+	t.Logf("%d warms for 64 publishes", warms)
+}
