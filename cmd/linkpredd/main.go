@@ -7,9 +7,9 @@
 // algorithms under load. With live evaluation on (the default), every
 // /predict response is recorded into a prequential engine and every
 // subsequently ingested edge is scored against it, so /metrics carries
-// measured hit@k, MRR, and precision per algorithm — and the degradation
-// controller routes to the proxy with the best measured accuracy per unit
-// cost.
+// measured hit@k, MRR, and precision per algorithm. Degradation always
+// routes through one static proxy table (Katz→AA, KatzSC→RA, Rescal→CN);
+// evaluation measures it but never changes it.
 //
 // Usage:
 //

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"linkpred/internal/liveeval"
+	"linkpred/internal/obs"
 	"linkpred/internal/serve"
 )
 
@@ -37,6 +38,13 @@ type testCluster struct {
 
 func newTestCluster(t *testing.T, shards int, seed int64, opts ...func(*Config)) *testCluster {
 	t.Helper()
+	return newTestClusterWith(t, shards, seed, nil, opts...)
+}
+
+// newTestClusterWith is newTestCluster with a hook that adjusts shard i's
+// serve.Config before the shard starts.
+func newTestClusterWith(t *testing.T, shards int, seed int64, shardCfg func(i int, c *serve.Config), opts ...func(*Config)) *testCluster {
+	t.Helper()
 	tc := &testCluster{snaps: make([]map[int64]snapRecord, shards)}
 	urls := make([]string, shards)
 	for i := 0; i < shards; i++ {
@@ -51,6 +59,9 @@ func newTestCluster(t *testing.T, shards int, seed int64, opts ...func(*Config))
 			},
 		}
 		cfg.Opt.Seed = seed
+		if shardCfg != nil {
+			shardCfg(i, &cfg)
+		}
 		srv, err := serve.New(cfg)
 		if err != nil {
 			t.Fatalf("shard %d: %v", i, err)
@@ -78,10 +89,13 @@ func newTestCluster(t *testing.T, shards int, seed int64, opts ...func(*Config))
 
 // refServer is the single-node reference the cluster's merged output must
 // match byte for byte.
-func refServer(t *testing.T, seed int64) (*serve.Server, *httptest.Server) {
+func refServer(t *testing.T, seed int64, opts ...func(*serve.Config)) (*serve.Server, *httptest.Server) {
 	t.Helper()
 	cfg := serve.Config{SnapshotEvery: 256}
 	cfg.Opt.Seed = seed
+	for _, o := range opts {
+		o(&cfg)
+	}
 	srv, err := serve.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -480,5 +494,59 @@ func TestClusterRouterEval(t *testing.T) {
 	// workers' and nothing the cluster predicted could ever match.
 	if st.Hits == 0 {
 		t.Fatalf("no hits against merged predictions (remap divergence?): %+v", st)
+	}
+}
+
+// TestClusterOneShardDegraded trips one real shard's degrader beside a
+// healthy one. Shard 1 answers Katz with AA's sweep, shard 0 with Katz's;
+// the router must not merge the two. It re-gathers under AA, and its answer
+// is byte-identical to a single degraded node's Katz answer: AA's ranking
+// under {"alg":"Katz","served_by":"AA","degraded":true}.
+func TestClusterOneShardDegraded(t *testing.T) {
+	obs.Enable(true)
+	obs.Reset()
+	t.Cleanup(func() { obs.Enable(false) })
+	const seed = 7
+	tripped := serve.DegradeConfig{P95: time.Nanosecond, Window: 1}
+	tc := newTestClusterWith(t, 2, seed, func(i int, c *serve.Config) {
+		c.Degrade = tripped
+		c.Degrade.Disabled = i == 0
+	})
+	refSrv, ref := refServer(t, seed, func(c *serve.Config) { c.Degrade = tripped })
+	ctx := context.Background()
+	events := randomEvents(11, 900)
+	if _, err := tc.router.Ingest(ctx, events); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := refSrv.Ingest(events); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.router.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	refSrv.Flush()
+	// One sweep over 1ns trips a one-observation window, and every later
+	// sweep keeps it tripped.
+	for _, s := range []*serve.Server{tc.servers[1], refSrv} {
+		if _, err := s.Predict(ctx, "CN", 5); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tc.servers[0].Degraded() || !tc.servers[1].Degraded() || !refSrv.Degraded() {
+		t.Fatalf("degraded: shard 0 %v, shard 1 %v, reference %v; want false, true, true",
+			tc.servers[0].Degraded(), tc.servers[1].Degraded(), refSrv.Degraded())
+	}
+	rt := httptest.NewServer(tc.router.Handler())
+	defer rt.Close()
+	ccode, cbody := httpGet(t, rt.URL+"/predict?alg=Katz&k=25")
+	rcode, rbody := httpGet(t, ref.URL+"/predict?alg=Katz&k=25")
+	if ccode != 200 || rcode != 200 || string(cbody) != string(rbody) {
+		t.Fatalf("router answer is not the single degraded node's:\nrouter %d %s\nsingle %d %s", ccode, cbody, rcode, rbody)
+	}
+	if !strings.HasPrefix(string(cbody), `{"alg":"Katz","served_by":"AA","degraded":true,`) {
+		t.Fatalf("not a degraded Katz answer: %s", cbody)
+	}
+	if got := obs.GetCounter("cluster/degraded_regathers").Value(); got != 1 {
+		t.Fatalf("cluster/degraded_regathers = %d, want 1", got)
 	}
 }

@@ -80,7 +80,7 @@ func (r *Router) handlePredict(w http.ResponseWriter, req *http.Request) {
 }
 
 func (r *Router) handleScore(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, 8<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, serve.ScoreBodyCap))
 	if err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "bad score request: "+err.Error())
 		return
@@ -99,7 +99,7 @@ func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	var in struct {
 		Events []serve.Event `json:"events"`
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, serve.IngestBodyCap))
 	if err := dec.Decode(&in); err != nil {
 		serve.WriteError(w, http.StatusBadRequest, "bad ingest request: "+err.Error())
 		return

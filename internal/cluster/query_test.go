@@ -1,10 +1,14 @@
 package cluster
 
 import (
+	"bytes"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"linkpred/internal/obs"
+	"linkpred/internal/serve"
 )
 
 // TestMalformedPredictQueriesMatchShard drives the same malformed /predict
@@ -61,6 +65,53 @@ func TestWrongMethodMatchesShard(t *testing.T) {
 			if got := obs.GetCounter(name).Value(); got != 1 {
 				t.Errorf("%s = %d, want 1", name, got)
 			}
+		}
+	}
+}
+
+// TestOversizedBodyMatchesShard sends a /score body one item past
+// serve.ScoreBodyCap and an /ingest body one item past serve.IngestBodyCap
+// to a shard and to the router. Both tiers cap with the same two constants,
+// so each answers 400 with the same bytes; the shard takes no queue slot
+// and ingests nothing, and the router forwards and replicates nothing.
+func TestOversizedBodyMatchesShard(t *testing.T) {
+	obs.Enable(true)
+	obs.Reset()
+	t.Cleanup(func() { obs.Enable(false) })
+	tc := newTestCluster(t, 2, 1)
+	for _, tt := range []struct {
+		path, prefix, item string
+		limit              int
+	}{
+		{"/score", `{"alg":"CN","pairs":[`, `[1,2],`, serve.ScoreBodyCap},
+		{"/ingest", `{"events":[`, `{"u":1,"v":2,"t":3},`, serve.IngestBodyCap},
+	} {
+		body := []byte(tt.prefix + strings.Repeat(tt.item, (tt.limit-len(tt.prefix))/len(tt.item)+1))
+		var got [2]*httptest.ResponseRecorder
+		for i, h := range []http.Handler{tc.servers[0].Handler(), tc.router.Handler()} {
+			got[i] = httptest.NewRecorder()
+			h.ServeHTTP(got[i], httptest.NewRequest("POST", tt.path, bytes.NewReader(body)))
+		}
+		shard, router := got[0], got[1]
+		if shard.Code != 400 || !strings.Contains(shard.Body.String(), "request body too large") {
+			t.Errorf("shard %s with %d bytes: %d %s, want 400 request body too large", tt.path, len(body), shard.Code, shard.Body)
+		}
+		if router.Code != shard.Code || router.Body.String() != shard.Body.String() {
+			t.Errorf("router %s: %d %s, shard answered %d %s", tt.path, router.Code, router.Body, shard.Code, shard.Body)
+		}
+	}
+	for name, want := range map[string]int64{
+		"serve/queue_depth":   0,
+		"serve/ingest_events": 0,
+		`serve/http/responses{endpoint="score",code="400"}`:    1,
+		`serve/http/responses{endpoint="ingest",code="400"}`:   1,
+		"cluster/score_forwarded":                              0,
+		"cluster/ingest_replicated":                            0,
+		`cluster/http/responses{endpoint="score",code="400"}`:  1,
+		`cluster/http/responses{endpoint="ingest",code="400"}`: 1,
+	} {
+		if got := scriptMetric(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
 }

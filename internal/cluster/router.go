@@ -7,21 +7,24 @@
 // restricts the sweep to pairs owned by shard i — those whose min endpoint
 // falls in predict.WeightedSourceRangeFor(g, i, N, predict.CostModelFor(alg)),
 // a cost-balanced contiguous split every shard derives from its own copy of
-// the snapshot. The shard ranges partition the dense node space, so the
-// union of the shards' ownership universes is exactly the unrestricted
-// candidate universe, and merging the N partial top-k lists
-// with predict.MergeTopK — which reuses the engine's seeded tie-break hash —
-// reproduces the single-process top-k bit for bit, at any shard count and
-// any per-shard worker count.
+// the snapshot, alg being the algorithm the shard serves. The shard ranges
+// partition the dense node space, so the union of the shards' ownership
+// universes is exactly the unrestricted candidate universe, and merging the
+// N partial top-k lists with predict.MergeTopK — which reuses the engine's
+// seeded tie-break hash — reproduces the single-process top-k bit for bit,
+// at any shard count and any per-shard worker count.
 //
 // Epoch consistency: the merge is only meaningful when every partial list
-// was computed against the same snapshot. The router tags each response
-// with its snapshot sequence number, takes the maximum across the gather,
-// and re-asks stale shards (bounded retries with backoff) until all ranges
-// agree — a shard that just published seq s+1 pulls the others forward
-// rather than being discarded. Shards that stay down or stay behind yield a
-// partial response: partial:true plus the missing source ranges, so the
-// caller knows exactly which slice of the universe is unaccounted for.
+// was computed against the same snapshot by the same algorithm. The router
+// tags each response with its snapshot sequence number, takes the maximum
+// across the gather, and re-asks stale shards (bounded retries with backoff)
+// until all ranges agree — a shard that just published seq s+1 pulls the
+// others forward rather than being discarded. A gather whose shards disagree
+// on served_by (one degraded a latent algorithm, another did not) is asked
+// again under the proxy, and an answer that still disagrees counts as
+// stale. Shards that stay down or stay behind yield a partial response:
+// partial:true plus the missing source ranges, so the caller knows exactly
+// which slice of the universe is unaccounted for.
 package cluster
 
 import (
@@ -343,8 +346,6 @@ type gather struct {
 	// none answered. A non-negative target is held by at least one shard:
 	// only shards behind it are ever re-asked.
 	target int64
-	// reasks counts the epoch re-asks issued.
-	reasks int
 }
 
 // aligned returns the answers computed against the target epoch, in shard
@@ -388,7 +389,9 @@ func (r *Router) alignedGather(ctx context.Context, alg string, k int) (*gather,
 		if len(stale) == 0 {
 			break
 		}
-		g.reasks += len(stale)
+		if obs.Enabled() {
+			obs.GetCounter("cluster/epoch_reasks").Add(int64(len(stale)))
+		}
 		select {
 		case <-time.After(r.cfg.EpochBackoff):
 		case <-ctx.Done():
@@ -492,13 +495,33 @@ func (r *Router) Predict(ctx context.Context, alg string, k int) (*Response, err
 		defer cancel()
 	}
 	g, err := r.alignedGather(ctx, alg, k)
-	if obs.Enabled() && g.reasks > 0 {
-		obs.GetCounter("cluster/epoch_reasks").Add(int64(g.reasks))
+	// served is the one algorithm this answer may be merged under: the proxy
+	// a degraded part ran, else the first part's served_by.
+	aligned, served, mixed := g.aligned(), "", false
+	for i, res := range aligned {
+		if i == 0 || res.Degraded {
+			served = res.ServedBy
+		}
+		mixed = mixed || res.ServedBy != aligned[0].ServedBy
+	}
+	if err == nil && mixed {
+		// Some shards degraded alg and some did not. Their boundaries and
+		// scores belong to different algorithms, so this gather is never
+		// merged: every shard is asked once more for the proxy itself.
+		if obs.Enabled() {
+			obs.GetCounter("cluster/degraded_regathers").Inc()
+		}
+		g, err = r.alignedGather(ctx, served, k)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if g.target < 0 {
+	for i, res := range g.got {
+		if res != nil && res.ServedBy != served {
+			g.got[i] = nil // like a stale answer: never merged, its range missing
+		}
+	}
+	if len(g.aligned()) == 0 {
 		for _, err := range g.errs {
 			var rej *ShardRejection
 			if errors.As(err, &rej) {
@@ -516,7 +539,9 @@ func (r *Router) Predict(ctx context.Context, alg string, k int) (*Response, err
 		out.Result = *g.got[0]
 	} else {
 		out.Result = r.merge(g.aligned(), k)
-		out.Alg = alg
+		// Every merged part served one algorithm: the answer is degraded
+		// exactly when that algorithm is not the one requested.
+		out.Alg, out.Degraded = alg, out.ServedBy != alg
 		out.MissingRanges = missingRanges(g.got, g.target)
 		out.Partial = len(out.MissingRanges) > 0
 	}
@@ -535,7 +560,7 @@ func (r *Router) Predict(ctx context.Context, alg string, k int) (*Response, err
 // for: dead or still-stale shards contribute their owned ranges. The
 // boundaries are derived from the aligned responses: the split is
 // degree-weighted and computed shard-side from the snapshot under the
-// requested algorithm's cost model (predict.WeightedSourceRangeFor with
+// served algorithm's cost model (predict.WeightedSourceRangeFor with
 // predict.CostModelFor), so the router cannot reconstruct a dead
 // shard's range alone — but the ranges are contiguous and ordered by shard
 // index, so a run of unanswered shards owns exactly the gap between its
@@ -604,16 +629,11 @@ func (r *Router) merge(aligned []*serve.Result, k int) serve.Result {
 		parts[i] = part
 	}
 	merged := predict.MergeTopK(parts, k, r.cfg.Seed)
-	// The header is the first aligned shard's, minus its shard fields.
+	// The header is the first aligned shard's, minus its shard fields: every
+	// aligned part served the same algorithm (Predict drops the others).
 	out := *aligned[0]
 	out.SnapshotNodes, out.ShardRange = 0, nil
 	out.Pairs = make([]serve.PairScore, len(merged))
-	for _, res := range aligned[1:] {
-		if res.Degraded {
-			out.Degraded = true
-			out.ServedBy = res.ServedBy
-		}
-	}
 	for i, p := range merged {
 		out.Pairs[i] = serve.PairScore{U: ext[p.U], V: ext[p.V], Score: p.Score}
 	}

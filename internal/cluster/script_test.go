@@ -133,6 +133,35 @@ func merged(seq int64, missing [][2]int, shards ...int) string {
 	return encode(out)
 }
 
+// servedPart is shard i of n's restricted /predict body at snapshot 5 for a
+// request naming alg that by served (degraded when by is not alg), its one
+// pair scored score.
+func servedPart(i, n int, alg, by string, score float64) step {
+	lo := scriptNodesPerShard * i
+	p := shardPair(i, true)
+	p.Score = score
+	return answer(200, encode(serve.Result{
+		Alg: alg, ServedBy: by, Degraded: by != alg, SnapshotSeq: 5, SnapshotEdges: 15, SnapshotTime: 7,
+		SnapshotNodes: scriptNodesPerShard * n,
+		ShardRange:    &[2]int{lo, lo + scriptNodesPerShard},
+		Pairs:         []serve.PairScore{p},
+	}))
+}
+
+// degradedKatz is the router body for a Katz request served by AA at
+// snapshot 5: the header a single degraded node sends, and the listed
+// shards' pairs scored as given.
+func degradedKatz(missing [][2]int, scores map[int]float64, shards ...int) string {
+	out := Response{Partial: len(missing) > 0, MissingRanges: missing}
+	out.Result = serve.Result{Alg: "Katz", ServedBy: "AA", Degraded: true, SnapshotSeq: 5, SnapshotEdges: 15, SnapshotTime: 7, Pairs: []serve.PairScore{}}
+	for _, i := range shards {
+		p := shardPair(i, false)
+		p.Score = scores[i]
+		out.Pairs = append(out.Pairs, p)
+	}
+	return encode(out)
+}
+
 // scores is one /score body: one score per pair of scoreBody.
 func scores(seq int64, vals ...float64) string {
 	res := serve.Result{Alg: "CN", ServedBy: "CN", SnapshotSeq: seq, SnapshotEdges: 10, SnapshotTime: 7}
@@ -279,6 +308,40 @@ var routerScripts = []routerScript{
 		shards: [][]step{{refuse, refuse}, {refuse, refuse}},
 		target: predictCN, status: 502, want: allDown,
 		metrics: map[string]int64{"cluster/scatter_requests": 1, "cluster/gather_full": 0, "cluster/gather_partial": 0},
+	},
+	{
+		// The Katz part (0.003) and the AA part (2.0) are never merged: the
+		// router asks both shards for AA itself and answers what one
+		// degraded node would.
+		name: "one shard degraded, one not: re-gathered under the proxy, never merged mixed",
+		shards: [][]step{
+			{servedPart(0, 2, "Katz", "Katz", 0.003), servedPart(0, 2, "AA", "AA", 2.5)},
+			{servedPart(1, 2, "Katz", "AA", 2.0), servedPart(1, 2, "AA", "AA", 2.0)},
+		},
+		target: "/predict?alg=Katz&k=10", status: 200,
+		want: degradedKatz(nil, map[int]float64{0: 2.5, 1: 2.0}, 0, 1),
+		seen: [][]string{
+			{"GET /predict?alg=Katz&k=10&shard=0&shards=2", "GET /predict?alg=AA&k=10&shard=0&shards=2"},
+			{"GET /predict?alg=Katz&k=10&shard=1&shards=2", "GET /predict?alg=AA&k=10&shard=1&shards=2"},
+		},
+		metrics: map[string]int64{
+			"cluster/degraded_regathers": 1, "cluster/gather_full": 1, "cluster/gather_partial": 0,
+			"cluster/epoch_reasks": 0, "cluster/shard_latency_ns": 4,
+		},
+	},
+	{
+		// A shard on another proxy table still disagrees when asked for AA:
+		// it is dropped like a stale shard, and the answer is partial.
+		name: "a re-gathered part that still disagrees: its range is missing",
+		shards: [][]step{
+			{servedPart(0, 2, "Katz", "Katz", 0.003), servedPart(0, 2, "AA", "AA", 2.5)},
+			{servedPart(1, 2, "Katz", "AA", 2.0), servedPart(1, 2, "AA", "RA", 0.7)},
+		},
+		target: "/predict?alg=Katz&k=10", status: 200,
+		want: degradedKatz([][2]int{{2, 4}}, map[int]float64{0: 2.5}, 0),
+		metrics: map[string]int64{
+			"cluster/degraded_regathers": 1, "cluster/gather_full": 0, "cluster/gather_partial": 1,
+		},
 	},
 	{
 		name:   "one shard: the unrestricted body passes through byte for byte",

@@ -368,16 +368,3 @@ func (e *Engine) All() map[string]AlgStats {
 	}
 	return out
 }
-
-// Accuracy returns the decayed hit rate of alg, with ok=false until at
-// least one edge has been scored against it. The serving degradation
-// controller divides it by measured latency to rank proxy candidates.
-func (e *Engine) Accuracy(alg string) (float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, ok := e.algs[alg]
-	if !ok || st.scored == 0 {
-		return 0, false
-	}
-	return st.decayHit, true
-}

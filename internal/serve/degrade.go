@@ -6,25 +6,24 @@ import (
 	"sync/atomic"
 	"time"
 
-	"linkpred/internal/liveeval"
 	"linkpred/internal/obs"
 	"linkpred/internal/predict"
 )
 
-// latentProxy maps each latent-family algorithm to the fused local metric
-// that answers for it under degradation. The proxies run zero-allocation
-// wedge sweeps (DESIGN.md §7) — orders of magnitude cheaper than an
-// eigensolve or ALS on a cold snapshot — and remain fully deterministic, so
-// a degraded response is exactly the proxy algorithm's own output.
+// latentProxy is the one proxy policy: it maps each latent-family algorithm
+// to the fused local metric that answers for it under degradation. The
+// proxies run zero-allocation wedge sweeps (DESIGN.md §7) — orders of
+// magnitude cheaper than an eigensolve or ALS on a cold snapshot — and
+// remain fully deterministic, so a degraded response is exactly the proxy
+// algorithm's own output. The table is static, so the proxy is a function
+// of the requested name alone: every degraded shard of a cluster serves the
+// same one, which is the name the router re-gathers under (DESIGN.md §12).
+// The proxies never degrade themselves.
 var latentProxy = map[string]string{
 	"Katz":   "AA",
 	"KatzSC": "RA",
 	"Rescal": "CN",
 }
-
-// proxyCandidates are the fused local metrics eligible to answer for a
-// degraded latent algorithm, in deterministic preference order.
-var proxyCandidates = []string{"AA", "RA", "CN"}
 
 // degrader is the graceful-degradation controller and the one place a
 // request's served algorithm is chosen. Workers feed it one observation per
@@ -41,8 +40,6 @@ type degrader struct {
 	queueLimit int
 	recover    int
 	disabled   bool
-	// eval, when set, ranks the proxies by measured accuracy-per-cost.
-	eval *liveeval.Engine
 
 	state atomic.Bool
 
@@ -52,12 +49,9 @@ type degrader struct {
 	filled  int
 	healthy int
 	scratch []time.Duration
-	// cost is the per-served-algorithm decayed mean sweep latency in
-	// seconds, the denominator of accuracy-per-cost routing.
-	cost map[string]float64
 }
 
-func newDegrader(cfg DegradeConfig, queueCap int, eval *liveeval.Engine) *degrader {
+func newDegrader(cfg DegradeConfig, queueCap int) *degrader {
 	if cfg.P95 <= 0 {
 		cfg.P95 = 250 * time.Millisecond
 	}
@@ -78,10 +72,8 @@ func newDegrader(cfg DegradeConfig, queueCap int, eval *liveeval.Engine) *degrad
 		queueLimit: cfg.QueueDepth,
 		recover:    cfg.RecoverAfter,
 		disabled:   cfg.Disabled,
-		eval:       eval,
 		ring:       make([]time.Duration, cfg.Window),
 		scratch:    make([]time.Duration, 0, cfg.Window),
-		cost:       make(map[string]float64),
 	}
 }
 
@@ -105,7 +97,7 @@ type routing struct {
 // request on alg.
 func (d *degrader) route(name string, alg predict.Algorithm, resolve func(string) (predict.Algorithm, error)) routing {
 	if d.degraded() {
-		if proxy, ok := d.proxyFor(name); ok {
+		if proxy, ok := latentProxy[name]; ok {
 			if a, err := resolve(proxy); err == nil {
 				if obs.Enabled() {
 					obs.GetCounter(`serve/degrade_routed{from="` + name + `",to="` + proxy + `"}`).Inc()
@@ -115,67 +107,6 @@ func (d *degrader) route(name string, alg predict.Algorithm, resolve func(string
 		}
 	}
 	return routing{alg: alg, served: name}
-}
-
-// proxyFor picks the degradation proxy for a latent-family algorithm. With
-// a prequential engine attached the choice is data-driven: the candidate
-// with the best measured accuracy-per-cost — decayed live hit rate divided
-// by decayed mean sweep latency — wins, so the controller degrades onto
-// whichever cheap metric is actually predicting well on the live network.
-// With no engine, or before any candidate has been measured, the static
-// table applies.
-func (d *degrader) proxyFor(name string) (string, bool) {
-	static, ok := latentProxy[name]
-	if !ok {
-		return "", false
-	}
-	if d.eval == nil {
-		return static, true
-	}
-	best, bestScore := static, -1.0
-	for _, cand := range proxyCandidates {
-		acc, measured := d.eval.Accuracy(cand)
-		if !measured {
-			continue
-		}
-		if score := acc / d.costSeconds(cand); score > bestScore {
-			best, bestScore = cand, score
-		}
-	}
-	return best, true
-}
-
-// costSeconds returns the decayed mean latency of alg with a 1µs floor to
-// keep the accuracy-per-cost ratio finite; an unmeasured algorithm prices
-// at 1ms so a never-tried proxy is neither free nor prohibitive.
-func (d *degrader) costSeconds(alg string) float64 {
-	d.mu.Lock()
-	c, ok := d.cost[alg]
-	d.mu.Unlock()
-	switch {
-	case !ok || c == 0:
-		return 1e-3
-	case c < 1e-6:
-		return 1e-6
-	}
-	return c
-}
-
-// noteServed records one executed sweep: the per-(requested, served)
-// routing counter, the served algorithm's decayed latency cost, and the
-// controller's latency/queue observation.
-func (d *degrader) noteServed(reqAlg, served string, lat time.Duration, queueLen int) {
-	d.mu.Lock()
-	if c, ok := d.cost[served]; ok {
-		d.cost[served] = c + 0.2*(lat.Seconds()-c)
-	} else {
-		d.cost[served] = lat.Seconds()
-	}
-	d.mu.Unlock()
-	if obs.Enabled() {
-		obs.GetCounter(`serve/served{alg="` + reqAlg + `",by="` + served + `"}`).Inc()
-	}
-	d.observe(lat, queueLen)
 }
 
 // observe records one executed sweep and updates the route state.

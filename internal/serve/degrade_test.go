@@ -193,7 +193,7 @@ func TestDegradeScorePath(t *testing.T) {
 // observation trips it, recovery needs RecoverAfter consecutive healthy
 // ones, and a relapse resets the healthy run.
 func TestDegraderHysteresis(t *testing.T) {
-	d := newDegrader(DegradeConfig{P95: 10 * time.Millisecond, Window: 1, RecoverAfter: 3, QueueDepth: 100}, 128, nil)
+	d := newDegrader(DegradeConfig{P95: 10 * time.Millisecond, Window: 1, RecoverAfter: 3, QueueDepth: 100}, 128)
 	if d.degraded() {
 		t.Fatal("fresh controller is degraded")
 	}

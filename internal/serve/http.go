@@ -54,6 +54,14 @@ const (
 	idleTimeout       = 2 * time.Minute
 )
 
+// Request-body caps of both tiers' /score and /ingest handlers: past the
+// cap, http.MaxBytesReader fails the decode and the request is a 400 before
+// it takes a queue slot.
+const (
+	ScoreBodyCap  = 8 << 20
+	IngestBodyCap = 64 << 20
+)
+
 // NewHTTPServer returns the http.Server linkpredd and linkpredr listen
 // with: h on addr under the connection timeouts above.
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
@@ -236,7 +244,7 @@ type scoreRequest struct {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	var req scoreRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, ScoreBodyCap))
 	if err := dec.Decode(&req); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad score request: "+err.Error())
 		return
@@ -270,7 +278,7 @@ type IngestResponse struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req ingestRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, IngestBodyCap))
 	if err := dec.Decode(&req); err != nil {
 		WriteError(w, http.StatusBadRequest, "bad ingest request: "+err.Error())
 		return

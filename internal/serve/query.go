@@ -84,14 +84,15 @@ func (s *Server) servePredict(r *request, snap *Snapshot) {
 	if r.shards > 1 {
 		// Cost-weighted boundaries, not equal-count: growth traces put the
 		// hubs at low IDs, and equal-count ranges leave shard 0 with most of
-		// the sweep. The cost model follows the *requested* algorithm's
-		// kernel family (wedge, capped-wedge for the pruned bounded sweeps,
-		// row-count for the latents), so BCN no longer inherits a boundary
-		// priced for an unpruned hub sweep it will never run. The split is a
-		// pure function of (snapshot, shards, alg) — every replica serving
-		// the same epoch derives the same disjoint cover, and the router
-		// learns the ranges from shard_range.
-		sr := predict.WeightedSourceRangeFor(snap.Graph, r.shard, r.shards, predict.CostModelFor(r.alg))
+		// the sweep. The cost model follows the *served* algorithm's kernel
+		// family (wedge, capped-wedge for the pruned bounded sweeps,
+		// row-count for the latents), so a degraded shard balances the proxy
+		// sweep it actually runs. The split is a pure function of (snapshot,
+		// shards, served alg) — every replica serving the same epoch and
+		// algorithm derives the same disjoint cover, the router merges only
+		// parts that served one algorithm, and it learns the ranges from
+		// shard_range.
+		sr := predict.WeightedSourceRangeFor(snap.Graph, r.shard, r.shards, predict.CostModelFor(rt.served))
 		srange = &sr
 	}
 	pairs := s.sweep(r.ctx, snap, rt.alg, r.k, srange)
@@ -114,7 +115,7 @@ func (s *Server) sweep(ctx context.Context, snap *Snapshot, alg predict.Algorith
 
 // render turns a finished sweep into r's response: external IDs (plus the
 // dense ones a router merges on, when sharded), the liveeval record of an
-// unrestricted ranking, and the served sweep's observation.
+// unrestricted ranking, and the sweep's observation for the degrader.
 func (s *Server) render(r *request, snap *Snapshot, rt routing, srange *predict.SourceRange, pairs []predict.Pair, start time.Time) {
 	out := make([]PairScore, len(pairs))
 	ext := s.ids.Externals()
@@ -140,7 +141,7 @@ func (s *Server) render(r *request, snap *Snapshot, rt routing, srange *predict.
 		}
 		s.cfg.Eval.Record(rt.served, snap.Seq, snap.Edges, int(s.traceLen.Load()), ranked)
 	}
-	s.deg.noteServed(r.alg, rt.served, time.Since(start), len(s.queue))
+	s.deg.observe(time.Since(start), len(s.queue))
 	rt.answer(r, snap, out, srange)
 }
 
@@ -198,7 +199,7 @@ func (s *Server) serveScoreGroup(grp []*request, snap *Snapshot) {
 		}
 		return
 	}
-	s.deg.noteServed(leader.alg, rt.served, time.Since(start), len(s.queue))
+	s.deg.observe(time.Since(start), len(s.queue))
 	for m, r := range live {
 		if r.ctx.Err() != nil {
 			s.finishDeadline(r)

@@ -23,10 +23,9 @@
 //   - Under pressure — rolling p95 latency or queue depth over threshold —
 //     latent-family requests (Katz, KatzSC, Rescal) degrade to fused
 //     local-metric proxies and the response is flagged Degraded, with
-//     ServedBy naming the proxy. With a prequential engine attached
-//     (Config.Eval) the proxy is chosen by measured live accuracy-per-cost;
-//     otherwise a static table applies. Recovery re-enables the latent path
-//     after a run of healthy observations (TestDegradationProperty).
+//     ServedBy naming the proxy from one static table (Katz→AA, KatzSC→RA,
+//     Rescal→CN). Recovery re-enables the latent path after a run of
+//     healthy observations (TestDegradationProperty).
 //   - With Config.Eval set, the accuracy loop is closed: every /predict
 //     response is recorded into the prequential engine and every accepted
 //     ingest edge is scored against the predictions that existed before it
@@ -100,10 +99,8 @@ type Config struct {
 	Resolve func(name string) (predict.Algorithm, error)
 	// Eval, when set, closes the accuracy loop: every /predict response is
 	// recorded into the prequential engine under the algorithm that
-	// actually served it, every accepted ingest edge is scored against the
-	// predictions that existed before it arrived, and the degradation
-	// controller routes latent algorithms to the proxy with the best
-	// measured accuracy-per-cost instead of the static table.
+	// actually served it, and every accepted ingest edge is scored against
+	// the predictions that existed before it arrived.
 	Eval *liveeval.Engine
 	// WAL, when set, makes ingest durable: every accepted edge is appended
 	// to a write-ahead log on this storage and group-committed (one fsync
@@ -317,7 +314,7 @@ func New(cfg Config) (*Server, error) {
 		trace:   tr,
 		builder: builder,
 		seq:     -1, // the initial publication is seq 0
-		deg:     newDegrader(cfg.Degrade, cfg.QueueDepth, cfg.Eval),
+		deg:     newDegrader(cfg.Degrade, cfg.QueueDepth),
 	}
 	if cfg.Warm {
 		s.warmq = make(chan *graph.Graph, 1)
