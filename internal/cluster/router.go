@@ -197,7 +197,25 @@ type Router struct {
 	// dense space. Only the accepted-edge count is kept, not the edges.
 	evalIDs   *serve.IDMap
 	evalEdges atomic.Int64
+
+	// shardErrors[i] is shard i's cluster/shard_errors{shard} counter.
+	shardErrors []*obs.Counter
 }
+
+// The router's per-request handles, resolved once; each records only while
+// telemetry is on. Once-per-event metrics (a re-ask, hedge, retry,
+// re-gather, partial gather or failed replica) look their name up where
+// they record.
+var (
+	scatterRequests  = obs.GetCounter("cluster/scatter_requests")
+	shardLatency     = obs.GetHistogram("cluster/shard_latency_ns")
+	gatherFull       = obs.GetCounter("cluster/gather_full")
+	ingestReplicated = obs.GetCounter("cluster/ingest_replicated")
+	scoreForwarded   = obs.GetCounter("cluster/score_forwarded")
+	shardsUp         = obs.GetGauge("cluster/shards_up")
+	shardsCatchingUp = obs.GetGauge("cluster/shards_catching_up")
+	snapshotBytes    = obs.GetGauge("cluster/snapshot_bytes")
+)
 
 // New builds a Router. It panics on an empty shard list — a router with
 // nothing behind it is a configuration error, not a runtime state.
@@ -224,14 +242,13 @@ func New(cfg Config) *Router {
 	r := &Router{cfg: cfg, client: client, lastSeq: make([]atomic.Int64, len(cfg.Shards))}
 	for i := range cfg.Shards {
 		r.all = append(r.all, i)
+		r.shardErrors = append(r.shardErrors, obs.GetCounter(fmt.Sprintf(`cluster/shard_errors{shard="%d"}`, i)))
 	}
 	if cfg.Eval != nil {
 		r.evalIDs = serve.NewIDMap(nil, nil)
 	}
-	if obs.Enabled() {
-		obs.SetGaugeFunc("cluster/shards", func() float64 { return float64(len(cfg.Shards)) })
-		obs.SetGaugeFunc("cluster/epoch_skew", func() float64 { return float64(r.epochSkew()) })
-	}
+	obs.SetGaugeFunc("cluster/shards", func() float64 { return float64(len(cfg.Shards)) })
+	obs.SetGaugeFunc("cluster/epoch_skew", func() float64 { return float64(r.epochSkew()) })
 	return r
 }
 
@@ -293,7 +310,7 @@ func (r *Router) postJSON(ctx context.Context, shard int, path string, body []by
 // A 4xx becomes a ShardRejection; the per-shard latency histogram records
 // successes only.
 func (r *Router) getResult(ctx context.Context, shard int, query string) (*serve.Result, error) {
-	start := time.Now()
+	start := obs.Start()
 	status, body, err := r.call(ctx, shard, http.MethodGet, "/predict?"+query, nil, resultCap)
 	if err != nil {
 		return nil, err
@@ -315,9 +332,7 @@ func (r *Router) getResult(ctx context.Context, shard int, query string) (*serve
 	if err := json.Unmarshal(body, &res); err != nil {
 		return nil, fmt.Errorf("cluster: bad shard response: %w", err)
 	}
-	if obs.Enabled() {
-		obs.GetHistogram("cluster/shard_latency_ns").Observe(time.Since(start).Nanoseconds())
-	}
+	shardLatency.Since(start)
 	return &res, nil
 }
 
@@ -389,9 +404,7 @@ func (r *Router) alignedGather(ctx context.Context, alg string, k int) (*gather,
 		if len(stale) == 0 {
 			break
 		}
-		if obs.Enabled() {
-			obs.GetCounter("cluster/epoch_reasks").Add(int64(len(stale)))
-		}
+		obs.GetCounter("cluster/epoch_reasks").Add(int64(len(stale)))
 		select {
 		case <-time.After(r.cfg.EpochBackoff):
 		case <-ctx.Done():
@@ -440,9 +453,7 @@ func (r *Router) fetchShard(ctx context.Context, shard int, alg string, k int) (
 			hedge = nil
 			if launched < 2 {
 				launched++
-				if obs.Enabled() {
-					obs.GetCounter("cluster/shard_hedges").Inc()
-				}
+				obs.GetCounter("cluster/shard_hedges").Inc()
 				launch()
 			}
 		case a := <-results:
@@ -459,16 +470,12 @@ func (r *Router) fetchShard(ctx context.Context, shard int, alg string, k int) (
 			if firstErr == nil {
 				firstErr = a.err
 			}
-			if obs.Enabled() {
-				obs.GetCounter(fmt.Sprintf(`cluster/shard_errors{shard="%d"}`, shard)).Inc()
-			}
+			r.shardErrors[shard].Inc()
 			if launched < 2 && ctx.Err() == nil {
 				// Retry immediately rather than waiting out the hedge
 				// timer: the shard failed fast, so ask again fast.
 				launched++
-				if obs.Enabled() {
-					obs.GetCounter("cluster/shard_retries").Inc()
-				}
+				obs.GetCounter("cluster/shard_retries").Inc()
 				launch()
 			} else if done == launched {
 				return nil, firstErr
@@ -483,9 +490,7 @@ func (r *Router) fetchShard(ctx context.Context, shard int, alg string, k int) (
 // persistently stale shards returns partial:true with their source ranges.
 // It fails with ErrAllShardsDown only when no shard answered at all.
 func (r *Router) Predict(ctx context.Context, alg string, k int) (*Response, error) {
-	if obs.Enabled() {
-		obs.GetCounter("cluster/scatter_requests").Inc()
-	}
+	scatterRequests.Inc()
 	// The caller's deadline is the scatter budget (the HTTP layer derives
 	// it from timeout_ms); fall back to the router default only when the
 	// request carries none.
@@ -508,9 +513,7 @@ func (r *Router) Predict(ctx context.Context, alg string, k int) (*Response, err
 		// Some shards degraded alg and some did not. Their boundaries and
 		// scores belong to different algorithms, so this gather is never
 		// merged: every shard is asked once more for the proxy itself.
-		if obs.Enabled() {
-			obs.GetCounter("cluster/degraded_regathers").Inc()
-		}
+		obs.GetCounter("cluster/degraded_regathers").Inc()
 		g, err = r.alignedGather(ctx, served, k)
 	}
 	if err != nil {
@@ -545,12 +548,10 @@ func (r *Router) Predict(ctx context.Context, alg string, k int) (*Response, err
 		out.MissingRanges = missingRanges(g.got, g.target)
 		out.Partial = len(out.MissingRanges) > 0
 	}
-	if obs.Enabled() {
-		if out.Partial {
-			obs.GetCounter("cluster/gather_partial").Inc()
-		} else {
-			obs.GetCounter("cluster/gather_full").Inc()
-		}
+	if out.Partial {
+		obs.GetCounter("cluster/gather_partial").Inc()
+	} else {
+		gatherFull.Inc()
 	}
 	r.recordEval(out)
 	return out, nil
@@ -661,9 +662,7 @@ func (r *Router) Ingest(ctx context.Context, events []serve.Event) (*IngestResul
 	for i, err := range errs {
 		if err != nil {
 			failed++
-			if obs.Enabled() {
-				obs.GetCounter("cluster/ingest_errors").Inc()
-			}
+			obs.GetCounter("cluster/ingest_errors").Inc()
 			continue
 		}
 		r.lastSeq[i].Store(acks[i].SnapshotSeq)
@@ -675,9 +674,7 @@ func (r *Router) Ingest(ctx context.Context, events []serve.Event) (*IngestResul
 		return nil, ErrAllShardsDown
 	}
 	r.observeEval(events)
-	if obs.Enabled() {
-		obs.GetCounter("cluster/ingest_replicated").Inc()
-	}
+	ingestReplicated.Inc()
 	out.ShardErrors = failed
 	return out, nil
 }
@@ -733,9 +730,7 @@ func (r *Router) Score(ctx context.Context, body []byte) (status int, respBody [
 			lastErr = err
 			continue
 		}
-		if obs.Enabled() {
-			obs.GetCounter("cluster/score_forwarded").Inc()
-		}
+		scoreForwarded.Inc()
 		return status, raw, nil
 	}
 	return 0, nil, fmt.Errorf("cluster: score forward failed on all shards: %w", lastErr)
@@ -793,10 +788,8 @@ func (r *Router) Health(ctx context.Context) *ClusterHealth {
 	}
 	out.EpochSkew = hi - lo
 	out.OK = out.ShardsUp == n && out.EpochSkew == 0 && out.CatchingUp == 0
-	if obs.Enabled() {
-		obs.GetGauge("cluster/shards_up").Set(float64(out.ShardsUp))
-		obs.GetGauge("cluster/shards_catching_up").Set(float64(out.CatchingUp))
-		obs.GetGauge("cluster/snapshot_bytes").Set(float64(out.SnapshotBytes))
-	}
+	shardsUp.Set(float64(out.ShardsUp))
+	shardsCatchingUp.Set(float64(out.CatchingUp))
+	snapshotBytes.Set(float64(out.SnapshotBytes))
 	return out
 }

@@ -486,13 +486,11 @@ func TestRouterScript(t *testing.T) {
 
 // scriptMetric reads a counter's value or a histogram's sample count.
 func scriptMetric(name string) int64 {
-	if h, ok := obs.LookupHistogram(name); ok {
-		return h.Count()
+	d := obs.Snapshot()
+	if h, ok := d.Histograms[name]; ok {
+		return h.Count
 	}
-	if c, ok := obs.LookupCounter(name); ok {
-		return c.Value()
-	}
-	return 0
+	return d.Counters[name]
 }
 
 // TestRouterScriptDirectCalls pins what the exported methods (the

@@ -172,10 +172,8 @@ func (b *IncrementalBuilder) AtEdge(m int) *Graph {
 	copy(top, b.pages[:np])
 	g := &Graph{pages: top, n: n, edges: b.edges, Time: tm}
 	b.emitGen++
-	if obs.Enabled() {
-		obs.GetCounter("graph/inc_snapshots").Inc()
-		obs.GetCounter("graph/inc_edges_applied").Add(int64(applied))
-	}
+	obs.GetCounter("graph/inc_snapshots").Inc()
+	obs.GetCounter("graph/inc_edges_applied").Add(int64(applied))
 	return g
 }
 

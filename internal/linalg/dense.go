@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"linkpred/internal/obs"
 	"linkpred/internal/par"
@@ -60,11 +59,7 @@ func (a *Dense) MatMul(b *Dense, workers int) *Dense {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("linalg: MatMul shape mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	var start time.Time
-	track := obs.Enabled()
-	if track {
-		start = time.Now()
-	}
+	start := obs.Start()
 	out := NewDense(a.Rows, b.Cols)
 	// Short-but-wide products (XᵀX in ALS: rank rows, each costing n·rank
 	// flops) would fall under the generic fan-out threshold despite heavy
@@ -88,9 +83,7 @@ func (a *Dense) MatMul(b *Dense, workers int) *Dense {
 			}
 		}
 	})
-	if track {
-		obs.GetHistogram("linalg/mat_mul_ns").Observe(time.Since(start).Nanoseconds())
-	}
+	matMulNS.Since(start)
 	return out
 }
 

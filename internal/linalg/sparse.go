@@ -2,11 +2,17 @@ package linalg
 
 import (
 	"math/rand"
-	"time"
 
 	"linkpred/internal/graph"
 	"linkpred/internal/obs"
 	"linkpred/internal/par"
+)
+
+// The backend's timing histograms.
+var (
+	matMulNS   = obs.GetHistogram("linalg/mat_mul_ns")
+	mulDenseNS = obs.GetHistogram("linalg/mul_dense_ns")
+	topEigNS   = obs.GetHistogram("linalg/top_eig_ns")
 )
 
 // CSR is the symmetric unit-valued adjacency matrix of a snapshot, read in
@@ -64,15 +70,9 @@ func (a CSR) mulDenseRange(x, y *Dense, lo, hi int) {
 // order identical to a serial run, so the result is bit-identical at any
 // worker count.
 func (a CSR) MulDense(x, y *Dense, workers int) {
-	var start time.Time
-	track := obs.Enabled()
-	if track {
-		start = time.Now()
-	}
+	start := obs.Start()
 	par.ShardRange(a.N, workers, func(_, lo, hi int) { a.mulDenseRange(x, y, lo, hi) })
-	if track {
-		obs.GetHistogram("linalg/mul_dense_ns").Observe(time.Since(start).Nanoseconds())
-	}
+	mulDenseNS.Since(start)
 }
 
 // transposeInto writes src^T into dst; shapes must already agree.
@@ -103,11 +103,7 @@ func (a CSR) TopEig(r, iters int, seed int64, workers int) (vals []float64, vecs
 	if r <= 0 {
 		return nil, NewDense(a.N, 0)
 	}
-	var startAll time.Time
-	track := obs.Enabled()
-	if track {
-		startAll = time.Now()
-	}
+	startAll := obs.Start()
 	rng := rand.New(rand.NewSource(seed))
 	qt := NewDense(r, a.N) // basis vectors as rows
 	// Draw in the element order of the historical row-major n x r fill so
@@ -152,8 +148,6 @@ func (a CSR) TopEig(r, iters int, seed int64, workers int) (vals []float64, vecs
 	}
 	tvals, tvecs := JacobiEig(t)
 	ritz := q.MatMul(tvecs, workers)
-	if track {
-		obs.GetHistogram("linalg/top_eig_ns").Observe(time.Since(startAll).Nanoseconds())
-	}
+	topEigNS.Since(startAll)
 	return tvals, ritz
 }

@@ -120,9 +120,15 @@ type algState struct {
 
 	decayHit float64 // EWMA of the per-edge hit indicator
 
-	win     []winEntry
+	win     []winEntry // grows to Config.Window, then wraps at winNext
 	winNext int
-	winLen  int
+
+	// Telemetry handles, resolved when the algorithm is first seen. The
+	// five accuracy gauges are callbacks computed at scrape time,
+	// registered at the first edge scored while telemetry is on.
+	recordedC, scoredC, hitsC *obs.Counter
+	hitRank                   *obs.Histogram
+	exported                  bool
 }
 
 // Engine is the prequential evaluation engine. Create with New; all
@@ -182,10 +188,8 @@ func (e *Engine) Record(alg string, epoch int64, snapshotEdges, traceLen int, pa
 	}
 	st.recorded++
 	st.predictedPairs += int64(set.size)
+	st.recordedC.Inc()
 	e.mu.Unlock()
-	if obs.Enabled() {
-		obs.GetCounter(`liveeval/predictions_recorded{alg="` + alg + `"}`).Inc()
-	}
 }
 
 // ObserveEdge scores one accepted ingested edge (dense node IDs) at its
@@ -193,14 +197,8 @@ func (e *Engine) Record(alg string, epoch int64, snapshotEdges, traceLen int, pa
 // set, updating the cumulative, decayed, and windowed series.
 func (e *Engine) ObserveEdge(u, v graph.NodeID, traceIndex int) {
 	k := key(u, v)
-	type export struct {
-		alg  string
-		hit  bool
-		rank int
-		st   AlgStats
-	}
-	var exports []export
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	for alg, st := range e.algs {
 		// Newest eligible set: recorded before the edge arrived, snapshot
 		// not already containing it.
@@ -215,48 +213,30 @@ func (e *Engine) ObserveEdge(u, v graph.NodeID, traceIndex int) {
 			continue
 		}
 		st.scored++
-		hit := false
-		rank := 0
-		if r, ok := set.rank[k]; ok {
-			hit = true
-			rank = r
+		st.scoredC.Inc()
+		rank, hit := set.rank[k]
+		ind := 0.0
+		if hit {
+			ind = 1
 			delete(set.rank, k)
 			set.hits++
 			st.hits++
-			st.rrSum += 1 / float64(r)
-		}
-		ind := 0.0
-		if hit {
-			ind = 1.0
+			st.rrSum += 1 / float64(rank)
+			st.hitsC.Inc()
+			st.hitRank.Observe(int64(rank))
 		}
 		st.decayHit += e.alpha * (ind - st.decayHit)
 		entry := winEntry{hit: hit, rank: int32(rank)}
-		if st.winLen < e.cfg.Window {
+		if len(st.win) < e.cfg.Window {
 			st.win = append(st.win, entry)
-			st.winLen++
 		} else {
 			st.win[st.winNext] = entry
 		}
 		st.winNext = (st.winNext + 1) % e.cfg.Window
-		if obs.Enabled() {
-			exports = append(exports, export{alg: alg, hit: hit, rank: rank, st: st.stats()})
+		if !st.exported && obs.Enabled() {
+			st.exported = true
+			e.exportGauges(alg, st)
 		}
-	}
-	e.mu.Unlock()
-	// Export outside the engine lock; per-alg gauges are set to the stats
-	// captured under it, so the exported values are internally consistent.
-	for _, x := range exports {
-		lbl := `{alg="` + x.alg + `"}`
-		obs.GetCounter("liveeval/edges_scored" + lbl).Inc()
-		if x.hit {
-			obs.GetCounter("liveeval/hits" + lbl).Inc()
-			obs.GetHistogram("liveeval/hit_rank" + lbl).Observe(int64(x.rank))
-		}
-		obs.GetGauge("liveeval/hit_rate" + lbl).Set(x.st.DecayedHitRate)
-		obs.GetGauge("liveeval/hit_rate_window" + lbl).Set(x.st.WindowHitRate)
-		obs.GetGauge("liveeval/mrr" + lbl).Set(x.st.MRR)
-		obs.GetGauge("liveeval/precision_at_k" + lbl).Set(x.st.PrecisionAtK)
-		obs.GetGauge("liveeval/aupr_window" + lbl).Set(x.st.WindowAUPR)
 	}
 }
 
@@ -265,10 +245,36 @@ func (e *Engine) ObserveEdge(u, v graph.NodeID, traceIndex int) {
 func (e *Engine) state(alg string) *algState {
 	st, ok := e.algs[alg]
 	if !ok {
-		st = &algState{}
+		lbl := `{alg="` + alg + `"}`
+		st = &algState{
+			recordedC: obs.GetCounter("liveeval/predictions_recorded" + lbl),
+			scoredC:   obs.GetCounter("liveeval/edges_scored" + lbl),
+			hitsC:     obs.GetCounter("liveeval/hits" + lbl),
+			hitRank:   obs.GetHistogram("liveeval/hit_rank" + lbl),
+		}
 		e.algs[alg] = st
 	}
 	return st
+}
+
+// exportGauges registers alg's accuracy gauges as callbacks that summarize
+// its state at scrape time, so scoring an edge pushes nothing. A newer
+// engine in the same process replaces them. Callers hold e.mu.
+func (e *Engine) exportGauges(alg string, st *algState) {
+	lbl := `{alg="` + alg + `"}`
+	for name, val := range map[string]func(AlgStats) float64{
+		"liveeval/hit_rate":        func(s AlgStats) float64 { return s.DecayedHitRate },
+		"liveeval/hit_rate_window": func(s AlgStats) float64 { return s.WindowHitRate },
+		"liveeval/mrr":             func(s AlgStats) float64 { return s.MRR },
+		"liveeval/precision_at_k":  func(s AlgStats) float64 { return s.PrecisionAtK },
+		"liveeval/aupr_window":     func(s AlgStats) float64 { return s.WindowAUPR },
+	} {
+		obs.SetGaugeFunc(name+lbl, func() float64 {
+			e.mu.Lock()
+			defer e.mu.Unlock()
+			return val(st.stats())
+		})
+	}
 }
 
 // AlgStats is the prequential measurement of one algorithm.
@@ -312,16 +318,16 @@ func (st *algState) stats() AlgStats {
 	if st.predictedPairs > 0 {
 		s.PrecisionAtK = float64(st.hits) / float64(st.predictedPairs)
 	}
-	if st.winLen > 0 {
+	if len(st.win) > 0 {
 		hits := 0
 		var ranks []int
-		for _, e := range st.win[:st.winLen] {
+		for _, e := range st.win {
 			if e.hit {
 				hits++
 				ranks = append(ranks, int(e.rank))
 			}
 		}
-		s.WindowHitRate = float64(hits) / float64(st.winLen)
+		s.WindowHitRate = float64(hits) / float64(len(st.win))
 		s.WindowAUPR = averagePrecision(ranks)
 	}
 	return s

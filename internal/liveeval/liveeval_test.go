@@ -176,12 +176,55 @@ func TestObsExport(t *testing.T) {
 	if got := obs.GetCounter(`liveeval/hits{alg="CN"}`).Value(); got != 1 {
 		t.Fatalf("hits=%d, want 1", got)
 	}
-	st, _ := e.Stats("CN")
-	if got := obs.GetGauge(`liveeval/hit_rate{alg="CN"}`).Value(); got != st.DecayedHitRate {
-		t.Fatalf("hit_rate gauge=%v, want %v", got, st.DecayedHitRate)
+	// The gauges are computed at scrape time: every Snapshot reads the
+	// engine's current stats.
+	for i := 0; i < 2; i++ {
+		st, _ := e.Stats("CN")
+		g := obs.Snapshot().Gauges
+		if got := g[`liveeval/hit_rate{alg="CN"}`]; got != st.DecayedHitRate {
+			t.Fatalf("hit_rate gauge=%v, want %v", got, st.DecayedHitRate)
+		}
+		if got := g[`liveeval/mrr{alg="CN"}`]; got != st.MRR {
+			t.Fatalf("mrr gauge=%v, want %v", got, st.MRR)
+		}
+		e.ObserveEdge(5, 6, 3)
 	}
-	if got := obs.GetGauge(`liveeval/mrr{alg="CN"}`).Value(); got != st.MRR {
-		t.Fatalf("mrr gauge=%v, want %v", got, st.MRR)
+}
+
+// TestObserveEdgeAllocs pins the per-edge cost of telemetry: with obs on,
+// scoring an edge against three algorithms' sets records through held
+// handles and allocates nothing.
+func TestObserveEdgeAllocs(t *testing.T) {
+	obs.Reset()
+	obs.Enable(true)
+	defer func() {
+		obs.Enable(false)
+		obs.Reset()
+	}()
+	e := New(Config{TopK: 128, Ring: 4, Window: 1024, HalfLife: 256})
+	var ps [][2]graph.NodeID
+	for i := 0; i < 128; i++ {
+		ps = append(ps, [2]graph.NodeID{graph.NodeID(i), graph.NodeID(i + 500)})
+	}
+	for _, alg := range []string{"CN", "AA", "Katz"} {
+		e.Record(alg, 0, 0, 0, ps)
+	}
+	// Fill the windows with misses (and register the gauges) first; the
+	// measured edges then walk the predicted pairs, hits first.
+	i := 0
+	for ; i < 2048; i++ {
+		e.ObserveEdge(graph.NodeID(1000+i%300), graph.NodeID(2000+i%300), i)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		j := graph.NodeID(i % 256)
+		e.ObserveEdge(j, j+500, i)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("ObserveEdge with telemetry on allocates %v per edge, want 0", allocs)
+	}
+	if st, _ := e.Stats("CN"); st.Hits != 128 {
+		t.Fatalf("CN hits = %d, want all 128 predicted pairs", st.Hits)
 	}
 }
 

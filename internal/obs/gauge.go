@@ -11,20 +11,26 @@ import (
 // zero value is ready to use; a nil Gauge ignores all operations. Reads and
 // writes are single atomic word operations, cheap enough for per-request
 // paths.
-type Gauge struct{ bits atomic.Uint64 }
+type Gauge struct {
+	bits atomic.Uint64
+	listed
+}
 
-// Set replaces the gauge value.
+// Set replaces the gauge value while telemetry is on.
 func (g *Gauge) Set(v float64) {
-	if g != nil {
+	if g != nil && enabled.Load() {
 		g.bits.Store(math.Float64bits(v))
+		g.mark()
 	}
 }
 
-// Add moves the gauge by delta (negative deltas decrease it).
+// Add moves the gauge by delta (negative deltas decrease it) while
+// telemetry is on.
 func (g *Gauge) Add(delta float64) {
-	if g == nil {
+	if g == nil || !enabled.Load() {
 		return
 	}
+	g.mark()
 	for {
 		old := g.bits.Load()
 		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+delta)) {
@@ -46,23 +52,9 @@ var (
 	gaugeFuncs sync.Map // string -> func() float64
 )
 
-// GetGauge returns the named gauge, creating it on first use. Callers on
-// hot paths should check Enabled before calling.
+// GetGauge returns the named gauge, registering it on first use.
 func GetGauge(name string) *Gauge {
-	if v, ok := gauges.Load(name); ok {
-		return v.(*Gauge)
-	}
-	v, _ := gauges.LoadOrStore(name, &Gauge{})
-	return v.(*Gauge)
-}
-
-// LookupGauge returns the named gauge without creating it.
-func LookupGauge(name string) (*Gauge, bool) {
-	v, ok := gauges.Load(name)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Gauge), true
+	return getOrCreate(&gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // SetGaugeFunc registers a callback gauge: fn is evaluated at every

@@ -22,6 +22,19 @@ type Histogram struct {
 	max     atomic.Int64
 	minPlus atomic.Int64 // min+1; 0 means "no samples yet" (samples are clamped >= 0)
 	buckets [histBuckets]atomic.Int64
+	listed
+}
+
+// reset zeroes and unlists the histogram in place.
+func (h *Histogram) reset() {
+	h.count.Store(0)
+	h.sum.Store(0)
+	h.max.Store(0)
+	h.minPlus.Store(0)
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+	h.on.Store(false)
 }
 
 func bucketOf(v int64) int {
@@ -46,11 +59,13 @@ func bucketHigh(b int) int64 {
 	return 1 << b
 }
 
-// Observe records one sample; negative samples clamp to zero.
+// Observe records one sample while telemetry is on; negative samples
+// clamp to zero.
 func (h *Histogram) Observe(v int64) {
-	if h == nil {
+	if h == nil || !enabled.Load() {
 		return
 	}
+	h.mark()
 	if v < 0 {
 		v = 0
 	}
@@ -74,11 +89,22 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Time returns a stop function that records the elapsed nanoseconds since
-// the call as one sample: `defer h.Time()()`.
-func (h *Histogram) Time() func() {
-	start := time.Now()
-	return func() { h.Observe(time.Since(start).Nanoseconds()) }
+// Start reads the clock for a later Since while telemetry is on; while off
+// it returns the zero Time without reading it.
+func Start() time.Time {
+	if enabled.Load() {
+		return time.Now()
+	}
+	return time.Time{}
+}
+
+// Since records the nanoseconds elapsed since start as one sample. While
+// telemetry is off, or when start is the zero Time of a Start made while it
+// was off, it returns without reading the clock.
+func (h *Histogram) Since(start time.Time) {
+	if enabled.Load() && !start.IsZero() {
+		h.Observe(time.Since(start).Nanoseconds())
+	}
 }
 
 // Count returns the number of recorded samples.

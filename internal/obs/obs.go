@@ -3,10 +3,11 @@
 // export surfaces (JSON dump, expvar-style HTTP handler, opt-in pprof
 // server, periodic progress logging) the cmd binaries wire up.
 //
-// Collection is off by default and guarded by a single package-level flag:
-// every instrumentation hook in the hot paths reduces to one atomic load
-// (or a nil-pointer check) when disabled, so the prediction engine pays no
-// measurable cost unless a run opts in. Telemetry only observes — it never
+// Collection is off by default and guarded by a single package-level flag
+// that every recording method checks first: a metric handle resolved once
+// costs one atomic load per call while disabled, so call sites need no
+// guard of their own unless they skip other work (a clock read, an
+// allocation) when telemetry is off. Telemetry only observes — it never
 // feeds back into scoring, ranking, or tie-breaking — so enabling it cannot
 // perturb the engine's bit-identical deterministic output (proved by
 // TestTelemetryPreservesDeterminism in internal/predict).
@@ -15,7 +16,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -23,21 +23,38 @@ import (
 // enabled gates all collection. Off by default.
 var enabled atomic.Bool
 
-// Enable switches telemetry collection on or off. Instrumented code paths
-// check Enabled once per operation and skip all recording when off.
+// Enable switches telemetry collection on or off. The gate sits inside
+// every recording method, so a metric handle resolved once keeps working
+// across toggles: it records while on and ignores calls while off.
 func Enable(on bool) { enabled.Store(on) }
 
-// Enabled reports whether telemetry collection is on.
+// Enabled reports whether telemetry collection is on. Callers need it only
+// to skip work of their own (a clock read, an allocation) when off.
 func Enabled() bool { return enabled.Load() }
+
+// listed marks a registered metric as part of the Snapshot. Get* registers
+// a metric unlisted; its first record while telemetry is on lists it, and
+// Reset unlists it again, so resolving a handle early changes no dump.
+type listed struct{ on atomic.Bool }
+
+func (l *listed) mark() {
+	if !l.on.Load() {
+		l.on.Store(true)
+	}
+}
 
 // Counter is a monotonically increasing atomic counter. The zero value is
 // ready to use; a nil Counter ignores all operations.
-type Counter struct{ v atomic.Int64 }
+type Counter struct {
+	v atomic.Int64
+	listed
+}
 
-// Add increments the counter by n.
+// Add increments the counter by n while telemetry is on.
 func (c *Counter) Add(n int64) {
-	if c != nil {
+	if c != nil && enabled.Load() {
 		c.v.Add(n)
+		c.mark()
 	}
 }
 
@@ -57,42 +74,26 @@ var (
 	histograms sync.Map // string -> *Histogram
 )
 
-// GetCounter returns the named counter, creating it on first use. Callers
-// on hot paths should check Enabled before calling, both to skip the map
-// lookup and to keep disabled runs metric-free.
+// getOrCreate returns the registry entry under name, storing fresh() on
+// first use.
+func getOrCreate[T any](m *sync.Map, name string, fresh func() *T) *T {
+	if v, ok := m.Load(name); ok {
+		return v.(*T)
+	}
+	v, _ := m.LoadOrStore(name, fresh())
+	return v.(*T)
+}
+
+// GetCounter returns the named counter, registering it on first use.
+// Resolve handles once, where the name's label values become known, and
+// record through the pointer.
 func GetCounter(name string) *Counter {
-	if v, ok := counters.Load(name); ok {
-		return v.(*Counter)
-	}
-	v, _ := counters.LoadOrStore(name, &Counter{})
-	return v.(*Counter)
+	return getOrCreate(&counters, name, func() *Counter { return &Counter{} })
 }
 
-// LookupCounter returns the named counter without creating it.
-func LookupCounter(name string) (*Counter, bool) {
-	v, ok := counters.Load(name)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Counter), true
-}
-
-// GetHistogram returns the named histogram, creating it on first use.
+// GetHistogram returns the named histogram, registering it on first use.
 func GetHistogram(name string) *Histogram {
-	if v, ok := histograms.Load(name); ok {
-		return v.(*Histogram)
-	}
-	v, _ := histograms.LoadOrStore(name, &Histogram{})
-	return v.(*Histogram)
-}
-
-// LookupHistogram returns the named histogram without creating it.
-func LookupHistogram(name string) (*Histogram, bool) {
-	v, ok := histograms.Load(name)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Histogram), true
+	return getOrCreate(&histograms, name, func() *Histogram { return &Histogram{} })
 }
 
 // MaxWorkerSlots bounds the per-worker chunk-claim vector. Worker indices
@@ -103,23 +104,25 @@ const MaxWorkerSlots = 256
 // all sharded sweeps, the engine's load-imbalance signal.
 var workerChunks [MaxWorkerSlots]atomic.Int64
 
-// AddWorkerChunks records n chunk claims for worker slot w.
+// AddWorkerChunks records n chunk claims for worker slot w while telemetry
+// is on.
 func AddWorkerChunks(w int, n int64) {
-	if w >= 0 && w < MaxWorkerSlots {
+	if w >= 0 && w < MaxWorkerSlots && enabled.Load() {
 		workerChunks[w].Add(n)
 	}
 }
 
-// Reset clears all counters, gauges (value and callback), histograms,
-// rolling windows, worker chunk claims, and recorded spans. It does not
-// change the enabled flag. Intended for tests and for separating phases of
-// a long-lived process.
+// Reset zeroes and unlists every counter, gauge, histogram and rolling
+// window in place, so handles callers hold stay valid and list again on
+// their next record; it drops gauge callbacks, worker chunk claims and
+// recorded spans. It does not change the enabled flag. Intended for tests
+// and for separating phases of a long-lived process.
 func Reset() {
-	counters.Range(func(k, _ any) bool { counters.Delete(k); return true })
-	histograms.Range(func(k, _ any) bool { histograms.Delete(k); return true })
-	gauges.Range(func(k, _ any) bool { gauges.Delete(k); return true })
+	counters.Range(func(_, v any) bool { c := v.(*Counter); c.v.Store(0); c.on.Store(false); return true })
+	histograms.Range(func(_, v any) bool { v.(*Histogram).reset(); return true })
+	gauges.Range(func(_, v any) bool { g := v.(*Gauge); g.bits.Store(0); g.on.Store(false); return true })
 	gaugeFuncs.Range(func(k, _ any) bool { gaugeFuncs.Delete(k); return true })
-	rollings.Range(func(k, _ any) bool { rollings.Delete(k); return true })
+	rollings.Range(func(_, v any) bool { v.(*Rolling).reset(); return true })
 	for i := range workerChunks {
 		workerChunks[i].Store(0)
 	}
@@ -147,8 +150,9 @@ type Dump struct {
 	Spans []SpanSnapshot `json:"spans,omitempty"`
 }
 
-// Snapshot captures the current state of every counter, histogram, the
-// worker chunk-claim vector, and the span tree.
+// Snapshot captures the current state of every listed counter, gauge,
+// histogram and rolling window, every gauge callback, the worker
+// chunk-claim vector, and the span tree.
 func Snapshot() *Dump {
 	d := &Dump{
 		Enabled:    Enabled(),
@@ -156,18 +160,24 @@ func Snapshot() *Dump {
 		Histograms: map[string]HistogramSnapshot{},
 	}
 	counters.Range(func(k, v any) bool {
-		d.Counters[k.(string)] = v.(*Counter).Value()
+		if c := v.(*Counter); c.on.Load() {
+			d.Counters[k.(string)] = c.Value()
+		}
 		return true
 	})
 	histograms.Range(func(k, v any) bool {
-		d.Histograms[k.(string)] = v.(*Histogram).Snapshot()
+		if h := v.(*Histogram); h.on.Load() {
+			d.Histograms[k.(string)] = h.Snapshot()
+		}
 		return true
 	})
 	gauges.Range(func(k, v any) bool {
-		if d.Gauges == nil {
-			d.Gauges = map[string]float64{}
+		if g := v.(*Gauge); g.on.Load() {
+			if d.Gauges == nil {
+				d.Gauges = map[string]float64{}
+			}
+			d.Gauges[k.(string)] = g.Value()
 		}
-		d.Gauges[k.(string)] = v.(*Gauge).Value()
 		return true
 	})
 	gaugeFuncs.Range(func(k, v any) bool {
@@ -178,10 +188,12 @@ func Snapshot() *Dump {
 		return true
 	})
 	rollings.Range(func(k, v any) bool {
-		if d.Rolling == nil {
-			d.Rolling = map[string]RollingSnapshot{}
+		if r := v.(*Rolling); r.on.Load() {
+			if d.Rolling == nil {
+				d.Rolling = map[string]RollingSnapshot{}
+			}
+			d.Rolling[k.(string)] = r.Snapshot()
 		}
-		d.Rolling[k.(string)] = v.(*Rolling).Snapshot()
 		return true
 	})
 	last := -1
@@ -198,14 +210,6 @@ func Snapshot() *Dump {
 	}
 	d.Spans = snapshotRoots()
 	return d
-}
-
-// CounterNames returns the sorted names of all registered counters.
-func CounterNames() []string {
-	var names []string
-	counters.Range(func(k, _ any) bool { names = append(names, k.(string)); return true })
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON writes the current Dump to w as indented JSON.

@@ -31,13 +31,61 @@ func TestCounterRegistry(t *testing.T) {
 		if got := GetCounter("a/b").Value(); got != 4 {
 			t.Fatalf("counter = %d, want 4", got)
 		}
-		if _, ok := LookupCounter("missing"); ok {
-			t.Fatal("LookupCounter created a counter")
+		if _, ok := Snapshot().Counters["missing"]; ok {
+			t.Fatal("an unrecorded counter is listed")
 		}
 		var nilC *Counter
 		nilC.Add(1) // must not panic
 		if nilC.Value() != 0 {
 			t.Fatal("nil counter has a value")
+		}
+	})
+}
+
+// TestGateSemantics pins the one on/off gate: handles keep working across
+// toggles and Reset, and only a record made while telemetry is on lists a
+// metric in the Snapshot.
+func TestGateSemantics(t *testing.T) {
+	withObs(t, func() {
+		c, h, g, r := GetCounter("gate/c"), GetHistogram("gate/h"), GetGauge("gate/g"), GetRolling("gate/r", time.Minute)
+		if d := Snapshot(); len(d.Counters)+len(d.Histograms)+len(d.Gauges)+len(d.Rolling) != 0 {
+			t.Fatalf("Get* alone listed metrics: %+v", d)
+		}
+		record := func() {
+			c.Inc()
+			h.Observe(5)
+			g.Set(2)
+			r.Add(5)
+		}
+		Enable(false)
+		record()
+		if d := Snapshot(); len(d.Counters)+len(d.Histograms)+len(d.Gauges)+len(d.Rolling) != 0 || c.Value() != 0 {
+			t.Fatalf("records while off were kept: %+v", d)
+		}
+		Enable(true)
+		record()
+		Enable(false)
+		record()
+		Enable(true)
+		if c.Value() != 1 || h.Count() != 1 || r.Snapshot().Count != 1 {
+			t.Fatalf("after on, off: counter %d, histogram %d, rolling %d; want 1 each", c.Value(), h.Count(), r.Snapshot().Count)
+		}
+		record()
+		if c.Value() != 2 {
+			t.Fatalf("counter = %d after resuming, want 2", c.Value())
+		}
+		Reset()
+		if d := Snapshot(); len(d.Counters)+len(d.Histograms)+len(d.Gauges)+len(d.Rolling) != 0 || c.Value() != 0 {
+			t.Fatalf("Reset left a handle listed or nonzero: %+v", d)
+		}
+		c.Add(3)
+		h.Observe(7)
+		d := Snapshot()
+		if d.Counters["gate/c"] != 3 || d.Histograms["gate/h"].Count != 1 {
+			t.Fatalf("handles held across Reset did not list again: %+v", d)
+		}
+		if _, ok := d.Gauges["gate/g"]; ok {
+			t.Fatal("a gauge not recorded since Reset is listed")
 		}
 	})
 }

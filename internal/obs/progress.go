@@ -26,10 +26,7 @@ func ProgressLine(start time.Time) string {
 		}
 		return true
 	})
-	var chunks int64
-	if c, ok := LookupCounter("engine/chunks_claimed"); ok {
-		chunks = c.Value()
-	}
+	chunks := GetCounter("engine/chunks_claimed").Value()
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return fmt.Sprintf("obs: t=%s predicts=%d pairs_scored=%d chunks_claimed=%d spans=%d heap=%dMB",

@@ -21,7 +21,7 @@ import (
 // clipped window so rates stay honest.
 type Rolling struct {
 	window time.Duration
-	now    func() int64 // nanosecond clock, injectable for tests
+	listed
 
 	mu    sync.Mutex
 	times []int64 // arrival times, circular
@@ -30,36 +30,33 @@ type Rolling struct {
 	n     int     // live samples
 }
 
-// defaultRollingCap bounds the samples a Rolling window retains.
-const defaultRollingCap = 4096
+// rollingCap bounds the samples a Rolling window retains.
+const rollingCap = 4096
 
-// NewRolling returns a sliding-window accumulator over the given window
-// retaining at most capacity samples (0 = default 4096). A nil clock uses
-// wall time; tests inject a fake one.
-func NewRolling(window time.Duration, capacity int, clock func() int64) *Rolling {
-	if window <= 0 {
-		window = time.Minute
+// rollingNow is the windows' nanosecond clock: wall time, unless a test
+// froze it with SetRollingClock.
+func rollingNow() int64 {
+	if p := rollingClock.Load(); p != nil {
+		return (*p)()
 	}
-	if capacity <= 0 {
-		capacity = defaultRollingCap
-	}
-	if clock == nil {
-		clock = func() int64 { return time.Now().UnixNano() }
-	}
-	return &Rolling{
-		window: window,
-		now:    clock,
-		times:  make([]int64, capacity),
-		vals:   make([]int64, capacity),
-	}
+	return time.Now().UnixNano()
 }
 
-// Add records one sample at the current time.
+// reset empties and unlists the window in place.
+func (r *Rolling) reset() {
+	r.mu.Lock()
+	r.head, r.n = 0, 0
+	r.mu.Unlock()
+	r.on.Store(false)
+}
+
+// Add records one sample at the current time while telemetry is on.
 func (r *Rolling) Add(v int64) {
-	if r == nil {
+	if r == nil || !enabled.Load() {
 		return
 	}
-	now := r.now()
+	r.mark()
+	now := rollingNow()
 	r.mu.Lock()
 	r.evict(now)
 	if r.n == len(r.times) { // capacity full: drop the oldest
@@ -101,7 +98,7 @@ func (r *Rolling) Snapshot() RollingSnapshot {
 	if r == nil {
 		return RollingSnapshot{}
 	}
-	now := r.now()
+	now := rollingNow()
 	r.mu.Lock()
 	r.evict(now)
 	s := RollingSnapshot{WindowSeconds: r.window.Seconds(), Count: int64(r.n)}
@@ -140,15 +137,14 @@ func (r *Rolling) Snapshot() RollingSnapshot {
 }
 
 // rollings is the registry of named Rolling windows. Unlike counters it
-// also remembers each window's configuration, fixed at first GetRolling.
+// also remembers each window's length, fixed at first GetRolling.
 var rollings sync.Map // string -> *Rolling
 
 // rollingClock lets tests freeze the registry's clock; nil = wall time.
 var rollingClock atomic.Pointer[func() int64]
 
-// SetRollingClock overrides the clock used by registry-created Rolling
-// windows (for deterministic golden tests); pass nil to restore wall time.
-// It does not affect windows already created.
+// SetRollingClock overrides the clock of every Rolling window for
+// deterministic golden tests; pass nil to restore wall time.
 func SetRollingClock(clock func() int64) {
 	if clock == nil {
 		rollingClock.Store(nil)
@@ -157,25 +153,10 @@ func SetRollingClock(clock func() int64) {
 	rollingClock.Store(&clock)
 }
 
-// GetRolling returns the named sliding window, creating it with the given
-// window length on first use (later calls ignore the argument).
+// GetRolling returns the named sliding window, registering it with the
+// given window length on first use (later calls ignore the argument).
 func GetRolling(name string, window time.Duration) *Rolling {
-	if v, ok := rollings.Load(name); ok {
-		return v.(*Rolling)
-	}
-	var clock func() int64
-	if p := rollingClock.Load(); p != nil {
-		clock = *p
-	}
-	v, _ := rollings.LoadOrStore(name, NewRolling(window, 0, clock))
-	return v.(*Rolling)
-}
-
-// LookupRolling returns the named sliding window without creating it.
-func LookupRolling(name string) (*Rolling, bool) {
-	v, ok := rollings.Load(name)
-	if !ok {
-		return nil, false
-	}
-	return v.(*Rolling), true
+	return getOrCreate(&rollings, name, func() *Rolling {
+		return &Rolling{window: window, times: make([]int64, rollingCap), vals: make([]int64, rollingCap)}
+	})
 }

@@ -70,7 +70,6 @@ func ShardRangeCtx(ctx context.Context, n, workers, min int, body func(worker, l
 		}
 		return ctx.Err()
 	}
-	track := obs.Enabled()
 	var next int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -87,17 +86,11 @@ func ShardRangeCtx(ctx context.Context, n, workers, min int, body func(worker, l
 				body(w, lo, minInt(lo+size, n))
 				claimed++
 			}
-			if track && claimed > 0 {
-				obs.AddWorkerChunks(w, claimed)
-				obs.GetCounter("engine/chunks_claimed").Add(claimed)
-				obs.GetHistogram("engine/chunks_per_worker").Observe(claimed)
-			}
+			recordClaims(w, claimed)
 		}(w)
 	}
 	wg.Wait()
-	if track {
-		obs.GetCounter("engine/shard_fanouts").Inc()
-	}
+	shardFanouts.Inc()
 	return ctx.Err()
 }
 
@@ -149,10 +142,9 @@ func ShardRangeMin(n, workers, min int, body func(worker, lo, hi int)) {
 	}
 	chunks := workers * chunksPerWorker
 	size := (n + chunks - 1) / chunks
-	// track is resolved once per fan-out: per-chunk accounting stays in a
-	// goroutine-local counter and flushes to obs after the worker drains,
-	// so the claim loop itself carries no telemetry cost.
-	track := obs.Enabled()
+	// Per-chunk accounting stays in a goroutine-local counter and flushes
+	// to obs after the worker drains, so the claim loop itself carries no
+	// telemetry cost.
 	var next int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -173,15 +165,25 @@ func ShardRangeMin(n, workers, min int, body func(worker, lo, hi int)) {
 				body(w, lo, hi)
 				claimed++
 			}
-			if track && claimed > 0 {
-				obs.AddWorkerChunks(w, claimed)
-				obs.GetCounter("engine/chunks_claimed").Add(claimed)
-				obs.GetHistogram("engine/chunks_per_worker").Observe(claimed)
-			}
+			recordClaims(w, claimed)
 		}(w)
 	}
 	wg.Wait()
-	if track {
-		obs.GetCounter("engine/shard_fanouts").Inc()
+	shardFanouts.Inc()
+}
+
+// The engine's chunk accounting, shared by every fan-out.
+var (
+	chunksClaimed   = obs.GetCounter("engine/chunks_claimed")
+	claimsPerWorker = obs.GetHistogram("engine/chunks_per_worker")
+	shardFanouts    = obs.GetCounter("engine/shard_fanouts")
+)
+
+// recordClaims flushes one worker's chunk claims after it drained.
+func recordClaims(w int, claimed int64) {
+	if claimed > 0 {
+		obs.AddWorkerChunks(w, claimed)
+		chunksClaimed.Add(claimed)
+		claimsPerWorker.Observe(claimed)
 	}
 }

@@ -134,13 +134,13 @@ func TestFusedPairsScoredMatchesReference(t *testing.T) {
 				// enumeration (prune_test.go covers graphs that prune).
 				alg.Predict(g, 50, opt)
 				key := "predict/" + alg.Name() + "/pairs_scored"
-				c, ok := obs.LookupCounter(key)
+				got, ok := obs.Snapshot().Counters[key]
 				if !ok {
 					t.Fatalf("%s workers=%d: counter %q missing", alg.Name(), workers, key)
 				}
-				if c.Value() != want {
+				if got != want {
 					t.Errorf("%s workers=%d: pairs_scored = %d, reference enumerates %d",
-						alg.Name(), workers, c.Value(), want)
+						alg.Name(), workers, got, want)
 				}
 			})
 		}

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -8,92 +9,100 @@ import (
 )
 
 // This file is the telemetry shim between the scoring engine and
-// internal/obs. The registry row's Predict and ScorePairs open an obsRun; the
-// engine helpers and the bounded top-k feed it while the call runs, and
-// end() flushes the totals into the global obs registry under the
-// algorithm's name. When telemetry is disabled beginRun returns nil and
-// every hook below degrades to a nil-pointer check, so the engine's hot
-// paths carry no measurable overhead (see BenchmarkPredictTelemetry).
-// Recording never influences scores, candidate order, or tie-breaking, so
-// the engine's bit-identical deterministic output is preserved with
-// telemetry on (TestTelemetryPreservesDeterminism).
+// internal/obs. Each registry row resolves its metric handles once
+// (rowMetrics); the row's Predict and ScorePairs open an obsRun, and end()
+// publishes the call's totals through those handles. The engine tallies
+// where the work already happens: each sweep-level top-k counts the
+// candidates offered to it and its evictions in plain fields of a selector
+// one worker owns, source sweeps add their node count once per chunk, and
+// end() sums the selectors after the fan-out has joined. No hot loop
+// touches shared state. When telemetry is disabled beginRun returns nil and
+// every hook degrades to a nil-pointer check (see
+// BenchmarkPredictTelemetry). Recording never influences scores,
+// candidate order, or tie-breaking, so the engine's bit-identical
+// deterministic output is preserved with telemetry on
+// (TestTelemetryPreservesDeterminism).
 
-// The two instrumented Algorithm operations.
-const (
-	opPredict    = "predict"
-	opScorePairs = "score_pairs"
-)
+// rowCounters are the standard per-algorithm counters, in the order
+// obsRun.end publishes them.
+var rowCounters = [...]string{"pairs_scored", "nodes_swept", "topk_evictions", "candidates_generated", "sources_pruned"}
 
-// obsRun accumulates one instrumented algorithm call. Workers of the same
-// call share it, so the fields are atomics.
-type obsRun struct {
-	alg   string
-	op    string
-	start time.Time
-	pairs atomic.Int64 // candidates offered to the top-k / pairs batch-scored
-	nodes atomic.Int64 // source nodes swept
-	evict atomic.Int64 // full-heap replacements in the per-worker top-ks
-	cands atomic.Int64 // candidate pairs generated by the wedge sweeps
-	prune atomic.Int64 // sources skipped by the top-k threshold bound
+// rowMetrics are one algorithm's handles: a latency histogram per
+// operation and the rowCounters.
+type rowMetrics struct {
+	predictNS, scoreNS *obs.Histogram
+	counts             [len(rowCounters)]*obs.Counter
 }
 
-// beginRun opens a run recorder, or returns nil when telemetry is off. All
-// obsRun methods are nil-safe.
-func beginRun(alg, op string) *obsRun {
+func newRowMetrics(alg string) *rowMetrics {
+	p := "predict/" + alg + "/"
+	m := &rowMetrics{predictNS: obs.GetHistogram(p + "predict_ns"), scoreNS: obs.GetHistogram(p + "score_pairs_ns")}
+	for i, name := range rowCounters {
+		m.counts[i] = obs.GetCounter(p + name)
+	}
+	return m
+}
+
+// obsRun accumulates one instrumented algorithm call.
+type obsRun struct {
+	m     *rowMetrics
+	lat   *obs.Histogram
+	start time.Time
+	pairs int64        // the ScorePairs batch; end adds the selectors' offers
+	cands int64        // candidate pairs the pruned sweep generated
+	prune int64        // sources skipped by the top-k threshold bound
+	nodes atomic.Int64 // source nodes swept, added once per chunk
+
+	mu      sync.Mutex
+	tops    []*topK // the call's sweep-level selectors, summed by end
+	topsBuf [8]*topK
+}
+
+// beginRun opens a run recorder for one of the row's operations, timed on
+// lat and starting from a batch of pairs (ScorePairs), or returns nil when
+// telemetry is off. All obsRun methods are nil-safe.
+func beginRun(m *rowMetrics, lat *obs.Histogram, pairs int64) *obsRun {
 	if !obs.Enabled() {
 		return nil
 	}
-	return &obsRun{alg: alg, op: op, start: time.Now()}
+	r := &obsRun{m: m, lat: lat, start: time.Now(), pairs: pairs}
+	r.tops = r.topsBuf[:0] // a sweep at up to 8 workers allocates nothing more
+	return r
 }
 
-func (r *obsRun) addPairs(n int64) {
-	if r != nil {
-		r.pairs.Add(n)
-	}
-}
-
+// addNodes records a chunk of swept source nodes.
 func (r *obsRun) addNodes(n int64) {
 	if r != nil {
 		r.nodes.Add(n)
 	}
 }
 
-// addCands records candidate pairs emitted by a source's wedge sweep. The
-// count is worker-invariant: the pruned engine's batch schedule and floors
-// depend only on the graph, k, and the seed.
-func (r *obsRun) addCands(n int64) {
+// track registers a sweep-level selector whose tallies end() publishes.
+func (r *obsRun) track(t *topK) {
 	if r != nil {
-		r.cands.Add(n)
+		r.mu.Lock()
+		r.tops = append(r.tops, t)
+		r.mu.Unlock()
 	}
 }
 
-// addSourcesPruned records sources the threshold bound eliminated without
-// sweeping. Worker-invariant for the same reason as addCands.
-func (r *obsRun) addSourcesPruned(n int64) {
-	if r != nil {
-		r.prune.Add(n)
-	}
-}
-
-// end flushes the run into the registry: a latency histogram per
-// (algorithm, operation) and the standard per-algorithm counters.
+// end publishes the run. It runs after the call's fan-outs have joined, so
+// the selectors' plain tallies are final.
 func (r *obsRun) end() {
 	if r == nil {
 		return
 	}
-	prefix := "predict/" + r.alg
-	obs.GetHistogram(prefix + "/" + r.op + "_ns").Observe(time.Since(r.start).Nanoseconds())
-	obs.GetCounter(prefix + "/pairs_scored").Add(r.pairs.Load())
-	if n := r.nodes.Load(); n != 0 {
-		obs.GetCounter(prefix + "/nodes_swept").Add(n)
+	r.lat.Since(r.start)
+	var evict int64
+	for _, t := range r.tops {
+		r.pairs += t.offered
+		evict += t.evicted
 	}
-	if n := r.evict.Load(); n != 0 {
-		obs.GetCounter(prefix + "/topk_evictions").Add(n)
-	}
-	if n := r.cands.Load(); n != 0 {
-		obs.GetCounter(prefix + "/candidates_generated").Add(n)
-	}
-	if n := r.prune.Load(); n != 0 {
-		obs.GetCounter(prefix + "/sources_pruned").Add(n)
+	// pairs_scored is always published; a counter of work the call never
+	// did stays out of the dump.
+	for i, n := range [...]int64{r.pairs, r.nodes.Load(), evict, r.cands, r.prune} {
+		if n != 0 || i == 0 {
+			r.m.counts[i].Add(n)
+		}
 	}
 }

@@ -36,29 +36,30 @@ func TestEveryAlgorithmEmitsTelemetry(t *testing.T) {
 			}
 			alg.ScorePairs(g, pairs, DefaultOptions())
 		}
+		d := obs.Snapshot()
 		for _, alg := range registry {
 			name := alg.Name()
 			for _, op := range []string{"predict_ns", "score_pairs_ns"} {
 				key := fmt.Sprintf("predict/%s/%s", name, op)
-				h, ok := obs.LookupHistogram(key)
+				h, ok := d.Histograms[key]
 				if !ok {
 					t.Errorf("%s: histogram %q missing", name, key)
 					continue
 				}
-				if h.Count() < 1 {
+				if h.Count < 1 {
 					t.Errorf("%s: histogram %q has no observations", name, key)
 				}
 			}
 			key := "predict/" + name + "/pairs_scored"
-			c, ok := obs.LookupCounter(key)
+			c, ok := d.Counters[key]
 			if !ok {
 				t.Errorf("%s: counter %q missing", name, key)
 				continue
 			}
 			// Predict counts candidate pairs through the top-k selectors and
 			// ScorePairs adds len(pairs); both ran, so strictly positive.
-			if c.Value() < int64(len(pairs)) {
-				t.Errorf("%s: pairs_scored = %d, want >= %d", name, c.Value(), len(pairs))
+			if c < int64(len(pairs)) {
+				t.Errorf("%s: pairs_scored = %d, want >= %d", name, c, len(pairs))
 			}
 		}
 	})
@@ -90,6 +91,25 @@ func TestTelemetryPreservesDeterminism(t *testing.T) {
 	}
 }
 
+// TestPredictTelemetryAllocs pins the engine's telemetry cost in
+// allocations: a sharded Predict with telemetry on allocates what it does
+// with telemetry off, plus its one recorder.
+func TestPredictTelemetryAllocs(t *testing.T) {
+	g := randomGraph(11, 1200, 6000)
+	opt := DefaultOptions()
+	opt.Workers = 4
+	allocs := func(on bool) float64 {
+		obs.Enable(on)
+		defer obs.Enable(false)
+		return testing.AllocsPerRun(20, func() { CN.Predict(g, 50, opt) })
+	}
+	defer obs.Reset()
+	off, on := allocs(false), allocs(true)
+	if on > off+1 {
+		t.Fatalf("Predict allocates %v times with telemetry on, %v with it off; want at most one more", on, off)
+	}
+}
+
 // TestEngineRecordsChunkClaims asserts the parallel engine's dynamic chunk
 // accounting reaches the obs layer: a multi-worker Predict over a graph
 // large enough to shard must record chunk claims and a fanout.
@@ -99,20 +119,20 @@ func TestEngineRecordsChunkClaims(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Workers = 4
 		CN.Predict(g, 50, opt)
-		c, ok := obs.LookupCounter("engine/chunks_claimed")
-		if !ok || c.Value() == 0 {
+		d := obs.Snapshot()
+		c, ok := d.Counters["engine/chunks_claimed"]
+		if !ok || c == 0 {
 			t.Fatalf("engine/chunks_claimed not recorded (ok=%v)", ok)
 		}
-		f, ok := obs.LookupCounter("engine/shard_fanouts")
-		if !ok || f.Value() == 0 {
+		if f, ok := d.Counters["engine/shard_fanouts"]; !ok || f == 0 {
 			t.Fatalf("engine/shard_fanouts not recorded (ok=%v)", ok)
 		}
 		var claims int64
-		for _, v := range obs.Snapshot().WorkerChunkClaims {
+		for _, v := range d.WorkerChunkClaims {
 			claims += v
 		}
-		if claims != c.Value() {
-			t.Fatalf("per-worker chunk claims sum %d != chunks_claimed %d", claims, c.Value())
+		if claims != c {
+			t.Fatalf("per-worker chunk claims sum %d != chunks_claimed %d", claims, c)
 		}
 	})
 }

@@ -179,10 +179,11 @@ type topK struct {
 	seed  int64
 	pairs []Pair
 	ties  []uint64
-	// rec, when non-nil, receives pair-offered and eviction counts; it is
-	// attached only to the sweep-level selectors (newTopKRec), never to
-	// merge targets, so merged entries are not double counted.
-	rec *obsRun
+	// offered and evicted tally the candidates Add was given and the
+	// full-heap replacements. Only the sweep-level selectors (newTopKRec)
+	// are published, never merge targets, so merged entries are not double
+	// counted.
+	offered, evicted int64
 }
 
 // maxPrealloc caps every capacity hint derived from a request's k: memory
@@ -196,11 +197,11 @@ func newTopK(k int, seed int64) *topK {
 	return &topK{k: k, seed: seed, pairs: make([]Pair, 0, c), ties: make([]uint64, 0, c)}
 }
 
-// newTopKRec is newTopK with the current call's telemetry recorder
-// attached; the sharded sweeps use it for their per-worker selectors.
+// newTopKRec is newTopK registered with the current call's telemetry
+// recorder; the sharded sweeps use it for their per-worker selectors.
 func newTopKRec(k int, opt Options) *topK {
 	t := newTopK(k, opt.Seed)
-	t.rec = opt.rec
+	opt.rec.track(t)
 	return t
 }
 
@@ -249,9 +250,7 @@ func (t *topK) siftDown(i int) {
 
 // Add offers a candidate; returns quickly when it cannot enter the top k.
 func (t *topK) Add(u, v graph.NodeID, score float64) {
-	if t.rec != nil {
-		t.rec.pairs.Add(1)
-	}
+	t.offered++
 	t.add(Pair{U: minID(u, v), V: maxID(u, v), Score: score}, tieHash(t.seed, u, v))
 }
 
@@ -267,9 +266,7 @@ func (t *topK) add(p Pair, tie uint64) {
 		if p.Score < worst.Score || (p.Score == worst.Score && tie <= t.ties[0]) {
 			return
 		}
-		if t.rec != nil {
-			t.rec.evict.Add(1)
-		}
+		t.evicted++
 		t.pairs[0] = p
 		t.ties[0] = tie
 		t.siftDown(0)

@@ -183,7 +183,6 @@ func predictPruned(g *graph.Graph, k int, opt Options, m *localMetric, nb *naive
 			for i := lo; i < bhi; i++ {
 				u := order[base+i]
 				s.sweepCandidates(g, u, kern.witness)
-				opt.rec.addCands(int64(len(s.cands)))
 				for _, v := range s.cands {
 					top.Add(u, v, kern.finish(u, v, s.count[v], s.weight[v]))
 				}
@@ -210,6 +209,17 @@ func predictPruned(g *graph.Graph, k int, opt Options, m *localMetric, nb *naive
 			order = order[:cut]
 		}
 	}
-	opt.rec.addSourcesPruned(pruned)
+	if r := opt.rec; r != nil {
+		// Every generated candidate is offered to its worker's selector, so
+		// the selectors' tallies are the candidate count; like the pruned
+		// source count it is worker-invariant (the batch schedule and
+		// floors depend only on the graph, k and the seed).
+		for _, p := range parts {
+			if p != nil {
+				r.cands += p.offered
+			}
+		}
+		r.prune = pruned
+	}
 	return mergeTopK(k, opt.Seed, parts).Result()
 }

@@ -127,11 +127,11 @@ func TestPrunedPredictActuallyPrunes(t *testing.T) {
 			opt := DefaultOptions()
 			opt.Workers = 1
 			alg.Predict(g, 15, opt)
-			c, ok := obs.LookupCounter("predict/" + alg.Name() + "/sources_pruned")
-			if !ok || c.Value() == 0 {
+			c, ok := obs.Snapshot().Counters["predict/"+alg.Name()+"/sources_pruned"]
+			if !ok || c == 0 {
 				t.Errorf("%s: no sources pruned on the skewed fixture (ok=%v)", alg.Name(), ok)
-			} else if c.Value() < int64(g.NumNodes())/4 {
-				t.Errorf("%s: only %d of %d sources pruned", alg.Name(), c.Value(), g.NumNodes())
+			} else if c < int64(g.NumNodes())/4 {
+				t.Errorf("%s: only %d of %d sources pruned", alg.Name(), c, g.NumNodes())
 			}
 		})
 	}
@@ -150,14 +150,11 @@ func TestPruneTelemetryWorkerInvariant(t *testing.T) {
 				opt := DefaultOptions()
 				opt.Workers = workers
 				alg.Predict(g, 15, opt)
-				var got [2]int64
-				if c, ok := obs.LookupCounter("predict/" + alg.Name() + "/candidates_generated"); ok {
-					got[0] = c.Value()
+				d := obs.Snapshot()
+				counts[workers] = [2]int64{
+					d.Counters["predict/"+alg.Name()+"/candidates_generated"],
+					d.Counters["predict/"+alg.Name()+"/sources_pruned"],
 				}
-				if c, ok := obs.LookupCounter("predict/" + alg.Name() + "/sources_pruned"); ok {
-					got[1] = c.Value()
-				}
-				counts[workers] = got
 			})
 		}
 		if counts[1] != counts[4] {
@@ -187,8 +184,8 @@ func TestWorkerClampKeepsTinySweepsSerial(t *testing.T) {
 		withTelemetry(t, func() {
 			opt.Workers = 4
 			got = alg.Predict(g, 30, opt)
-			if c, ok := obs.LookupCounter("engine/shard_fanouts"); ok && c.Value() != 0 {
-				t.Errorf("%s: %d shard fanouts on a sub-threshold sweep at Workers=4", alg.Name(), c.Value())
+			if c := obs.Snapshot().Counters["engine/shard_fanouts"]; c != 0 {
+				t.Errorf("%s: %d shard fanouts on a sub-threshold sweep at Workers=4", alg.Name(), c)
 			}
 		})
 		if len(got) != len(want) {

@@ -30,22 +30,23 @@ type algo struct {
 	// algorithm; they run under the prologue of the methods below.
 	predict func(g *graph.Graph, k int, opt Options) []Pair
 	score   func(g *graph.Graph, pairs []Pair, opt Options) []float64
+	// m holds the row's telemetry handles, resolved when byName indexes
+	// the registry.
+	m *rowMetrics
 }
 
 func (a *algo) Name() string { return a.name }
 
 func (a *algo) Predict(g *graph.Graph, k int, opt Options) []Pair {
 	validateOptions(opt)
-	r := beginRun(a.name, opPredict)
+	r := beginRun(a.m, a.m.predictNS, 0)
 	defer r.end()
 	opt.rec = r
 	return a.predict(g, k, opt)
 }
 
 func (a *algo) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
-	r := beginRun(a.name, opScorePairs)
-	defer r.end()
-	r.addPairs(int64(len(pairs)))
+	defer beginRun(a.m, a.m.scoreNS, int64(len(pairs))).end()
 	return a.score(g, pairs, opt)
 }
 
@@ -59,12 +60,13 @@ var (
 	registry   = slices.Concat(evaluated, extensions, []Algorithm{KatzExact})
 )
 
-// byName indexes registry's rows once; names are unique
-// (TestComparatorsRegistry).
+// byName indexes registry's rows once and resolves each row's telemetry
+// handles; names are unique (TestComparatorsRegistry).
 var byName = func() map[string]*algo {
 	m := make(map[string]*algo, len(registry))
 	for _, a := range registry {
-		m[a.Name()] = a.(*algo)
+		row := a.(*algo)
+		row.m, m[row.name] = newRowMetrics(row.name), row
 	}
 	return m
 }()

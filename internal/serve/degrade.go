@@ -18,11 +18,22 @@ import (
 // algorithm's own output. The table is static, so the proxy is a function
 // of the requested name alone: every degraded shard of a cluster serves the
 // same one, which is the name the router re-gathers under (DESIGN.md §12).
-// The proxies never degrade themselves.
-var latentProxy = map[string]string{
-	"Katz":   "AA",
-	"KatzSC": "RA",
-	"Rescal": "CN",
+// The proxies never degrade themselves. Each row holds its
+// serve/degrade_routed{from,to} counter.
+var latentProxy = map[string]proxyRoute{
+	"Katz":   proxyTo("Katz", "AA"),
+	"KatzSC": proxyTo("KatzSC", "RA"),
+	"Rescal": proxyTo("Rescal", "CN"),
+}
+
+// proxyRoute is one row of the proxy table.
+type proxyRoute struct {
+	proxy  string
+	routed *obs.Counter
+}
+
+func proxyTo(from, to string) proxyRoute {
+	return proxyRoute{to, obs.GetCounter(`serve/degrade_routed{from="` + from + `",to="` + to + `"}`)}
 }
 
 // degrader is the graceful-degradation controller and the one place a
@@ -97,12 +108,10 @@ type routing struct {
 // request on alg.
 func (d *degrader) route(name string, alg predict.Algorithm, resolve func(string) (predict.Algorithm, error)) routing {
 	if d.degraded() {
-		if proxy, ok := latentProxy[name]; ok {
-			if a, err := resolve(proxy); err == nil {
-				if obs.Enabled() {
-					obs.GetCounter(`serve/degrade_routed{from="` + name + `",to="` + proxy + `"}`).Inc()
-				}
-				return routing{alg: a, served: proxy, degraded: true}
+		if row, ok := latentProxy[name]; ok {
+			if a, err := resolve(row.proxy); err == nil {
+				row.routed.Inc()
+				return routing{alg: a, served: row.proxy, degraded: true}
 			}
 		}
 	}
@@ -126,9 +135,7 @@ func (d *degrader) observe(lat time.Duration, queueLen int) {
 		d.healthy = 0
 		if !d.state.Load() {
 			d.state.Store(true)
-			if obs.Enabled() {
-				obs.GetCounter("serve/degrade_transitions").Inc()
-			}
+			obs.GetCounter("serve/degrade_transitions").Inc()
 		}
 	case d.state.Load():
 		d.healthy++

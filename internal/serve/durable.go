@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"linkpred/internal/obs"
 	"linkpred/internal/wal"
@@ -87,9 +86,7 @@ func (s *Server) walFail(err error) {
 	}
 	s.walErrMu.Unlock()
 	s.walFailed.Store(true)
-	if obs.Enabled() {
-		obs.GetCounter("serve/wal_failures").Inc()
-	}
+	obs.GetCounter("serve/wal_failures").Inc()
 }
 
 func (s *Server) walErr() error {
@@ -114,16 +111,14 @@ func (s *Server) walSyncStats() {
 // walCommit group-commits everything appended so far; returning nil is the
 // durability ack. Callers hold s.mu.
 func (s *Server) walCommit() error {
-	start := time.Now()
+	start := obs.Start()
 	if err := s.wal.Commit(); err != nil {
 		s.walFail(err)
 		return s.walErr()
 	}
 	s.walSyncStats()
-	if obs.Enabled() {
-		obs.GetCounter("serve/wal_commits").Inc()
-		obs.GetHistogram("serve/wal_commit_ns").Observe(time.Since(start).Nanoseconds())
-	}
+	walCommits.Inc()
+	walCommitNS.Since(start)
 	return nil
 }
 
@@ -175,20 +170,16 @@ func (s *Server) maybeCheckpointLocked(snap *Snapshot, p wal.Publish) {
 	go func() {
 		defer s.wg.Done()
 		defer s.ckptBusy.Store(false)
-		start := time.Now()
+		start := obs.Start()
 		if err := s.wal.WriteCheckpoint(data); err != nil {
 			s.walFail(err)
-			if obs.Enabled() {
-				obs.GetCounter("serve/wal_checkpoint_failures").Inc()
-			}
+			obs.GetCounter("serve/wal_checkpoint_failures").Inc()
 			return
 		}
 		s.ckptEdges.Store(int64(p.Edges))
 		s.walSegmentsN.Store(int64(s.wal.Segments()))
-		if obs.Enabled() {
-			obs.GetCounter("serve/wal_checkpoints").Inc()
-			obs.GetHistogram("serve/wal_checkpoint_ns").Observe(time.Since(start).Nanoseconds())
-		}
+		obs.GetCounter("serve/wal_checkpoints").Inc()
+		obs.GetHistogram("serve/wal_checkpoint_ns").Since(start)
 	}()
 }
 
@@ -219,12 +210,10 @@ func (s *Server) walStatus() *WALStatus {
 // registerWALGauges adds the durability gauges and counts the boot-time
 // recovery (WAL-backed servers only).
 func (s *Server) registerWALGauges() {
-	if obs.Enabled() {
-		obs.GetCounter("serve/wal_recovered_edges").Add(int64(s.walRecovered.edges))
-		obs.GetCounter("serve/wal_recovered_tail").Add(int64(s.walRecovered.tail))
-		if s.walRecovered.truncated {
-			obs.GetCounter("serve/wal_recovered_truncations").Inc()
-		}
+	obs.GetCounter("serve/wal_recovered_edges").Add(int64(s.walRecovered.edges))
+	obs.GetCounter("serve/wal_recovered_tail").Add(int64(s.walRecovered.tail))
+	if s.walRecovered.truncated {
+		obs.GetCounter("serve/wal_recovered_truncations").Inc()
 	}
 	obs.SetGaugeFunc("serve/wal_appended", func() float64 {
 		return float64(s.walAppendedN.Load())

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"linkpred/internal/obs"
@@ -83,23 +84,37 @@ func (w *statusWriter) WriteHeader(code int) {
 // metric namespace ns ("serve" on a shard, "cluster" on the router):
 // request latency (cumulative histogram + one-minute rolling window for
 // scraper-free rates), an in-flight gauge, and per-status response
-// counters, all under ns/http/. One atomic load when telemetry is disabled.
+// counters, all under ns/http/. The handles are resolved here, once per
+// endpoint; a request builds no metric name. One atomic load when
+// telemetry is disabled.
 func Instrument(ns, endpoint string, h http.HandlerFunc) http.HandlerFunc {
+	inflight := obs.GetGauge(ns + `/http/in_flight{endpoint="` + endpoint + `"}`)
+	latency := obs.GetHistogram(ns + `/http/latency_ns{endpoint="` + endpoint + `"}`)
+	window := obs.GetRolling(ns+`/http/latency_ns{endpoint="`+endpoint+`"}`, time.Minute)
+	// responses[code] is resolved the first time its status code is seen
+	// (net/http allows codes 100–999).
+	var responses [1000]atomic.Pointer[obs.Counter]
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !obs.Enabled() {
 			h(w, r)
 			return
 		}
-		inflight := obs.GetGauge(ns + `/http/in_flight{endpoint="` + endpoint + `"}`)
 		inflight.Add(1)
 		defer inflight.Add(-1)
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
 		h(sw, r)
 		lat := time.Since(start).Nanoseconds()
-		obs.GetHistogram(ns + `/http/latency_ns{endpoint="` + endpoint + `"}`).Observe(lat)
-		obs.GetRolling(ns+`/http/latency_ns{endpoint="`+endpoint+`"}`, time.Minute).Add(lat)
-		obs.GetCounter(fmt.Sprintf(`%s/http/responses{endpoint=%q,code="%d"}`, ns, endpoint, sw.code)).Inc()
+		latency.Observe(lat)
+		window.Add(lat)
+		if code := sw.code; code >= 0 && code < len(responses) {
+			c := responses[code].Load()
+			if c == nil {
+				c = obs.GetCounter(fmt.Sprintf(`%s/http/responses{endpoint=%q,code="%d"}`, ns, endpoint, code))
+				responses[code].Store(c)
+			}
+			c.Inc()
+		}
 	}
 }
 

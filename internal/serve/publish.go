@@ -77,13 +77,11 @@ func (s *Server) Ingest(events []Event) (accepted, rejected int, err error) {
 	}
 	lag := len(s.trace.Edges) - s.builder.Applied()
 	s.mu.Unlock()
-	if obs.Enabled() {
-		obs.GetCounter("serve/ingest_events").Add(int64(accepted))
-		if rejected > 0 {
-			obs.GetCounter("serve/ingest_rejected").Add(int64(rejected))
-		}
-		obs.GetHistogram("serve/ingest_lag_events").Observe(int64(lag))
+	ingestEvents.Add(int64(accepted))
+	if rejected > 0 {
+		ingestRejected.Add(int64(rejected))
 	}
+	ingestLag.Observe(int64(lag))
 	return accepted, rejected, nil
 }
 
@@ -125,16 +123,14 @@ func (s *Server) publishLocked() *Snapshot {
 	}
 	deltaRows := s.builder.DeltaRows() - s.lastDeltaRows
 	s.lastDeltaRows = s.builder.DeltaRows()
-	if obs.Enabled() {
-		obs.GetCounter("serve/snapshots_published").Inc()
-		if deltaRows > 0 {
-			// Rows COW-cloned for this publish: the O(touched) work unit of the
-			// delta-CSR path, and the quantity the CI alloc gate tracks.
-			obs.GetCounter("serve/publish_delta_rows").Add(deltaRows)
-		}
-		if prev != nil {
-			obs.GetHistogram("serve/publish_batch_edges").Observe(int64(snap.Edges - prev.Edges))
-		}
+	obs.GetCounter("serve/snapshots_published").Inc()
+	if deltaRows > 0 {
+		// Rows COW-cloned for this publish: the O(touched) work unit of the
+		// delta-CSR path, and the quantity the CI alloc gate tracks.
+		obs.GetCounter("serve/publish_delta_rows").Add(deltaRows)
+	}
+	if prev != nil {
+		obs.GetHistogram("serve/publish_batch_edges").Observe(int64(snap.Edges - prev.Edges))
 	}
 	if s.warmq != nil {
 		// Latest wins: a graph the warmer has not started yet is replaced.
@@ -166,10 +162,8 @@ func (s *Server) warmer() {
 				return
 			}
 		}
-		start := time.Now()
+		start := obs.Start()
 		predict.Warm(g, warmAlgorithms, s.cfg.Opt)
-		if obs.Enabled() {
-			obs.GetHistogram("serve/warm_ns").Observe(time.Since(start).Nanoseconds())
-		}
+		obs.GetHistogram("serve/warm_ns").Since(start)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"linkpred/internal/graph"
-	"linkpred/internal/obs"
 	"linkpred/internal/predict"
 )
 
@@ -65,8 +64,8 @@ func (rt routing) answer(r *request, snap *Snapshot, pairs []PairScore, srange *
 		res.SnapshotNodes = snap.Graph.NumNodes()
 		res.ShardRange = &[2]int{srange.Lo, srange.Hi}
 	}
-	if rt.degraded && obs.Enabled() {
-		obs.GetCounter("serve/degraded_responses").Inc()
+	if rt.degraded {
+		degradedResponses.Inc()
 	}
 	r.done <- outcome{res: res}
 }
@@ -125,8 +124,8 @@ func (s *Server) render(r *request, snap *Snapshot, rt routing, srange *predict.
 			out[i].DU, out[i].DV = p.U, p.V
 		}
 	}
-	if srange != nil && obs.Enabled() {
-		obs.GetCounter("serve/shard_predicts").Inc()
+	if srange != nil {
+		shardPredicts.Inc()
 	}
 	if srange == nil && s.cfg.Eval != nil {
 		// Prequential record: the ranked top-k in dense IDs, keyed by the
@@ -163,9 +162,7 @@ func (s *Server) serveScoreGroup(grp []*request, snap *Snapshot) {
 	}
 	leader := live[0]
 	rt := s.deg.route(leader.alg, leader.resolved, s.cfg.Resolve)
-	if obs.Enabled() {
-		obs.GetHistogram("serve/batch_size").Observe(int64(len(live)))
-	}
+	batchSize.Observe(int64(len(live)))
 	// Concatenate the in-range pairs of every member. A pair is scorable
 	// when both endpoints exist in the queried snapshot; anything else
 	// (unknown external ID, node newer than the snapshot) scores zero

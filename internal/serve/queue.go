@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"linkpred/internal/graph"
-	"linkpred/internal/obs"
 	"linkpred/internal/predict"
 )
 
@@ -69,14 +68,10 @@ func (s *Server) submit(req *request) (*Result, error) {
 		s.closeMu.RUnlock()
 	default:
 		s.closeMu.RUnlock()
-		if obs.Enabled() {
-			obs.GetCounter("serve/overload_rejected").Inc()
-		}
+		overloadRejected.Inc()
 		return nil, ErrOverloaded
 	}
-	if obs.Enabled() {
-		obs.GetHistogram("serve/queue_depth").Observe(int64(len(s.queue)))
-	}
+	queueDepth.Observe(int64(len(s.queue)))
 	out := <-req.done
 	return out.res, out.err
 }
@@ -147,8 +142,6 @@ func (s *Server) serveBatch(leader *request) {
 
 // finishDeadline answers a request whose context expired and counts it.
 func (s *Server) finishDeadline(r *request) {
-	if obs.Enabled() {
-		obs.GetCounter("serve/deadline_exceeded").Inc()
-	}
+	deadlineExceeded.Inc()
 	r.done <- outcome{err: r.ctx.Err()}
 }

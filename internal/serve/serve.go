@@ -392,6 +392,24 @@ func withDefaults(cfg Config) Config {
 	return cfg
 }
 
+// The shard's per-request and per-ingest handles, resolved once; each
+// records only while telemetry is on. Once-per-event metrics (publish,
+// warm, checkpoint, degrade transition, WAL failure) look their name up
+// where they record.
+var (
+	overloadRejected  = obs.GetCounter("serve/overload_rejected")
+	deadlineExceeded  = obs.GetCounter("serve/deadline_exceeded")
+	queueDepth        = obs.GetHistogram("serve/queue_depth")
+	batchSize         = obs.GetHistogram("serve/batch_size")
+	shardPredicts     = obs.GetCounter("serve/shard_predicts")
+	degradedResponses = obs.GetCounter("serve/degraded_responses")
+	ingestEvents      = obs.GetCounter("serve/ingest_events")
+	ingestRejected    = obs.GetCounter("serve/ingest_rejected")
+	ingestLag         = obs.GetHistogram("serve/ingest_lag_events")
+	walCommits        = obs.GetCounter("serve/wal_commits")
+	walCommitNS       = obs.GetHistogram("serve/wal_commit_ns")
+)
+
 // registerGauges publishes the serving-health callback gauges: evaluated
 // at scrape time, so snapshot age and queue depth are current without the
 // server pushing updates. Re-registration (a newer server in the same

@@ -462,3 +462,40 @@ func TestWarmLatestWins(t *testing.T) {
 	}
 	t.Logf("%d warms for 64 publishes", warms)
 }
+
+// nopWriter is a reusable http.ResponseWriter for allocation counts.
+type nopWriter struct{ h http.Header }
+
+func (w nopWriter) Header() http.Header         { return w.h }
+func (w nopWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w nopWriter) WriteHeader(int)             {}
+
+// TestInstrumentAllocs pins the per-request telemetry cost of the shared
+// HTTP wrapper: with telemetry on it allocates its status writer and
+// nothing else — every metric handle is resolved when the endpoint is
+// wrapped, not per request.
+func TestInstrumentAllocs(t *testing.T) {
+	obs.Reset()
+	defer func() {
+		obs.Enable(false)
+		obs.Reset()
+	}()
+	h := Instrument("serve", "predict", func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusTeapot)
+	})
+	w, req := nopWriter{h: http.Header{}}, httptest.NewRequest("GET", "/predict", nil)
+	for _, on := range []bool{false, true} {
+		obs.Enable(on)
+		h(w, req) // first sight of the status code resolves its counter
+		want := 0.0
+		if on {
+			want = 1
+		}
+		if got := testing.AllocsPerRun(100, func() { h(w, req) }); got != want {
+			t.Errorf("telemetry %v: %v allocations per request, want %v", on, got, want)
+		}
+	}
+	if got := obs.Snapshot().Counters[`serve/http/responses{endpoint="predict",code="418"}`]; got != 102 {
+		t.Errorf("responses{code=418} = %d, want 102", got)
+	}
+}

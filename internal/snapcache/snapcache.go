@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"linkpred/internal/csr"
 	"linkpred/internal/graph"
@@ -40,6 +39,13 @@ import (
 // worker and bounds in-flight tasks) while keeping worst-case factor-matrix
 // memory modest.
 const DefaultCapacity = 8
+
+// The per-lookup telemetry handles, resolved once.
+var (
+	hits    = obs.GetCounter("snapcache/hits")
+	misses  = obs.GetCounter("snapcache/misses")
+	buildNS = obs.GetHistogram("snapcache/build_ns")
+)
 
 var global = struct {
 	sync.Mutex
@@ -67,9 +73,7 @@ func For(g *graph.Graph) *Artifacts {
 		el := global.lru.Back()
 		global.lru.Remove(el)
 		delete(global.index, el.Value.(*Artifacts).g)
-		if obs.Enabled() {
-			obs.GetCounter("snapcache/evictions").Inc()
-		}
+		obs.GetCounter("snapcache/evictions").Inc()
 	}
 	return a
 }
@@ -127,20 +131,14 @@ func (a *Artifacts) Artifact(key string, build func() (any, error)) (any, error)
 		a.entries[key] = e
 	}
 	a.mu.Unlock()
-	track := obs.Enabled()
-	if track && hit {
-		obs.GetCounter("snapcache/hits").Inc()
+	if hit {
+		hits.Inc()
 	}
 	e.once.Do(func() {
-		var start time.Time
-		if track {
-			start = time.Now()
-			obs.GetCounter("snapcache/misses").Inc()
-		}
+		start := obs.Start()
+		misses.Inc()
 		e.val, e.err = build()
-		if track {
-			obs.GetHistogram("snapcache/build_ns").Observe(time.Since(start).Nanoseconds())
-		}
+		buildNS.Since(start)
 	})
 	return e.val, e.err
 }
