@@ -58,6 +58,9 @@ func (r *Rolling) Add(v int64) {
 	r.mark()
 	now := rollingNow()
 	r.mu.Lock()
+	if r.times == nil { // registered windows cost nothing until they record
+		r.times, r.vals = make([]int64, rollingCap), make([]int64, rollingCap)
+	}
 	r.evict(now)
 	if r.n == len(r.times) { // capacity full: drop the oldest
 		r.head = (r.head + 1) % len(r.times)
@@ -156,7 +159,5 @@ func SetRollingClock(clock func() int64) {
 // GetRolling returns the named sliding window, registering it with the
 // given window length on first use (later calls ignore the argument).
 func GetRolling(name string, window time.Duration) *Rolling {
-	return getOrCreate(&rollings, name, func() *Rolling {
-		return &Rolling{window: window, times: make([]int64, rollingCap), vals: make([]int64, rollingCap)}
-	})
+	return getOrCreate(&rollings, name, func() *Rolling { return &Rolling{window: window} })
 }

@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"linkpred/internal/obs"
@@ -91,9 +91,7 @@ func Instrument(ns, endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	inflight := obs.GetGauge(ns + `/http/in_flight{endpoint="` + endpoint + `"}`)
 	latency := obs.GetHistogram(ns + `/http/latency_ns{endpoint="` + endpoint + `"}`)
 	window := obs.GetRolling(ns+`/http/latency_ns{endpoint="`+endpoint+`"}`, time.Minute)
-	// responses[code] is resolved the first time its status code is seen
-	// (net/http allows codes 100–999).
-	var responses [1000]atomic.Pointer[obs.Counter]
+	var responses sync.Map // status code -> *obs.Counter, resolved on first sight
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !obs.Enabled() {
 			h(w, r)
@@ -107,14 +105,11 @@ func Instrument(ns, endpoint string, h http.HandlerFunc) http.HandlerFunc {
 		lat := time.Since(start).Nanoseconds()
 		latency.Observe(lat)
 		window.Add(lat)
-		if code := sw.code; code >= 0 && code < len(responses) {
-			c := responses[code].Load()
-			if c == nil {
-				c = obs.GetCounter(fmt.Sprintf(`%s/http/responses{endpoint=%q,code="%d"}`, ns, endpoint, code))
-				responses[code].Store(c)
-			}
-			c.Inc()
+		c, ok := responses.Load(sw.code)
+		if !ok {
+			c, _ = responses.LoadOrStore(sw.code, obs.GetCounter(fmt.Sprintf(`%s/http/responses{endpoint=%q,code="%d"}`, ns, endpoint, sw.code)))
 		}
+		c.(*obs.Counter).Inc()
 	}
 }
 
