@@ -68,7 +68,7 @@ func main() {
 	evalTopK := flag.Int("eval-topk", 128, "ranked pairs retained per recorded prediction set")
 	evalWindow := flag.Int("eval-window", 1024, "sliding window (scored edges) for windowed hit rate and AUPR")
 	walDir := flag.String("wal-dir", "", "write-ahead log directory: every accepted ingest event is fsynced here before it is acked, so acked events survive a crash (DESIGN.md §14)")
-	checkpointEvery := flag.Int("checkpoint-every", 4096, "with -wal-dir: write a checkpoint snapshot after the replay horizon grows by N edges (negative disables)")
+	checkpointEvery := flag.Int("checkpoint-every", 4096, "with -wal-dir: write a checkpoint of the trace after the replay horizon grows by N edges (negative disables)")
 	recoverWAL := flag.Bool("recover", false, "with -wal-dir: allow booting from a non-empty log directory, replaying checkpoint + tail and resuming at the recovered position; without it existing state is an error, so a stale directory is never reused silently")
 	metricsOut := flag.String("metrics-out", "", "write the telemetry report as JSON to this path periodically and at shutdown; implies -obs")
 	metricsEvery := flag.Duration("metrics-every", 30*time.Second, "rewrite -metrics-out on this period")

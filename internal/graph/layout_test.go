@@ -6,9 +6,9 @@ import (
 )
 
 // TestConstructorsAgreeOnLayout pins the single snapshot layout from every
-// side that produces it: Build, a FromCSR round trip and
+// side that produces it for a trace prefix: Build and
 // IncrementalBuilder.AtEdge must agree row for row, degree for degree and on
-// ResidentBytes for the same trace prefix. The trace spans several row
+// ResidentBytes. The trace spans several row
 // pages, with late isolated arrivals so trailing pages hold no rows at all.
 func TestConstructorsAgreeOnLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -26,22 +26,17 @@ func TestConstructorsAgreeOnLayout(t *testing.T) {
 	}
 	inc := NewIncrementalBuilder(tr)
 	for _, m := range []int{0, 1, 700, len(tr.Edges)} {
-		built := tr.SnapshotAtEdge(m)
-		rowptr, cols := csrOf(built)
-		loaded, err := FromCSR(built.NumNodes(), rowptr, cols, built.NumEdges(), built.Time)
-		if err != nil {
-			t.Fatalf("m=%d: FromCSR: %v", m, err)
+		built, g := tr.SnapshotAtEdge(m), inc.AtEdge(m)
+		if !graphsEqual(g, built) {
+			t.Fatalf("m=%d: AtEdge rows differ from Build", m)
 		}
-		for name, g := range map[string]*Graph{"FromCSR": loaded, "AtEdge": inc.AtEdge(m)} {
-			requireSameGraph(t, g, built, name)
-			for u := 0; u < built.NumNodes(); u++ {
-				if g.Degree(NodeID(u)) != built.Degree(NodeID(u)) {
-					t.Fatalf("m=%d %s: Degree(%d) = %d, want %d", m, name, u, g.Degree(NodeID(u)), built.Degree(NodeID(u)))
-				}
+		for u := 0; u < built.NumNodes(); u++ {
+			if g.Degree(NodeID(u)) != built.Degree(NodeID(u)) {
+				t.Fatalf("m=%d: Degree(%d) = %d, want %d", m, u, g.Degree(NodeID(u)), built.Degree(NodeID(u)))
 			}
-			if g.ResidentBytes() != built.ResidentBytes() {
-				t.Errorf("m=%d %s: ResidentBytes = %d, want %d", m, name, g.ResidentBytes(), built.ResidentBytes())
-			}
+		}
+		if g.ResidentBytes() != built.ResidentBytes() {
+			t.Errorf("m=%d: ResidentBytes = %d, want %d", m, g.ResidentBytes(), built.ResidentBytes())
 		}
 	}
 }

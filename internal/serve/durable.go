@@ -142,9 +142,8 @@ func (s *Server) walNotePublish(snap *Snapshot) {
 // due. The state capture is synchronous — at the publish instant the trace
 // length equals snap.Edges exactly, and Arrival, Edges and the ID table are
 // append-only, so the captured slice headers are an immutable as-of-publish
-// view — but
-// serialization (the expensive CSR dump + hashing + fsync) runs off the
-// ingest path on a background goroutine; the WAL's own lock orders it
+// view — but serialization (copying those arrays out, hashing, fsync) runs
+// off the ingest path on a background goroutine; the WAL's own lock orders it
 // against concurrent appends. One checkpoint in flight at a time; a missed
 // cadence retries at the next publish. Callers hold s.mu.
 func (s *Server) maybeCheckpointLocked(snap *Snapshot, p wal.Publish) {
@@ -163,7 +162,6 @@ func (s *Server) maybeCheckpointLocked(snap *Snapshot, p wal.Publish) {
 		Arrival: s.trace.Arrival,
 		Edges:   s.trace.Edges,
 		Rev:     s.ids.Externals(),
-		Graph:   snap.Graph,
 		Pub:     p,
 	}
 	s.wg.Add(1)

@@ -114,10 +114,10 @@ type Config struct {
 	// WALOptions tunes the log's group-commit batch and segment size; the
 	// zero value takes the wal package defaults.
 	WALOptions wal.Options
-	// CheckpointEvery writes a checkpoint snapshot after the replay horizon
-	// (trace edges past the last checkpoint) grows by N edges, bounding
-	// recovery time and enabling segment pruning (default 4096; negative
-	// disables). Checkpoints serialize in the background, off the ingest
+	// CheckpointEvery writes a checkpoint (the trace prefix) after the
+	// replay horizon (trace edges past the last checkpoint) grows by N
+	// edges, bounding recovery time and enabling segment pruning (default
+	// 4096; negative disables). Checkpoints serialize in the background, off the ingest
 	// path. Ignored without WAL.
 	CheckpointEvery int
 }
@@ -279,7 +279,10 @@ type Server struct {
 
 // New starts a server: applies defaults, recovers or warm-starts the trace,
 // publishes the initial snapshot (an empty graph without either), and
-// launches the worker pool, plus the warmer with Config.Warm.
+// launches the worker pool, plus the warmer with Config.Warm. There is one
+// boot path: whether the trace came from Config.Trace or from WAL recovery
+// (checkpoint prefix plus replayed tail), one incremental builder over it
+// builds the first snapshot.
 func New(cfg Config) (*Server, error) {
 	cfg = withDefaults(cfg)
 	if cfg.Trace != nil {
@@ -301,18 +304,12 @@ func New(cfg Config) (*Server, error) {
 	if tr == nil {
 		tr = &graph.Trace{Name: "live"}
 	}
-	builder := graph.NewIncrementalBuilder(tr)
-	if rec != nil && rec.Graph != nil {
-		// Seed the builder with the checkpoint's zero-copy CSR so the boot
-		// publish materializes only the replayed tail, not the whole graph.
-		builder = graph.NewIncrementalBuilderFrom(tr, rec.Graph, int(rec.CheckpointEdges))
-	}
 	s := &Server{
 		cfg:     cfg,
 		queue:   make(chan *request, cfg.QueueDepth),
 		done:    make(chan struct{}),
 		trace:   tr,
-		builder: builder,
+		builder: graph.NewIncrementalBuilder(tr),
 		seq:     -1, // the initial publication is seq 0
 		deg:     newDegrader(cfg.Degrade, cfg.QueueDepth),
 	}

@@ -107,8 +107,9 @@ func verifyRecoveredServer(t *testing.T, st wal.Storage, ref *walReference, acke
 			t.Fatalf("%s: rev[%d] = %d, want %d", label, i, rev[i], ref.rev[i])
 		}
 	}
-	// The boot snapshot — rebuilt through checkpoint CSR + tail replay —
-	// must equal the offline from-scratch build at the same length.
+	// The boot snapshot, built from the recovered trace (checkpoint prefix
+	// plus replayed tail), must equal the offline from-scratch build at the
+	// same length.
 	snap := srv.Snapshot()
 	if snap.Edges != k {
 		t.Fatalf("%s: boot snapshot at %d edges, trace has %d", label, snap.Edges, k)

@@ -19,39 +19,45 @@ import (
 //	rev    nodes × i64
 //	arrival nodes × i64
 //	edges  edges × (u i32 | v i32 | t i64)
-//	csrN u64 | csrEdges u64 | csrTime i64 |
-//	rowptr (csrN+1) × i64 | cols rowptr[csrN] × i32 |
 //	sha256 digest of everything above
 //
-// Every section after the name starts 8-aligned, so a little-endian host
-// can alias the rev/arrival/edge/rowptr/cols sections straight out of a
-// memory-mapped buffer with no copy. The file is written to checkpoint.tmp
-// and renamed into place, so a crash mid-write never clobbers the previous
-// checkpoint.
+// The snapshot is not stored: it is a pure function of the trace prefix,
+// and recovery rebuilds it exactly as a cold boot does. Every section after
+// the name starts 8-aligned, so a little-endian host can alias the
+// rev/arrival/edge sections straight out of a memory-mapped buffer with no
+// copy. The file is written to checkpoint.tmp and renamed into place, so a
+// crash mid-write never clobbers the previous checkpoint.
+//
+// Version 1 ("LPCKPT01") had the same layout plus a CSR dump of the
+// snapshot before the digest: n u64 | edges u64 | time i64, n+1 row
+// offsets × i64, then offset[n] neighbour entries × i32. The decoder still
+// reads it, skipping that section, so a log pruned behind a v1 checkpoint
+// recovers. Nothing writes it, and the read path is kept for one release:
+// the next format change (ROADMAP item 3) drops it.
 const (
-	ckptMagic      = "LPCKPT01"
+	ckptMagic      = "LPCKPT02"
+	ckptMagicV1    = "LPCKPT01"
 	ckptName       = "checkpoint.ckpt"
 	ckptTmpName    = "checkpoint.tmp"
 	ckptHeaderSize = 8 + 8 + 8 + 8 + 8 + 32 + 8 + 8 + 8 + 4
 )
 
 // CheckpointData is the state one checkpoint persists, captured atomically
-// at a publish: the trace prefix the published snapshot covers, the
-// dense→external ID map, and the snapshot itself. Arrival, Edges, and Rev
-// must be the exact prefixes as of the publish (serve captures the slice
-// headers under its ingest lock; the arrays are append-only, so the
-// capture stays valid while the checkpoint serializes in the background).
+// at a publish: the trace prefix the published snapshot covers and the
+// dense→external ID map. Arrival, Edges, and Rev must be the exact
+// prefixes as of the publish (serve captures the slice headers under its
+// ingest lock; the arrays are append-only, so the capture stays valid
+// while the checkpoint serializes in the background).
 type CheckpointData struct {
 	Name    string
 	Arrival []int64
 	Edges   []graph.Edge
 	Rev     []int64
-	Graph   *graph.Graph
 	Pub     Publish
 }
 
 // Checkpoint is a decoded checkpoint: the trace prefix, ID map, publish
-// state, the log position replay resumes from, and the snapshot graph.
+// state, and the log position replay resumes from.
 type Checkpoint struct {
 	Name        string
 	Arrival     []int64
@@ -61,7 +67,6 @@ type Checkpoint struct {
 	FirstSeq    uint64
 	ChainAnchor [32]byte
 	Pub         Publish
-	Graph       *graph.Graph
 }
 
 // WriteCheckpoint persists d atomically and prunes segments it fully
@@ -72,9 +77,6 @@ type Checkpoint struct {
 func (l *Log) WriteCheckpoint(d CheckpointData) error {
 	if len(d.Arrival) != len(d.Rev) {
 		return fmt.Errorf("wal: checkpoint arrival/rev length mismatch (%d vs %d)", len(d.Arrival), len(d.Rev))
-	}
-	if d.Graph == nil {
-		return fmt.Errorf("wal: checkpoint requires a snapshot")
 	}
 	E := uint64(len(d.Edges))
 
@@ -205,29 +207,6 @@ func encodeCheckpoint(f io.Writer, d CheckpointData, firstSeq uint64, anchor [32
 		cw.u64(uint64(e.Time))
 	}
 	cw.flush()
-
-	// The snapshot is streamed row by row — rowptr from the degrees, cols
-	// from the rows themselves — so a checkpoint never holds a second copy
-	// of the adjacency.
-	g := d.Graph
-	n := g.NumNodes()
-	cw.u64(uint64(n))
-	cw.u64(uint64(g.NumEdges()))
-	cw.u64(uint64(g.Time))
-	cw.flush()
-	var off uint64
-	cw.u64(off)
-	for u := 0; u < n; u++ {
-		off += uint64(len(g.Neighbors(graph.NodeID(u))))
-		cw.u64(off)
-	}
-	cw.flush()
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(graph.NodeID(u)) {
-			cw.u32(uint32(v))
-		}
-	}
-	cw.flush()
 	if cw.err != nil {
 		return cw.err
 	}
@@ -321,21 +300,6 @@ func (c *cursor) int64s(n int) ([]int64, error) {
 	return out, nil
 }
 
-func (c *cursor) int32s(n int) ([]int32, error) {
-	raw, err := c.take(n * 4)
-	if err != nil {
-		return nil, err
-	}
-	if out, ok := alias[int32](raw, n); ok {
-		return out, nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(raw[i*4:]))
-	}
-	return out, nil
-}
-
 func (c *cursor) edges(n int) ([]graph.Edge, error) {
 	raw, err := c.take(n * 16)
 	if err != nil {
@@ -357,16 +321,18 @@ func (c *cursor) edges(n int) ([]graph.Edge, error) {
 
 // DecodeCheckpoint parses and fully validates a checkpoint image: digest,
 // structural bounds (every count is checked against the buffer before any
-// allocation, so a lying header cannot force a giant up-front alloc),
-// trace invariants, and CSR well-formedness. On a little-endian host the
-// bulk sections alias b zero-copy; callers loading from a memory map must
-// keep the mapping alive and treat the result as immutable-backed
-// (appends to the returned slices reallocate and are safe).
+// allocation, so a lying header cannot force a giant up-front alloc) and
+// trace invariants. A version-1 image's snapshot section is bounds-checked
+// and skipped. On a little-endian host the bulk sections alias b
+// zero-copy; callers loading from a memory map must keep the mapping
+// alive and treat the result as immutable-backed (appends to the returned
+// slices reallocate and are safe).
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if len(b) < ckptHeaderSize+sha256.Size {
 		return nil, fmt.Errorf("wal: checkpoint too short (%d bytes)", len(b))
 	}
-	if string(b[:8]) != ckptMagic {
+	magic := string(b[:8])
+	if magic != ckptMagic && magic != ckptMagicV1 {
 		return nil, fmt.Errorf("wal: not a checkpoint file")
 	}
 	body, tail := b[:len(b)-sha256.Size], b[len(b)-sha256.Size:]
@@ -414,48 +380,46 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if ck.Edges, err = c.edges(int(edgeCount)); err != nil {
 		return nil, err
 	}
-
-	ghdr, err := c.take(24)
-	if err != nil {
-		return nil, err
-	}
-	gn := binary.LittleEndian.Uint64(ghdr[0:])
-	gedges := binary.LittleEndian.Uint64(ghdr[8:])
-	gtime := int64(binary.LittleEndian.Uint64(ghdr[16:]))
-	if gn > uint64(len(body))/8 || gedges > uint64(len(body))/8 {
-		return nil, fmt.Errorf("wal: checkpoint graph dimensions (%d nodes, %d edges) exceed file capacity", gn, gedges)
-	}
-	rowptr, err := c.int64s(int(gn) + 1)
-	if err != nil {
-		return nil, err
-	}
-	ncols := rowptr[gn]
-	if ncols < 0 || uint64(ncols) > uint64(len(body))/4 {
-		return nil, fmt.Errorf("wal: checkpoint CSR entry count %d exceeds file capacity", ncols)
-	}
-	cols, err := c.int32s(int(ncols))
-	if err != nil {
-		return nil, err
+	if magic == ckptMagicV1 {
+		if err := c.skipSnapshotV1(); err != nil {
+			return nil, err
+		}
 	}
 	if c.off != len(body) {
 		return nil, fmt.Errorf("wal: checkpoint has %d trailing bytes", len(body)-c.off)
 	}
 
 	// Semantic validation: the embedded trace prefix must satisfy every
-	// invariant the snapshot builders rely on, and the CSR must be a
-	// well-formed full snapshot over a node prefix of it.
+	// invariant the snapshot builders rely on.
 	tr := &graph.Trace{Name: ck.Name, Arrival: ck.Arrival, Edges: ck.Edges}
 	if err := tr.Validate(); err != nil {
 		return nil, fmt.Errorf("wal: checkpoint trace: %w", err)
-	}
-	if gn > nodeCount {
-		return nil, fmt.Errorf("wal: checkpoint snapshot has %d nodes but trace has %d", gn, nodeCount)
-	}
-	if ck.Graph, err = graph.FromCSR(int(gn), rowptr, cols, int(gedges), gtime); err != nil {
-		return nil, fmt.Errorf("wal: checkpoint snapshot: %w", err)
 	}
 	if ck.Pub.Edges > edgeCount {
 		return nil, fmt.Errorf("wal: checkpoint publish at edge %d beyond its own trace prefix (%d)", ck.Pub.Edges, edgeCount)
 	}
 	return ck, nil
+}
+
+// skipSnapshotV1 steps over a version-1 checkpoint's CSR section,
+// checking only that it fits the file; nothing in it is used.
+func (c *cursor) skipSnapshotV1() error {
+	hdr, err := c.take(24)
+	if err != nil {
+		return err
+	}
+	n := binary.LittleEndian.Uint64(hdr)
+	if n >= uint64(len(c.b))/8 {
+		return fmt.Errorf("wal: checkpoint v1 snapshot of %d nodes exceeds file capacity", n)
+	}
+	offs, err := c.take(int(n+1) * 8)
+	if err != nil {
+		return err
+	}
+	entries := binary.LittleEndian.Uint64(offs[n*8:])
+	if entries > uint64(len(c.b))/4 {
+		return fmt.Errorf("wal: checkpoint v1 snapshot of %d entries exceeds file capacity", entries)
+	}
+	_, err = c.take(int(entries) * 4)
+	return err
 }

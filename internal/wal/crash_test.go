@@ -65,10 +65,9 @@ func buildCrashScenario(t *testing.T, src *graph.Trace, n, ckAt int, opt Options
 		}
 		if i+1 == ckAt {
 			p := pub()
-			snap := w.tr.SnapshotAtEdge(ckAt)
 			if err := l.WriteCheckpoint(CheckpointData{
 				Name: w.tr.Name, Arrival: w.tr.Arrival, Edges: w.tr.Edges,
-				Rev: w.rev, Graph: snap, Pub: p,
+				Rev: w.rev, Pub: p,
 			}); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
@@ -101,10 +100,9 @@ func (sc *crashScenario) ackedFloor(limit int64) int {
 // verifyRecovery reconstructs the crash state at the given byte limit,
 // recovers, and checks the full contract: recovery never errors on a
 // crash-shaped state, lands on a state-prefix of the reference at or above
-// the ack floor, and the snapshot rebuilt through the real recovery path
-// (zero-copy checkpoint CSR + seeded incremental builder + tail replay) is
-// identical to an offline from-scratch SnapshotAtEdge at the recovered
-// length.
+// the ack floor, and the snapshot the serving layer boots from (an
+// incremental build of the recovered trace) is identical to an offline
+// from-scratch SnapshotAtEdge at the recovered length.
 func (sc *crashScenario) verifyRecovery(t *testing.T, limit int64, syncedOnly bool, label string) *Recovered {
 	t.Helper()
 	st := sc.st.Reconstruct(limit, syncedOnly)
@@ -117,12 +115,7 @@ func (sc *crashScenario) verifyRecovery(t *testing.T, limit int64, syncedOnly bo
 	if floor := sc.ackedFloor(limit); syncedOnly && k < floor {
 		t.Fatalf("%s: recovered %d edges, but %d were acked durable", label, k, floor)
 	}
-	var rebuilt *graph.Graph
-	if rec.Graph != nil {
-		rebuilt = graph.NewIncrementalBuilderFrom(rec.Trace, rec.Graph, int(rec.CheckpointEdges)).AtEdge(k)
-	} else {
-		rebuilt = graph.NewIncrementalBuilder(rec.Trace).AtEdge(k)
-	}
+	rebuilt := graph.NewIncrementalBuilder(rec.Trace).AtEdge(k)
 	sameGraph(t, rebuilt, rec.Trace.SnapshotAtEdge(k), label+": rebuilt snapshot")
 	if rec.LastPub != nil && rec.LastPub.Edges > uint64(k) {
 		t.Fatalf("%s: recovered publish at %d beyond trace length %d", label, rec.LastPub.Edges, k)

@@ -70,7 +70,7 @@ func fuzzFixture(t testing.TB) (ckpt, seg0, seg1 []byte) {
 			if i+1 == 24 {
 				if err := l.WriteCheckpoint(CheckpointData{
 					Name: "fuzz", Arrival: tr.Arrival, Edges: tr.Edges,
-					Rev: rev, Graph: tr.SnapshotAtEdge(len(tr.Edges)), Pub: p,
+					Rev: rev, Pub: p,
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -166,17 +166,14 @@ func FuzzWALReplay(f *testing.F) {
 			t.Fatalf("publish beyond recovered trace")
 		}
 		// The recovered state must be buildable end to end.
-		k := len(rec.Trace.Edges)
-		if rec.Graph != nil {
-			graph.NewIncrementalBuilderFrom(rec.Trace, rec.Graph, int(rec.CheckpointEdges)).AtEdge(k)
-		} else {
-			graph.NewIncrementalBuilder(rec.Trace).AtEdge(k)
-		}
+		graph.NewIncrementalBuilder(rec.Trace).AtEdge(len(rec.Trace.Edges))
 	})
 }
 
 // FuzzCheckpointDecode hardens the checkpoint parser: arbitrary bytes must
-// error cleanly or decode to a fully validated checkpoint.
+// error cleanly or decode to a fully validated checkpoint. The checked-in
+// corpus holds a version-1 image too (seed_valid_v1), so mutations reach
+// the path that skips its snapshot section.
 func FuzzCheckpointDecode(f *testing.F) {
 	ckpt, _, _ := fuzzFixture(f)
 	f.Add(ckpt)
@@ -197,9 +194,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		if len(ck.Rev) != len(ck.Arrival) {
 			t.Fatalf("rev/arrival length mismatch")
-		}
-		if ck.Graph == nil {
-			t.Fatalf("validated checkpoint with nil graph")
 		}
 	})
 }
@@ -229,6 +223,11 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	writeSeed("FuzzWALReplay", "seed_full_state", ckpt, seg0, seg1)
 	writeSeed("FuzzWALReplay", "seed_torn_tail", []byte{}, seg0[:len(seg0)-9], []byte{})
 	writeSeed("FuzzCheckpointDecode", "seed_valid", ckpt)
+	v1, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeSeed("FuzzCheckpointDecode", "seed_valid_v1", v1)
 	writeSeed("FuzzCheckpointDecode", "seed_truncated", ckpt[:len(ckpt)/2])
 	writeSeed("FuzzCheckpointDecode", "seed_header", ckpt[:ckptHeaderSize])
 }

@@ -76,7 +76,7 @@ func buildPropRun(t *testing.T, rnd *rand.Rand, events []propEvent) *propRun {
 			if nn-lastCk >= ckEvery {
 				if err := l.WriteCheckpoint(CheckpointData{
 					Name: w.tr.Name, Arrival: w.tr.Arrival, Edges: w.tr.Edges,
-					Rev: w.rev, Graph: w.tr.SnapshotAtEdge(nn), Pub: p,
+					Rev: w.rev, Pub: p,
 				}); err != nil {
 					t.Fatalf("checkpoint: %v", err)
 				}
@@ -156,12 +156,7 @@ func TestPropertyCrashRecovery(t *testing.T) {
 				}
 				// replay(checkpoint + tail) ≡ full replay, down to the
 				// rebuilt snapshot bytes.
-				var rebuilt *graph.Graph
-				if rec.Graph != nil {
-					rebuilt = graph.NewIncrementalBuilderFrom(rec.Trace, rec.Graph, int(rec.CheckpointEdges)).AtEdge(k)
-				} else {
-					rebuilt = graph.NewIncrementalBuilder(rec.Trace).AtEdge(k)
-				}
+				rebuilt := graph.NewIncrementalBuilder(rec.Trace).AtEdge(k)
 				sameGraph(t, rebuilt, rec.Trace.SnapshotAtEdge(k), label)
 			}
 		})

@@ -22,19 +22,17 @@ func corruptf(format string, args ...any) error {
 
 // Recovered is the state Open rebuilt: the recovered trace (checkpoint
 // prefix plus replayed tail, provably a prefix of the pre-crash trace),
-// the external↔dense ID maps, the checkpoint's snapshot (nil without a
-// checkpoint), and the last publish marker at or before the recovered
-// length — a restarted server that lands exactly on a published length
-// reuses its snapshot sequence number, keeping responses byte-identical
-// across the crash.
+// the external↔dense ID maps, and the last publish marker at or before the
+// recovered length — a restarted server that lands exactly on a published
+// length reuses its snapshot sequence number, keeping responses
+// byte-identical across the crash. It holds no snapshot: every snapshot is
+// a pure function of a trace prefix, so the caller builds one from Trace
+// exactly as a cold boot would.
 type Recovered struct {
 	Trace *graph.Trace
 	// Rev maps dense → external IDs; Remap is its inverse.
 	Rev   []int64
 	Remap map[int64]graph.NodeID
-	// Graph is the checkpoint's published snapshot, loaded zero-copy where
-	// the platform allows. Nil when no checkpoint exists.
-	Graph *graph.Graph
 	// CheckpointEdges is the trace length the checkpoint covered (0 if none).
 	CheckpointEdges uint64
 	// LastPub is the most recent publish marker covered by the recovered
@@ -106,7 +104,6 @@ func Open(st Storage, opt Options, warm *graph.Trace) (*Log, *Recovered, error) 
 		rev = ck.Rev
 		firstSeq = ck.FirstSeq
 		chain = ck.ChainAnchor
-		rec.Graph = ck.Graph
 		rec.CheckpointEdges = uint64(len(ck.Edges))
 		pub := ck.Pub
 		rec.LastPub = &pub

@@ -1,7 +1,7 @@
 // Package wal is the durability layer for the live server: an append-only
-// segmented binary edge log with group-commit batching, periodic checkpoint
-// snapshots (a compact binary CSR dump, mmap-able for zero-copy load), and
-// replay-from-checkpoint crash recovery. Segment headers are hash-chained —
+// segmented binary edge log with group-commit batching, periodic checkpoints
+// (the trace prefix and ID map as flat arrays, mmap-able for zero-copy
+// load), and replay-from-checkpoint crash recovery. Segment headers are hash-chained —
 // each commits the SHA-256 chain value of its predecessor, and every frame
 // carries a CRC — so a restarted server can prove it rebuilt the exact
 // pre-crash trace prefix. Storage goes through a five-operation interface

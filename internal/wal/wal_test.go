@@ -235,7 +235,6 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Arrival: w.tr.Arrival,
 		Edges:   w.tr.Edges,
 		Rev:     w.rev,
-		Graph:   snap,
 		Pub:     pub,
 	}
 	if err := l.WriteCheckpoint(data); err != nil {
@@ -262,19 +261,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if rec2.TailRecords != uint64(n-ckAt) {
 		t.Fatalf("tail records = %d, want %d", rec2.TailRecords, n-ckAt)
 	}
-	if rec2.Graph == nil {
-		t.Fatal("no checkpoint graph recovered")
-	}
-	sameGraph(t, rec2.Graph, snap, "checkpoint snapshot")
 	if rec2.LastPub == nil || *rec2.LastPub != pub {
 		t.Fatalf("last publish = %+v, want %+v", rec2.LastPub, pub)
 	}
 
-	// The checkpoint graph seeds an incremental builder whose emissions
-	// match offline snapshots of the recovered trace.
-	b := graph.NewIncrementalBuilderFrom(rec2.Trace, rec2.Graph, int(rec2.CheckpointEdges))
-	got := b.AtEdge(n)
-	sameGraph(t, got, w.tr.SnapshotAtEdge(n), "builder from checkpoint")
+	// An incremental builder over the recovered trace emits the snapshot
+	// the checkpoint was taken at, then matches offline snapshots of the
+	// replayed tail.
+	b := graph.NewIncrementalBuilder(rec2.Trace)
+	sameGraph(t, b.AtEdge(ckAt), snap, "checkpoint snapshot")
+	sameGraph(t, b.AtEdge(n), w.tr.SnapshotAtEdge(n), "builder past checkpoint")
 }
 
 func TestCheckpointWithWarmPrefix(t *testing.T) {
@@ -440,7 +436,7 @@ func TestDirStorageRoundTrip(t *testing.T) {
 	}
 	if err := l.WriteCheckpoint(CheckpointData{
 		Name: w.tr.Name, Arrival: w.tr.Arrival, Edges: w.tr.Edges,
-		Rev: w.rev, Graph: snap, Pub: pub,
+		Rev: w.rev, Pub: pub,
 	}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -455,5 +451,5 @@ func TestDirStorageRoundTrip(t *testing.T) {
 	}
 	defer l2.Close()
 	sameTrace(t, rec2.Trace, w.tr, "dir-backed recovery")
-	sameGraph(t, rec2.Graph, snap, "dir-backed checkpoint graph")
+	sameGraph(t, graph.NewIncrementalBuilder(rec2.Trace).AtEdge(256), snap, "dir-backed checkpoint snapshot")
 }
