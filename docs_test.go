@@ -162,3 +162,74 @@ func TestDocsCiteLiveMetrics(t *testing.T) {
 		t.Fatal("found no cited metric names: the extraction is broken")
 	}
 }
+
+// TestDocsCiteLivePaths does the same for the files a doc points a reader
+// to. Every backticked span in the same documents that is a Go file name
+// (it starts with a letter or digit and ends in .go) or a path under
+// internal/, cmd/ or examples/ (its first word, when the span is a command
+// line) must exist relative to the repository root or to benchmark/. A bare
+// file name may live in any package. Deleting or moving a cited file fails
+// here until the doc is fixed.
+func TestDocsCiteLivePaths(t *testing.T) {
+	goFiles := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, ".go") {
+			goFiles[d.Name()] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(path string) bool {
+		for _, root := range []string{".", "benchmark"} {
+			if _, err := os.Stat(filepath.Join(root, path)); err == nil {
+				return true
+			}
+		}
+		return false
+	}
+	goName := regexp.MustCompile(`^[A-Za-z0-9]\S*\.go$`)
+	cited := 0
+	for _, doc := range checkedDocs {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		missing := map[string]bool{}
+		for _, sp := range backticked.FindAll(b, -1) {
+			s := string(sp[1 : len(sp)-1])
+			var live bool
+			switch {
+			case goName.MatchString(s) && !strings.Contains(s, "/"):
+				live = goFiles[s]
+			case goName.MatchString(s) || strings.HasPrefix(s, "internal/") || strings.HasPrefix(s, "cmd/") || strings.HasPrefix(s, "examples/"):
+				path, _, _ := strings.Cut(s, " ")
+				live = exists(path)
+			default:
+				continue
+			}
+			cited++
+			if !live {
+				missing[s] = true
+			}
+		}
+		var names []string
+		for n := range missing {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		for _, n := range names {
+			t.Errorf("%s cites `%s`, but no such file or directory exists", doc, n)
+		}
+	}
+	if cited == 0 {
+		t.Fatal("found no cited paths: the extraction is broken")
+	}
+}

@@ -1,8 +1,8 @@
 // Evolution replays a dynamic-network trace and reports how its structure
 // changes as it grows — the measurements behind the paper's Figures 1-4 —
-// together with community structure and the λ₂ series that §4.2 ties to
-// prediction accuracy. It also shows CSV interchange: pass a real edge list
-// with -csv to analyze your own data.
+// together with the λ₂ series that §4.2 ties to prediction accuracy. It
+// also shows CSV interchange: pass a real edge list with -csv to analyze
+// your own data.
 package main
 
 import (
@@ -37,20 +37,19 @@ func main() {
 
 	delta := trace.NumEdges() / 12
 	cuts := trace.Cuts(delta)
-	fmt.Printf("%8s %8s %10s %8s %8s %8s\n", "edges", "nodes", "avg deg", "assort", "λ₂", "comms")
+	fmt.Printf("%8s %8s %10s %8s %8s\n", "edges", "nodes", "avg deg", "assort", "λ₂")
 	for i, cut := range cuts {
 		g := trace.SnapshotAtEdge(cut.EdgeCount)
 		l2 := 0.0
 		if i+1 < len(cuts) {
 			l2 = linkpred.Lambda2(g, trace.NewEdgesBetween(cut, cuts[i+1]))
 		}
-		comms := linkpred.DetectCommunities(g, 12, 1)
 		deg := 0.0
 		if g.NumNodes() > 0 {
 			deg = 2 * float64(g.NumEdges()) / float64(g.NumNodes())
 		}
-		fmt.Printf("%8d %8d %10.2f %8.3f %8.2f %8d\n",
-			g.NumEdges(), g.NumNodes(), deg, linkpred.Assortativity(g), l2, comms.Count)
+		fmt.Printf("%8d %8d %10.2f %8.3f %8.2f\n",
+			g.NumEdges(), g.NumNodes(), deg, linkpred.Assortativity(g), l2)
 	}
 
 	// Whole-list quality of a predictor on the final transition, using the

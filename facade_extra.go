@@ -4,18 +4,16 @@ import (
 	"io"
 
 	"linkpred/internal/analysis"
-	"linkpred/internal/community"
 	"linkpred/internal/digraph"
 	"linkpred/internal/eval"
 	"linkpred/internal/graph"
 	"linkpred/internal/predict"
-	"linkpred/internal/temporal"
 )
 
 // This file extends the facade with the interoperability and analysis
 // surface beyond the paper-faithful core: CSV trace exchange, whole-list
-// ranking measures (AUC, precision/recall curves), the survey-metric
-// extensions, and community detection with the SBM extension predictor.
+// ranking measures (AUC, precision/recall curves), snapshot features,
+// directed prediction and missing-link detection.
 
 // ReadTraceCSV loads a dynamic-network trace from "u,v,timestamp" text
 // (comma, tab, semicolon or space separated; '#'/'%' comments). Node IDs
@@ -28,13 +26,6 @@ func ReadTraceCSV(r io.Reader, name string) (*Trace, error) {
 // ReadTraceBinary loads a trace written by Trace.WriteTo / cmd/tracegen.
 func ReadTraceBinary(r io.Reader) (*Trace, error) {
 	return graph.ReadTrace(r)
-}
-
-// ExtensionAlgorithms lists the survey metrics beyond the paper's 14
-// (Salton, Sorensen, HPI, HDI, LHN, SRW) plus the community-model SBM; all
-// are resolvable through AlgorithmByName-style lookup via this slice.
-func ExtensionAlgorithms() []Algorithm {
-	return append(predict.Extensions(), community.SBM)
 }
 
 // AUC is the Mann-Whitney area under the ROC curve for scored items with
@@ -56,19 +47,6 @@ func RecallAtK(ranked []bool, ks []int) []float64 { return eval.RecallAtK(ranked
 
 // AveragePrecision is the mean precision at the positive ranks.
 func AveragePrecision(ranked []bool) float64 { return eval.AveragePrecision(ranked) }
-
-// Communities holds a community assignment.
-type Communities = community.Labels
-
-// DetectCommunities runs seeded asynchronous label propagation.
-func DetectCommunities(g *Graph, maxSweeps int, seed int64) Communities {
-	return community.Detect(g, maxSweeps, seed)
-}
-
-// Modularity scores a community assignment (Newman's Q).
-func Modularity(g *Graph, labels Communities) float64 {
-	return community.Modularity(g, labels)
-}
 
 // NetworkFeatures measures the snapshot features of §4.3 (node/edge
 // counts, degree statistics, clustering, path length, assortativity), in
@@ -94,10 +72,6 @@ func ConnectedComponents(g *Graph) (labels []int32, count int) {
 
 // LargestComponent returns the node set of the largest connected component.
 func LargestComponent(g *Graph) []NodeID { return graph.LargestComponent(g) }
-
-// WeightedMetrics returns the recency-weighted CN/AA/RA variants (paper
-// future work [27], with edge weights derived from creation times).
-func WeightedMetrics(tk *Tracker) []Algorithm { return temporal.WeightedMetrics(tk) }
 
 // Directed link prediction (the paper's first future-work item, §7).
 type (

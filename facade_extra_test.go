@@ -35,22 +35,6 @@ func TestFacadeCSVRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFacadeExtensions(t *testing.T) {
-	exts := ExtensionAlgorithms()
-	if len(exts) != 7 {
-		t.Fatalf("extensions = %d, want 6 survey metrics + SBM", len(exts))
-	}
-	tr, cfg := smallTrace(t)
-	cuts := tr.Cuts(SnapshotDelta(cfg))
-	g := tr.SnapshotAtEdge(cuts[len(cuts)-2].EdgeCount)
-	for _, a := range exts {
-		pred := a.Predict(g, 5, DefaultOptions())
-		if len(pred) == 0 {
-			t.Errorf("%s made no predictions", a.Name())
-		}
-	}
-}
-
 func TestFacadeEvalHelpers(t *testing.T) {
 	scores := []float64{0.9, 0.1, 0.8}
 	labels := []bool{true, false, true}
@@ -74,18 +58,10 @@ func TestFacadeEvalHelpers(t *testing.T) {
 	}
 }
 
-func TestFacadeCommunityAndFeatures(t *testing.T) {
+func TestFacadeFeatures(t *testing.T) {
 	tr, cfg := smallTrace(t)
 	cuts := tr.Cuts(SnapshotDelta(cfg))
 	g := tr.SnapshotAtEdge(cuts[len(cuts)-1].EdgeCount)
-	comms := DetectCommunities(g, 10, 1)
-	if comms.Count <= 0 || len(comms.Of) != g.NumNodes() {
-		t.Fatalf("communities = %+v", comms.Count)
-	}
-	q := Modularity(g, comms)
-	if q < -1 || q > 1 {
-		t.Errorf("modularity = %v", q)
-	}
 	feats := NetworkFeatures(g, 100, 1)
 	names := NetworkFeatureNames()
 	if len(feats) != len(names) {

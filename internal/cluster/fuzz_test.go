@@ -89,7 +89,7 @@ func FuzzRouterPredictQuery(f *testing.F) {
 		h.ServeHTTP(rec, request(query))
 		return rec
 	}
-	for _, alg := range append(append(predict.All(), predict.Extensions()...), predict.KatzExact) {
+	for _, alg := range append(predict.All(), predict.KatzExact) {
 		// One request per algorithm on each tier builds its per-snapshot
 		// artifacts, so the budget below prices requests, not caches.
 		do(rh, "alg="+alg.Name()+"&k=1")

@@ -14,7 +14,9 @@ import (
 // TestMalformedPredictQueriesMatchShard drives the same malformed /predict
 // queries through a shard's handler and the router's: both parse with
 // serve.ParsePredictQuery and answer through serve.WriteError, so status
-// and body must be identical byte for byte.
+// and body must be identical byte for byte. The last row names LHN, an
+// algorithm the registry no longer carries: the router passes the shard's
+// 400 through.
 func TestMalformedPredictQueriesMatchShard(t *testing.T) {
 	tc := newTestCluster(t, 2, 1)
 	router := httptest.NewServer(tc.router.Handler())
@@ -27,6 +29,7 @@ func TestMalformedPredictQueriesMatchShard(t *testing.T) {
 		{"alg=CN&timeout_ms=soon", `{"error":"bad timeout_ms \"soon\""}`},
 		{"alg=CN&shards=0", `{"error":"bad shards \"0\""}`},
 		{"alg=CN&shard=2&shards=2", `{"error":"bad shard \"2\" of 2"}`},
+		{"alg=LHN&k=5", `{"error":"predict: unknown algorithm \"LHN\""}`},
 	} {
 		shardStatus, shardBody := httpGet(t, tc.ts[0].URL+"/predict?"+tt.query)
 		routerStatus, routerBody := httpGet(t, router.URL+"/predict?"+tt.query)

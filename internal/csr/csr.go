@@ -2,28 +2,22 @@
 // candidate-generation engine: a degree-descending relabeling of a snapshot
 // (rank 0 = highest degree, the canonical supernode order) plus dense
 // neighbor bitsets for the hub block — the top-ranked nodes whose adjacency
-// is large enough that bit tests and word-wise intersection beat sorted-list
-// merging.
+// is large enough that bit tests beat sorted-list merging.
 //
 // A snapshot's adjacency slices are already CSR-shaped (sorted, contiguous
 // per node); what this layer adds is the rank permutation and the hub-block
 // bitsets. Bit positions are ORIGINAL node IDs, deliberately: every
 // float-accumulating scoring path in this repository folds witness weights
 // in ascending original-ID order to stay bit-identical to its reference
-// implementation, and iterating a bitset row ascending preserves exactly
-// that order. A rank-space bit layout would be denser for hub–hub rows but
-// would reorder float folds and break the determinism contract.
+// implementation, and a probe walks the other endpoint's sorted list and
+// tests each ID against the hub row, so it keeps exactly that order.
 //
 // Views are deterministic functions of the graph and the budget, safe for
 // concurrent read-only use, and are cached per snapshot via
 // internal/snapcache.
 package csr
 
-import (
-	"math/bits"
-
-	"linkpred/internal/graph"
-)
+import "linkpred/internal/graph"
 
 // DefaultHubBudget bounds the hub-block bitset memory per snapshot, in
 // bytes. 32 MiB holds ~2500 hub rows at 10⁵ nodes and ~250 at 10⁶ — in a
@@ -98,12 +92,6 @@ func Build(g *graph.Graph, order []graph.NodeID, hubBudget int) *View {
 	return v
 }
 
-// Words returns the per-row word count of the hub bitsets.
-func (v *View) Words() int { return v.words }
-
-// IsHub reports whether u has a bitset row.
-func (v *View) IsHub(u graph.NodeID) bool { return int(v.Rank[u]) < v.Hubs }
-
 // HubBits returns u's neighbor bitset, or nil when u is not a hub. The row
 // is shared and must not be modified.
 func (v *View) HubBits(u graph.NodeID) Bits {
@@ -117,27 +105,4 @@ func (v *View) HubBits(u graph.NodeID) Bits {
 // Has reports whether node id is set.
 func (b Bits) Has(id graph.NodeID) bool {
 	return b[id>>6]&(1<<(uint(id)&63)) != 0
-}
-
-// AndCount returns the population count of a AND b — the common-neighbor
-// count of two hubs — without materializing the intersection.
-func AndCount(a, b Bits) int {
-	n := 0
-	for i, w := range a {
-		n += bits.OnesCount64(w & b[i])
-	}
-	return n
-}
-
-// AndIter calls fn for every node set in both a and b, in ascending ID
-// order — the witness order every float-accumulating scorer requires.
-func AndIter(a, b Bits, fn func(graph.NodeID)) {
-	for i, w := range a {
-		w &= b[i]
-		base := graph.NodeID(i << 6)
-		for w != 0 {
-			fn(base + graph.NodeID(bits.TrailingZeros64(w)))
-			w &= w - 1
-		}
-	}
 }

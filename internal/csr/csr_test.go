@@ -105,31 +105,8 @@ func TestHubBudgetLimitsRows(t *testing.T) {
 	if v.Hubs > 3 {
 		t.Fatalf("Hubs = %d, want <= 3 under a 3-row budget", v.Hubs)
 	}
-	if v.Words() != words {
-		t.Fatalf("Words() = %d, want %d", v.Words(), words)
-	}
-}
-
-func TestAndCountAndIterMatchMerge(t *testing.T) {
-	g := hubbyGraph(t, 600, 5, 4)
-	v := Build(g, degreeOrder(g), 0)
-	if v.Hubs < 2 {
-		t.Fatal("need at least two hubs")
-	}
-	for i := 0; i < v.Hubs; i++ {
-		for j := i + 1; j < v.Hubs; j++ {
-			u, w := v.Order[i], v.Order[j]
-			a, b := v.HubBits(u), v.HubBits(w)
-			want := g.CommonNeighbors(u, w)
-			if got := AndCount(a, b); got != len(want) {
-				t.Fatalf("AndCount(%d,%d) = %d, want %d", u, w, got, len(want))
-			}
-			var got []graph.NodeID
-			AndIter(a, b, func(id graph.NodeID) { got = append(got, id) })
-			if !slices.Equal(got, want) {
-				t.Fatalf("AndIter(%d,%d) order/content mismatch", u, w)
-			}
-		}
+	if v.words != words {
+		t.Fatalf("words = %d, want %d", v.words, words)
 	}
 }
 

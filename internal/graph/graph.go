@@ -210,35 +210,6 @@ func Build(n int, edges []Edge) *Graph {
 	return g
 }
 
-// Subgraph returns the induced subgraph on the given node set, with node IDs
-// remapped densely in the order given. The second return value maps new IDs
-// back to original IDs.
-func (g *Graph) Subgraph(nodes []NodeID) (*Graph, []NodeID) {
-	// IDs are dense by construction, so the remap is a flat slice indexed by
-	// original ID (-1 = not selected) — no hashing on the extraction path,
-	// which snowball sampling hits once per evaluation seed.
-	remap := make([]NodeID, g.NumNodes())
-	for i := range remap {
-		remap[i] = -1
-	}
-	for i, v := range nodes {
-		remap[v] = NodeID(i)
-	}
-	var edges []Edge
-	for i, v := range nodes {
-		for _, w := range g.row(v) {
-			if j := remap[w]; j >= 0 && NodeID(i) < j {
-				edges = append(edges, Edge{U: NodeID(i), V: j, Time: g.Time})
-			}
-		}
-	}
-	sub := Build(len(nodes), edges)
-	sub.Time = g.Time
-	back := make([]NodeID, len(nodes))
-	copy(back, nodes)
-	return sub, back
-}
-
 // String implements fmt.Stringer with a short structural summary.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph{nodes=%d edges=%d time=%d}", g.NumNodes(), g.edges, g.Time)

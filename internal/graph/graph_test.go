@@ -81,42 +81,6 @@ func TestUnconnectedPairs(t *testing.T) {
 	}
 }
 
-func TestSubgraph(t *testing.T) {
-	g := Build(5, mkEdges([2]NodeID{0, 1}, [2]NodeID{1, 2}, [2]NodeID{2, 3}, [2]NodeID{3, 4}))
-	sub, back := g.Subgraph([]NodeID{1, 2, 3})
-	if sub.NumNodes() != 3 || sub.NumEdges() != 2 {
-		t.Fatalf("subgraph = %v, want 3 nodes 2 edges", sub)
-	}
-	if !sub.HasEdge(0, 1) || !sub.HasEdge(1, 2) || sub.HasEdge(0, 2) {
-		t.Errorf("subgraph edges wrong: %v", sub)
-	}
-	if !reflect.DeepEqual(back, []NodeID{1, 2, 3}) {
-		t.Errorf("back map = %v", back)
-	}
-}
-
-// TestSubgraphRemapEdgeCases exercises the dense remap slice: node 0 mapped
-// to a non-zero new ID (its remap entry must not read as "absent"), reorder
-// of the input node list, and exclusion of edges to unselected neighbors.
-func TestSubgraphRemapEdgeCases(t *testing.T) {
-	g := Build(5, mkEdges([2]NodeID{0, 1}, [2]NodeID{0, 4}, [2]NodeID{1, 2}, [2]NodeID{2, 3}))
-	sub, back := g.Subgraph([]NodeID{4, 0, 2})
-	if sub.NumNodes() != 3 {
-		t.Fatalf("subgraph nodes = %d, want 3", sub.NumNodes())
-	}
-	// Only 0-4 survives (0 and 4 selected); 0-1, 1-2, 2-3 all touch
-	// unselected nodes. New IDs follow the given order: 4→0, 0→1, 2→2.
-	if sub.NumEdges() != 1 || !sub.HasEdge(0, 1) {
-		t.Errorf("subgraph = %v, want exactly edge (0,1)", sub)
-	}
-	if sub.HasEdge(1, 2) || sub.HasEdge(0, 2) {
-		t.Errorf("subgraph kept an edge to an unselected node: %v", sub)
-	}
-	if !reflect.DeepEqual(back, []NodeID{4, 0, 2}) {
-		t.Errorf("back map = %v, want [4 0 2]", back)
-	}
-}
-
 // Property: HasEdge agrees with a brute-force map for random graphs, and
 // degrees sum to twice the edge count.
 func TestGraphInvariantsQuick(t *testing.T) {

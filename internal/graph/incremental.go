@@ -47,8 +47,7 @@ type IncrementalBuilder struct {
 	rowGen  []int32
 	slab    []NodeID
 
-	deltaRows  int64 // rows cloned or created, cumulative across emits
-	deltaPages int64 // pages cloned or created, cumulative across emits
+	deltaRows int64 // rows cloned or created, cumulative across emits
 }
 
 // NewIncrementalBuilder returns a builder positioned before the first edge.
@@ -69,9 +68,6 @@ func (b *IncrementalBuilder) Trace() *Trace { return b.t }
 // publishes for the publish_delta_rows counter.
 func (b *IncrementalBuilder) DeltaRows() int64 { return b.deltaRows }
 
-// DeltaPages returns the cumulative number of page clones performed.
-func (b *IncrementalBuilder) DeltaPages() int64 { return b.deltaPages }
-
 // touchPage returns a page the builder may mutate, cloning it if it is
 // shared with an emitted snapshot.
 func (b *IncrementalBuilder) touchPage(p int) [][]NodeID {
@@ -81,7 +77,6 @@ func (b *IncrementalBuilder) touchPage(p int) [][]NodeID {
 		copy(clone, pg)
 		b.pages[p] = clone
 		b.pageGen[p] = b.emitGen
-		b.deltaPages++
 		pg = clone
 	}
 	return pg

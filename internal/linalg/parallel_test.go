@@ -23,26 +23,6 @@ func randomTestGraph(rng *rand.Rand, n, m int) *graph.Graph {
 // count: rows are owned by exactly one worker and each row's accumulation
 // order is unchanged, so no float operation reorders.
 
-func TestMulVecWorkerInvariance(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := AdjacencyOf(randomTestGraph(rng, 300, 1500))
-	x := make([]float64, a.N)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	ref := make([]float64, a.N)
-	a.MulVec(x, ref, 1)
-	for _, w := range invarianceWorkers[1:] {
-		y := make([]float64, a.N)
-		a.MulVec(x, y, w)
-		for i := range y {
-			if y[i] != ref[i] {
-				t.Fatalf("workers=%d: y[%d] = %v, want %v", w, i, y[i], ref[i])
-			}
-		}
-	}
-}
-
 func TestMulDenseWorkerInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := AdjacencyOf(randomTestGraph(rng, 250, 1200))

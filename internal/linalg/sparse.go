@@ -29,25 +29,6 @@ func AdjacencyOf(g *graph.Graph) CSR {
 	return CSR{N: g.NumNodes(), g: g}
 }
 
-// mulVecRange computes rows [lo, hi) of y = A x.
-func (a CSR) mulVecRange(x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		var s float64
-		for _, c := range a.g.Neighbors(graph.NodeID(i)) {
-			s += x[c]
-		}
-		y[i] = s
-	}
-}
-
-// MulVec computes y = A x across workers goroutines. y must have length N
-// and is overwritten. Each output row is owned by exactly one worker and
-// accumulates in the same neighbor order as a serial run, so the result is
-// bit-identical at any worker count.
-func (a CSR) MulVec(x, y []float64, workers int) {
-	par.ShardRange(a.N, workers, func(_, lo, hi int) { a.mulVecRange(x, y, lo, hi) })
-}
-
 // mulDenseRange computes rows [lo, hi) of Y = A X.
 func (a CSR) mulDenseRange(x, y *Dense, lo, hi int) {
 	r := x.Cols

@@ -13,9 +13,9 @@ import (
 // counts. These tests pin that contract on seeded random graphs.
 
 // fusedMetrics returns every algorithm implemented as a localMetric: the
-// paper's 7 local metrics plus the 5 survey extensions.
+// paper's 7 local metrics.
 func fusedMetrics() []*localMetric {
-	return []*localMetric{cn, jc, aa, ra, bcn, baa, bra, salton, sorensen, hpi, hdi, lhn}
+	return []*localMetric{cn, jc, aa, ra, bcn, baa, bra}
 }
 
 // fusedWorkerCounts are the engine configurations the kernels are checked

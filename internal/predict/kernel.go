@@ -3,17 +3,17 @@ package predict
 import "linkpred/internal/graph"
 
 // This file implements the fused neighborhood-sweep kernels behind the
-// local metric family (CN, JC, AA, RA, the naive Bayes variants and the
-// survey extensions). The per-pair reference path — intersect two sorted
-// adjacency lists, then fold the common-neighbor slice — allocates a fresh
-// intersection per candidate and re-walks both adjacency lists even though
-// the enclosing 2-hop sweep already visits every (source, witness,
-// candidate) wedge. The fused path instead accumulates, per candidate v of
-// a source u, the common-neighbor count and the witness-weight sum *during*
-// the wedge enumeration w ∈ N(u), v ∈ N(w): a witness w contributes exactly
-// once per candidate it certifies, and adjacency lists are sorted, so
-// witnesses arrive in ascending order and the accumulated float sums are
-// bit-identical to the reference fold over the sorted intersection.
+// local metric family (CN, JC, AA, RA and the naive Bayes variants). The
+// per-pair reference path — intersect two sorted adjacency lists, then fold
+// the common-neighbor slice — allocates a fresh intersection per candidate
+// and re-walks both adjacency lists even though the enclosing 2-hop sweep
+// already visits every (source, witness, candidate) wedge. The fused path
+// instead accumulates, per candidate v of a source u, the common-neighbor
+// count and the witness-weight sum *during* the wedge enumeration
+// w ∈ N(u), v ∈ N(w): a witness w contributes exactly once per candidate it
+// certifies, and adjacency lists are sorted, so witnesses arrive in
+// ascending order and the accumulated float sums are bit-identical to the
+// reference fold over the sorted intersection.
 //
 // All per-source state lives in a sweepScratch allocated once per worker
 // and reused across sources, so steady-state sweeps perform zero

@@ -8,10 +8,9 @@ import (
 )
 
 // localMetric is the family of neighborhood similarity metrics: CN, JC, AA,
-// RA and their Local Naive Bayes variants BCN, BAA, BRA (Table 3), plus the
-// survey extensions. All of them are supported only on pairs sharing at
-// least one common neighbor, so Predict enumerates exactly the unconnected
-// 2-hop pairs.
+// RA and their Local Naive Bayes variants BCN, BAA, BRA (Table 3). All of
+// them are supported only on pairs sharing at least one common neighbor, so
+// Predict enumerates exactly the unconnected 2-hop pairs.
 //
 // Each metric carries two formulations: score is the per-pair fold over the
 // explicit common-neighbor list (the reference the property tests pin the

@@ -71,7 +71,7 @@ func newWalkScratch(n int) *walkScratch {
 	return &walkScratch{cur: newSparseVec(n), next: newSparseVec(n), acc: newSparseVec(n)}
 }
 
-// propagation is one per-source sparse-propagation algorithm (LP, LRW, SRW,
+// propagation is one per-source sparse-propagation algorithm (LP, LRW,
 // KatzExact), the second of the three engines: it fixes the call's
 // parameters and returns fill, which leaves score(u, ·) in one of the
 // worker's scratch vectors and returns it. The engine owns everything else

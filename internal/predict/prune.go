@@ -22,11 +22,10 @@ import (
 //   - Per-source bounds. Every local metric admits a cheap sup over all
 //     possible candidates of a source u: deg(u) for CN, Σ_{w∈N(u)}
 //     max(0, term(w)) for the additive metrics (AA, RA and the naive Bayes
-//     family, whose per-witness terms can be negative), 1/deg(u) for LHN,
-//     and the constant 1 for the degree-normalized metrics (JC, Salton,
-//     Sorensen, HPI, HDI — a degree-twin candidate scores 1, so no
-//     per-source bound can beat it and those metrics effectively never
-//     prune; DESIGN.md §10 derives all of these).
+//     family, whose per-witness terms can be negative), and the constant 1
+//     for JC (a degree-twin candidate scores 1, so no per-source bound can
+//     beat it and JC effectively never prunes; DESIGN.md §10 derives all
+//     of these).
 //   - Deterministic batches. Sources are processed in bound-descending
 //     order (ties by ascending ID) in batches of deterministically doubling
 //     size. After each batch the per-worker selections are merged; once the
@@ -86,13 +85,10 @@ const (
 	// metrics whose score is a sum of per-witness terms over a subset of
 	// N(u): CN (term 1), AA, RA, and the naive Bayes family.
 	boundAdditive boundKind = iota
-	// boundUnit: ub(u) = 1 for deg(u) > 0. The degree-normalized count
-	// metrics are bounded by 1 and a degree-twin candidate attains it, so
-	// no tighter per-source bound exists.
+	// boundUnit: ub(u) = 1 for deg(u) > 0. JC is bounded by 1 and a
+	// degree-twin candidate attains it, so no tighter per-source bound
+	// exists.
 	boundUnit
-	// boundInvDeg: ub(u) = 1/deg(u). LHN = |Γu∩Γv|/(deg u · deg v) ≤
-	// min(du,dv)/(du·dv) = 1/max(du,dv) ≤ 1/deg(u).
-	boundInvDeg
 )
 
 // bounds computes the per-source upper-bound array for m on g over the
@@ -108,12 +104,6 @@ func (m *localMetric) bounds(g *graph.Graph, nb *naiveBayes, opt Options, worker
 		for u := base; u < end; u++ {
 			if g.Degree(graph.NodeID(u)) > 0 {
 				ub[u] = 1
-			}
-		}
-	case boundInvDeg:
-		for u := base; u < end; u++ {
-			if d := g.Degree(graph.NodeID(u)); d > 0 {
-				ub[u] = 1 / float64(d)
 			}
 		}
 	default:

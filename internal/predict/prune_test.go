@@ -122,7 +122,7 @@ func TestPrunedPredictComplete(t *testing.T) {
 // share of sources, for every metric with a non-trivial bound.
 func TestPrunedPredictActuallyPrunes(t *testing.T) {
 	g := pruneHubbyGraph(1, 1500, 5)
-	for _, alg := range []Algorithm{CN, AA, RA, BCN, BAA, BRA, LHN} {
+	for _, alg := range []Algorithm{CN, AA, RA, BCN, BAA, BRA} {
 		withTelemetry(t, func() {
 			opt := DefaultOptions()
 			opt.Workers = 1
@@ -143,7 +143,7 @@ func TestPrunedPredictActuallyPrunes(t *testing.T) {
 // and 4.
 func TestPruneTelemetryWorkerInvariant(t *testing.T) {
 	g := pruneHubbyGraph(2, 1500, 5)
-	for _, alg := range []Algorithm{CN, AA, LHN} {
+	for _, alg := range []Algorithm{CN, AA} {
 		counts := map[int][2]int64{}
 		for _, workers := range []int{1, 4} {
 			withTelemetry(t, func() {

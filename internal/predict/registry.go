@@ -51,13 +51,12 @@ func (a *algo) ScorePairs(g *graph.Graph, pairs []Pair, opt Options) []float64 {
 }
 
 // registry is every algorithm ByName resolves, in lookup order: the
-// evaluated set (All), the survey extensions (Extensions), then KatzExact,
-// the truncated-exact reference the paper's Katz approximations are
-// validated against. It is the one table; tests range over it.
+// evaluated set (All), then KatzExact, the truncated-exact reference the
+// paper's Katz approximations are validated against. It is the one table;
+// tests range over it.
 var (
-	evaluated  = []Algorithm{CN, JC, AA, RA, BCN, BAA, BRA, PA, SP, LP, KatzLR, KatzSC, PPR, LRW, Rescal}
-	extensions = []Algorithm{Salton, Sorensen, HPI, HDI, LHN, SRW}
-	registry   = slices.Concat(evaluated, extensions, []Algorithm{KatzExact})
+	evaluated = []Algorithm{CN, JC, AA, RA, BCN, BAA, BRA, PA, SP, LP, KatzLR, KatzSC, PPR, LRW, Rescal}
+	registry  = append(slices.Clone(evaluated), KatzExact)
 )
 
 // byName indexes registry's rows once and resolves each row's telemetry
@@ -75,11 +74,6 @@ var byName = func() map[string]*algo {
 // approximations (the paper's 14 metrics of Table 3, with Katz counted once
 // but implemented twice as Katz_lr and Katz_sc).
 func All() []Algorithm { return slices.Clone(evaluated) }
-
-// Extensions returns the survey metrics beyond the paper's evaluated set.
-// SRW (walk.go) rides along: it is the survey's superposed companion to the
-// evaluated LRW rather than a neighborhood metric.
-func Extensions() []Algorithm { return slices.Clone(extensions) }
 
 // FeatureSet returns the 14 metrics used as classifier input features (§5),
 // using Katz_lr as "Katz" exactly as the paper does after §4.2.

@@ -32,9 +32,8 @@ func TestDegenerateGraphs(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.RandomCandidates = 50
-	algs := append(All(), Extensions()...)
 	for name, g := range cases {
-		for _, alg := range algs {
+		for _, alg := range registry {
 			func() {
 				defer func() {
 					if r := recover(); r != nil {

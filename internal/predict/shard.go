@@ -13,10 +13,10 @@ import (
 //
 // Ownership rule. Every candidate pair (u, v) is owned by exactly one
 // shard: the one whose range contains the canonical lower endpoint
-// min(u, v). The per-source sweeps (local family, LP, SP, LRW, SRW,
-// KatzExact, the 2-hop phase of the global candidate set) emit candidates
-// as (u, v) with v > u from source u, so restricting their source loop to
-// [Lo, Hi) implements the rule directly. Sweeps whose traversal cannot be
+// min(u, v). The per-source sweeps (local family, LP, SP, LRW, KatzExact,
+// the 2-hop phase of the global candidate set) emit candidates as (u, v)
+// with v > u from source u, so restricting their source loop to [Lo, Hi)
+// implements the rule directly. Sweeps whose traversal cannot be
 // range-restricted — the PA frontier, PPR's two-sided push accumulation,
 // the global set's block and random phases — run their full traversal and
 // filter emission by the same rule, so the union of the shards' candidate
@@ -52,8 +52,7 @@ type CostModel uint8
 
 const (
 	// CostWedge weighs source u by 1 + Σ_{v∈N(u)} deg(v), the wedge-visit
-	// count of the unbounded local sweep (CN, JC, AA, RA and the survey
-	// extensions).
+	// count of the unbounded local sweep (CN, JC, AA, RA).
 	CostWedge CostModel = iota
 	// CostCappedWedge weighs source u by 1 + Σ_{v∈N(u)} min(deg(v),
 	// WedgeCap). The naive Bayes family's additive score bounds collapse on

@@ -222,10 +222,9 @@ func TestCostModelRanges(t *testing.T) {
 func TestCostModelFor(t *testing.T) {
 	want := map[string]CostModel{
 		"CN": CostWedge, "JC": CostWedge, "AA": CostWedge, "RA": CostWedge, "PA": CostWedge,
-		"Salton": CostWedge, "Sorensen": CostWedge, "HPI": CostWedge, "HDI": CostWedge, "LHN": CostWedge,
 		"BCN": CostCappedWedge, "BAA": CostCappedWedge, "BRA": CostCappedWedge,
 		"SP": CostRows, "LP": CostRows, "PPR": CostRows, "LRW": CostRows,
-		"SRW": CostRows, "Katz": CostRows, "KatzSC": CostRows, "KatzExact": CostRows, "Rescal": CostRows,
+		"Katz": CostRows, "KatzSC": CostRows, "KatzExact": CostRows, "Rescal": CostRows,
 		"nonsense": CostWedge,
 	}
 	for _, alg := range registry {

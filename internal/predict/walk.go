@@ -15,18 +15,7 @@ import (
 // at v. Because the walk is reversible with respect to the degree
 // distribution, deg(u) π_uv(m) = deg(v) π_vu(m) exactly, so the score equals
 // deg(u) π_uv(m)/|E| and one propagation direction suffices.
-var LRW Algorithm = walkScores(lrwDistribution).row("LRW")
-
-// SRW is the Superposed Random Walk index [Liu & Lü 2010], LRW's companion
-// in the survey catalogue: the LRW scores summed over every walk length
-// 1..m, which rewards targets reachable both early and repeatedly:
-//
-//	SRW(u,v) = Σ_{l=1..m} LRW_l(u,v).
-//
-// The same degree-reversibility argument that collapses LRW to one
-// propagation direction holds per step, so one walk from the lower endpoint
-// suffices here too.
-var SRW Algorithm = walkScores(srwDistribution).row("SRW")
+var LRW Algorithm = propagation(lrwFill).row("LRW")
 
 func steps(opt Options) int {
 	if opt.LRWSteps <= 0 {
@@ -35,24 +24,21 @@ func steps(opt Options) int {
 	return opt.LRWSteps
 }
 
-// walkScores is the fill step of the walk indices: dist leaves the walk
-// distribution of u in a scratch vector, scaled in place to
-// deg(u)·π/|E|.
-func walkScores(dist func(g *graph.Graph, u graph.NodeID, m int, s *walkScratch) *sparseVec) propagation {
-	return func(g *graph.Graph, opt Options) sourceFill {
-		edges := float64(g.NumEdges())
-		if edges == 0 {
-			return nil
+// lrwFill is LRW's fill step: the walk distribution of u, scaled in place
+// to deg(u)·π/|E|.
+func lrwFill(g *graph.Graph, opt Options) sourceFill {
+	edges := float64(g.NumEdges())
+	if edges == 0 {
+		return nil
+	}
+	m := steps(opt)
+	return func(u graph.NodeID, s *walkScratch) *sparseVec {
+		vec := lrwDistribution(g, u, m, s)
+		du := float64(g.Degree(u))
+		for _, v := range vec.touched {
+			vec.val[v] = du * vec.val[v] / edges
 		}
-		m := steps(opt)
-		return func(u graph.NodeID, s *walkScratch) *sparseVec {
-			vec := dist(g, u, m, s)
-			du := float64(g.Degree(u))
-			for _, v := range vec.touched {
-				vec.val[v] = du * vec.val[v] / edges
-			}
-			return vec
-		}
+		return vec
 	}
 }
 
@@ -68,26 +54,6 @@ func lrwDistribution(g *graph.Graph, u graph.NodeID, m int, s *walkScratch) *spa
 	}
 	s.cur, s.next = cur, next
 	return cur
-}
-
-// srwDistribution fills s.acc with Σ_{l=1..m} π_u·(l) and returns it. The
-// accumulation order (per step, in touch order) is a fixed function of the
-// source, so results are worker-count independent.
-func srwDistribution(g *graph.Graph, u graph.NodeID, m int, s *walkScratch) *sparseVec {
-	s.acc.reset()
-	cur, next := s.cur, s.next
-	cur.reset()
-	cur.add(u, 1)
-	for step := 0; step < m; step++ {
-		next.reset()
-		propagateWalk(g, cur, next)
-		cur, next = next, cur
-		for _, v := range cur.touched {
-			s.acc.add(v, cur.val[v])
-		}
-	}
-	s.cur, s.next = cur, next
-	return s.acc
 }
 
 // PPR is Personalized PageRank: score(u,v) = π_uv + π_vu with
@@ -107,14 +73,17 @@ var PPR Algorithm = &algo{name: "PPR", cost: CostRows, predict: pprPredict, scor
 // pprPerSource bounds retained targets per push source in Predict.
 const pprPerSource = 256
 
-// pprScratch is one worker's forward-push state.
+// pprScratch is one worker's forward-push state. inQueue marks the nodes
+// in the queue; a mark is cleared when its node is popped, so the slice is
+// all-false between pushes.
 type pprScratch struct {
-	p, r  *sparseVec
-	queue []graph.NodeID
+	p, r    *sparseVec
+	queue   []graph.NodeID
+	inQueue []bool
 }
 
 func newPPRScratch(n int) *pprScratch {
-	return &pprScratch{p: newSparseVec(n), r: newSparseVec(n), queue: make([]graph.NodeID, 0, 1024)}
+	return &pprScratch{p: newSparseVec(n), r: newSparseVec(n), queue: make([]graph.NodeID, 0, 1024), inQueue: make([]bool, n)}
 }
 
 // pprPush runs forward push from u, leaving the estimate in s.p. A
@@ -124,17 +93,17 @@ func pprPush(g *graph.Graph, u graph.NodeID, alpha, eps float64, s *pprScratch) 
 	if eps <= 0 {
 		eps = 1e-5
 	}
-	p, r := s.p, s.r
+	p, r, inQueue := s.p, s.r, s.inQueue
 	p.reset()
 	r.reset()
 	r.add(u, 1)
 	q := s.queue[:0]
 	q = append(q, u)
-	inQueue := map[graph.NodeID]bool{u: true}
+	inQueue[u] = true
 	for len(q) > 0 {
 		x := q[0]
 		q = q[1:]
-		delete(inQueue, x)
+		inQueue[x] = false
 		rx := r.val[x]
 		d := g.Degree(x)
 		if d == 0 {

@@ -21,8 +21,7 @@ func TestWarmArtifactSet(t *testing.T) {
 	)
 	base := []string{"degree-order", "csrview", "predict/wedgework", "block/48"}
 	own := map[string]string{
-		"CN": "", "JC": "", "PA": "", "SP": "", "LP": "", "PPR": "", "LRW": "", "SRW": "", "KatzExact": "",
-		"Salton": "", "Sorensen": "", "HPI": "", "HDI": "", "LHN": "", "nonsense": "",
+		"CN": "", "JC": "", "PA": "", "SP": "", "LP": "", "PPR": "", "LRW": "", "KatzExact": "", "nonsense": "",
 		"AA": logDeg, "RA": logDeg, "BCN": logDeg, "BAA": logDeg, "BRA": logDeg,
 		"Katz": katz, "KatzSC": katzSC, "Rescal": rescal,
 	}

@@ -31,7 +31,7 @@ func newFuzzServer(f *testing.F) *Server {
 // registryNames lists every algorithm name the default resolver serves.
 func registryNames() []string {
 	var names []string
-	for _, alg := range append(append(predict.All(), predict.Extensions()...), predict.KatzExact) {
+	for _, alg := range append(predict.All(), predict.KatzExact) {
 		names = append(names, alg.Name())
 	}
 	return names
@@ -45,10 +45,10 @@ func registryNames() []string {
 // never a number the query names.
 //
 // The ceiling is 32 MiB, not the 8 MiB TestHostileSizesServedByResult holds
-// CN to: measured on this fixture, a PPR sweep allocates 10 MiB whatever k
-// is (a map per push) and 20 MiB when k exceeds its 33 k candidates; PA, SP,
-// Katz, KatzSC and Rescal reach 10–11 MiB at k = 2·10⁹, about 8× the 1 MiB
-// body they encode; the local family stays under 5 MiB. Sizing anything by
+// CN to: measured on this fixture, a PPR sweep allocates 7.4 MiB whatever k
+// is and 17.4 MiB when k exceeds its 33 k candidates; PA, SP, Katz, KatzSC
+// and Rescal reach 10–11 MiB at k = 2·10⁹, about 8× the 1 MiB body they
+// encode; the local family stays under 5 MiB. Sizing anything by
 // k or shards would cost gigabytes, which is what the ceiling is for.
 func FuzzPredictQuery(f *testing.F) {
 	const heapBudget = 32 << 20
@@ -105,8 +105,8 @@ func FuzzPredictQuery(f *testing.F) {
 // The ceiling is 20 MiB per input. The artifacts every row reads are built
 // before fuzzing starts, so a body costs what its distinct sources cost.
 // Measured on this fixture with all 260 nodes as sources: PPR allocates
-// 15.8 MB (~61 KB of push maps per source), SP 0.6 MB, every other row
-// under 130 KB; a five-pair body stays under 210 KB on every row.
+// 10.9 MB (~42 KB per source), SP 0.6 MB, every other row under 130 KB; a
+// five-pair body stays under 210 KB on every row.
 func FuzzScoreBody(f *testing.F) {
 	const heapBudget = 20 << 20
 	s := newFuzzServer(f)

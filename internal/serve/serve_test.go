@@ -280,11 +280,14 @@ func TestClosedServerRejects(t *testing.T) {
 }
 
 // TestUnknownAlgorithmRejected checks that resolution fails fast at submit,
-// before a queue slot is consumed.
+// before a queue slot is consumed. LHN is a name the registry no longer
+// carries.
 func TestUnknownAlgorithmRejected(t *testing.T) {
 	s := newTestServer(t, Config{Workers: 1})
-	if _, err := s.Predict(context.Background(), "NoSuchAlg", 5); !errors.Is(err, predict.ErrUnknownAlgorithm) {
-		t.Fatalf("err = %v, want ErrUnknownAlgorithm", err)
+	for _, alg := range []string{"NoSuchAlg", "LHN"} {
+		if _, err := s.Predict(context.Background(), alg, 5); !errors.Is(err, predict.ErrUnknownAlgorithm) {
+			t.Fatalf("%s: err = %v, want ErrUnknownAlgorithm", alg, err)
+		}
 	}
 }
 
