@@ -108,6 +108,15 @@ func FuzzRouterPredictQuery(f *testing.F) {
 	} {
 		f.Add(q)
 	}
+	// Names the registry once served: the router must reject them as
+	// unknown, exactly as a shard does.
+	for _, alg := range []string{"Salton", "Sorensen", "HPI", "HDI", "LHN", "SRW"} {
+		if rec := do(rh, "alg="+alg); rec.Code != 400 {
+			f.Fatalf("retired %s: router status %d, want 400", alg, rec.Code)
+		}
+		f.Add("alg=" + alg)
+		f.Add("alg=" + alg + "&k=7&shard=1&shards=3")
+	}
 	f.Fuzz(func(t *testing.T, query string) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -37,6 +37,10 @@ func registryNames() []string {
 	return names
 }
 
+// retiredNames are algorithm names the registry once served. Both tiers
+// must answer them like any unknown name: 400 before a queue slot is used.
+var retiredNames = []string{"Salton", "Sorensen", "HPI", "HDI", "LHN", "SRW"}
+
 // FuzzPredictQuery drives the /predict handler — parser, queue, routing,
 // range planning, engine, encoder — with arbitrary query strings on the
 // 260-node fixture of TestHostileSizesServedByResult (ROADMAP item 6b).
@@ -68,6 +72,13 @@ func FuzzPredictQuery(f *testing.F) {
 		// One request per algorithm builds its per-snapshot artifacts (factor
 		// matrices, naive Bayes census), so the budget below prices requests.
 		serve("alg=" + alg + "&k=1")
+		f.Add("alg=" + alg)
+		f.Add("alg=" + alg + "&k=7&shard=1&shards=3")
+	}
+	for _, alg := range retiredNames {
+		if rec := serve("alg=" + alg); rec.Code != 400 {
+			f.Fatalf("retired %s: status %d, want 400", alg, rec.Code)
+		}
 		f.Add("alg=" + alg)
 		f.Add("alg=" + alg + "&k=7&shard=1&shards=3")
 	}
@@ -120,6 +131,13 @@ func FuzzScoreBody(f *testing.F) {
 		body := `{"alg":"` + alg + `","pairs":[[0,1],[3,40],[7,7],[-1,2],[5,9223372036854775807]]}`
 		serve([]byte(body)) // builds the row's per-snapshot artifacts
 		f.Add([]byte(body))
+	}
+	for _, alg := range retiredNames {
+		body := []byte(`{"alg":"` + alg + `","pairs":[[0,1],[3,40]]}`)
+		if rec := serve(body); rec.Code != 400 {
+			f.Fatalf("retired %s: status %d, want 400", alg, rec.Code)
+		}
+		f.Add(body)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var before, after runtime.MemStats
