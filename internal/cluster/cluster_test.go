@@ -208,6 +208,70 @@ func TestClusterBitIdenticalMerge(t *testing.T) {
 	}
 }
 
+// TestClusterMemoStaleAfterPublish is the "memo stale after publish" case
+// of the shards' epoch memo: a two-shard router answers one (alg, k), the
+// same again (every shard part a memo hit), and again after a replicated
+// ingest plus flush. Each answer is byte-identical to a single node's, and
+// the last one is on the new epoch, not the memoised old one.
+func TestClusterMemoStaleAfterPublish(t *testing.T) {
+	obs.Reset()
+	obs.Enable(true)
+	t.Cleanup(func() {
+		obs.Enable(false)
+		obs.Reset()
+	})
+	const seed = 5
+	tc := newTestCluster(t, 2, seed)
+	refSrv, ref := refServer(t, seed)
+	rt := httptest.NewServer(tc.router.Handler())
+	defer rt.Close()
+	ctx := context.Background()
+	events := randomEvents(13, 900)
+	step := func(batch []serve.Event) {
+		t.Helper()
+		if _, err := tc.router.Ingest(ctx, batch); err != nil {
+			t.Fatalf("router ingest: %v", err)
+		}
+		if _, err := tc.router.Flush(ctx); err != nil {
+			t.Fatalf("router flush: %v", err)
+		}
+		if _, _, err := refSrv.Ingest(batch); err != nil {
+			t.Fatalf("ref ingest: %v", err)
+		}
+		refSrv.Flush()
+	}
+	const u = "/predict?alg=AA&k=30"
+	var seqs []int64
+	ask := func() {
+		t.Helper()
+		ccode, cbody := httpGet(t, rt.URL+u)
+		rcode, rbody := httpGet(t, ref.URL+u)
+		if ccode != 200 || rcode != 200 || string(cbody) != string(rbody) {
+			t.Fatalf("status cluster=%d ref=%d; not byte-identical\ncluster: %s\nsingle:  %s", ccode, rcode, cbody, rbody)
+		}
+		var res Response
+		if err := json.Unmarshal(cbody, &res); err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, res.SnapshotSeq)
+	}
+	hits := obs.GetCounter("serve/predict_memo_hits")
+	step(events[:600])
+	ask()
+	ask()
+	if got := hits.Value(); got != 3 {
+		t.Fatalf("serve/predict_memo_hits = %d after the repeat, want 3 (both shards and the single node)", got)
+	}
+	step(events[600:])
+	ask()
+	if seqs[0] != seqs[1] || seqs[2] <= seqs[1] {
+		t.Fatalf("answer epochs %v: want two on one epoch, then a newer one", seqs)
+	}
+	if got := hits.Value(); got != 3 {
+		t.Fatalf("serve/predict_memo_hits = %d after the publish, want 3: the new epoch is swept", got)
+	}
+}
+
 // TestClusterConcurrentIngestPredict hammers the router with interleaved
 // replicated ingest and scatter/gather predicts under the race detector,
 // then verifies the quiesced cluster still merges bit-identically.

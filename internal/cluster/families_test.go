@@ -26,7 +26,8 @@ var updateFamilies = flag.Bool("update", false, "rewrite testdata/metric_familie
 // script, driven over in-process transports through one node (liveeval on,
 // WAL on a MemStorage, degradation forced by a 1ns p95 over a one-sample
 // window) and through a two-shard router. The script ingests, flushes,
-// predicts CN, AA and Katz, scores, ingests again so liveeval scores edges
+// predicts CN, AA and Katz, repeats CN at a smaller k (an epoch-memo hit on
+// every node), scores, ingests again so liveeval scores edges
 // against the recorded predictions, and scrapes /metrics on both tiers.
 // Values are not pinned, only the set of names: a refactor of how
 // telemetry is recorded must leave it unchanged. Regenerate with
@@ -96,6 +97,7 @@ func TestMetricFamiliesGolden(t *testing.T) {
 		for _, alg := range []string{"CN", "AA", "Katz"} {
 			do("GET", "/predict?alg="+alg+"&k=64", "")
 		}
+		do("GET", "/predict?alg=CN&k=20", "")
 		do("POST", "/score", `{"alg":"AA","pairs":[[1000,1001],[1002,1003],[1004,1005]]}`)
 		do("POST", "/ingest", body(events[600:]))
 		do("POST", "/flush", "")

@@ -6,7 +6,6 @@ import (
 
 	"linkpred/internal/gen"
 	"linkpred/internal/graph"
-	"linkpred/internal/linalg"
 )
 
 // The parallel engine's contract is that Predict and ScorePairs are
@@ -127,9 +126,13 @@ func TestPredictGlobalMatchesSerialEnumeration(t *testing.T) {
 	opt := DefaultOptions()
 	opt.RandomCandidates = 3000
 	opt.Workers = 4
-	scaled, raw := katzFactors(g, opt)
+	vecs, f := katzFactors(g, opt)
 	score := func(u, v graph.NodeID) float64 {
-		return linalg.Dot(scaled.Row(int(u)), raw.Row(int(v)))
+		var s float64
+		for i, a := range vecs.Row(int(u)) {
+			s += float64(a*f[i]) * vecs.At(int(v), i)
+		}
+		return s
 	}
 	serial := newTopK(40, opt.Seed)
 	globalCandidates(g, opt, func(u, v graph.NodeID) { serial.Add(u, v, score(u, v)) })

@@ -21,8 +21,8 @@ func TestLatentFactorsWorkerInvariance(t *testing.T) {
 		{"katz", func(w int) []*linalg.Dense {
 			opt := DefaultOptions()
 			opt.Workers = w
-			a, b := katzFactors(g, opt)
-			return []*linalg.Dense{a, b}
+			vecs, f := katzFactors(g, opt)
+			return []*linalg.Dense{vecs, {Rows: 1, Cols: len(f), Data: f}}
 		}},
 		{"katzsc", func(w int) []*linalg.Dense {
 			opt := DefaultOptions()
@@ -67,7 +67,7 @@ func TestFactorCacheSharesAcrossCalls(t *testing.T) {
 	opt := DefaultOptions()
 	a1, b1 := katzFactors(g, opt)
 	a2, b2 := katzFactors(g, opt)
-	if a1 != a2 || b1 != b2 {
+	if a1 != a2 || &b1[0] != &b2[0] {
 		t.Error("katzFactors rebuilt for a cached snapshot")
 	}
 	// A different parameter set must not collide with the cached key.

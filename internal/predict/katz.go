@@ -17,14 +17,28 @@ import (
 //	Katz(u,v) = Σ_{l>=1} βˡ (Aˡ)_{uv} ≈ Σ_i f(λ_i) q_ui q_vi,
 //	f(λ) = βλ / (1 - βλ).
 var KatzLR Algorithm = latent(func(g *graph.Graph, opt Options) func(u, v graph.NodeID) float64 {
-	scaled, raw := katzFactors(g, opt)
-	return func(u, v graph.NodeID) float64 { return linalg.Dot(scaled.Row(int(u)), raw.Row(int(v))) }
+	vecs, f := katzFactors(g, opt)
+	return func(u, v graph.NodeID) float64 {
+		// linalg.Dot(vecs[u]·diag(f), vecs[v]) in Dot's order. The explicit
+		// conversion rounds each product vecs[u][i]·f[i] before the
+		// multiply-add, so no FMA fuses the two products and the score
+		// equals Dot over a materialised scaled row, bit for bit.
+		a, b := vecs.Row(int(u)), vecs.Row(int(v))
+		b, w := b[:len(a)], f[:len(a)]
+		var s float64
+		for i := range a {
+			s += float64(a[i]*w[i]) * b[i]
+		}
+		return s
+	}
 }).row("Katz")
 
-// katzFactors returns the rank-r factors: scaled[u] · raw[v] = score(u,v).
-// The factors are cached per snapshot under the full parameter set, so
-// Predict and ScorePairs against the same cut share one eigensolve.
-func katzFactors(g *graph.Graph, opt Options) (scaled, raw *linalg.Dense) {
+// katzFactors returns the rank-r eigenvectors and their weights f(λᵢ):
+// score(u,v) = Σᵢ vecs[u][i]·f[i]·vecs[v][i]. The weights are applied at
+// score time, so the cache holds one n×r matrix. The factors are cached
+// per snapshot under the full parameter set, so Predict and ScorePairs
+// against the same cut share one eigensolve.
+func katzFactors(g *graph.Graph, opt Options) (vecs *linalg.Dense, f []float64) {
 	rank := opt.KatzRank
 	if rank <= 0 {
 		rank = 32
@@ -34,26 +48,28 @@ func katzFactors(g *graph.Graph, opt Options) (scaled, raw *linalg.Dense) {
 		iters = 40
 	}
 	key := fmt.Sprintf("predict/katz/r=%d,it=%d,beta=%v,seed=%d", rank, iters, opt.KatzBeta, opt.Seed)
-	return factorPair(g, key, func() (*linalg.Dense, *linalg.Dense) {
+	type factors struct {
+		vecs *linalg.Dense
+		f    []float64
+	}
+	v, _ := snapcache.For(g).Artifact(key, func() (any, error) {
 		a := linalg.AdjacencyOf(g)
 		vals, vecs := a.TopEig(rank, iters, opt.Seed, workerCount(opt))
-		scaled := vecs.Clone()
+		f := make([]float64, len(vals))
 		for i, lam := range vals {
-			f := 0.0
 			bl := opt.KatzBeta * lam
 			if bl < 1 {
-				f = bl / (1 - bl)
+				f[i] = bl / (1 - bl)
 			} else {
 				// Series diverges for βλ >= 1; clamp to a large finite weight,
 				// preserving the ordering (dominant directions dominate).
-				f = 1e6
-			}
-			for u := 0; u < scaled.Rows; u++ {
-				scaled.Set(u, i, vecs.At(u, i)*f)
+				f[i] = 1e6
 			}
 		}
-		return scaled, vecs
+		return factors{vecs, f}, nil
 	})
+	kf := v.(factors)
+	return kf.vecs, kf.f
 }
 
 // KatzSC is the scalable Katz proximity estimation (Katz_sc, after Song et

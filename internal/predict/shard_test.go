@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"linkpred/internal/gen"
 	"linkpred/internal/graph"
 )
 
@@ -259,5 +260,45 @@ func assertSamePairs(t *testing.T, want, got []Pair, label string) {
 		if want[i] != got[i] {
 			t.Fatalf("%s: rank %d: got %+v, want %+v", label, i, got[i], want[i])
 		}
+	}
+}
+
+// TestPredictPrefixProperty pins what the serving tier's epoch memo relies
+// on: the ranking is a total order (score, then TieHash), so for every
+// registry algorithm Predict(k) is byte for byte the first k pairs of
+// Predict(K) — unrestricted and on shard 1 of 3, at 1 and 4 workers. A list
+// shorter than K holds every candidate, so it is the answer for any k.
+func TestPredictPrefixProperty(t *testing.T) {
+	g := detSnapshot(t, gen.Renren(3).Scaled(0.1))
+	const K = 200
+	for _, alg := range registry {
+		t.Run(alg.Name(), func(t *testing.T) {
+			sr := WeightedSourceRangeFor(g, 1, 3, CostModelFor(alg.Name()))
+			for _, srange := range []*SourceRange{nil, &sr} {
+				for _, workers := range []int{1, 4} {
+					opt := DefaultOptions()
+					opt.Workers = workers
+					opt.SourceRange = srange
+					// As above: a coarser residual keeps PPR's full push
+					// sweep per Predict affordable.
+					opt.PPREps = 1e-4
+					full := alg.Predict(g, K, opt)
+					for _, k := range []int{1, 7, 10, 20, 37, 100, 199} {
+						got := alg.Predict(g, k, opt)
+						want := full[:min(k, len(full))]
+						label := fmt.Sprintf("k=%d of K=%d, %d workers, restricted=%v", k, K, workers, srange != nil)
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d pairs, prefix has %d", label, len(got), len(want))
+						}
+						for i := range want {
+							if got[i].U != want[i].U || got[i].V != want[i].V ||
+								math.Float64bits(got[i].Score) != math.Float64bits(want[i].Score) {
+								t.Fatalf("%s: rank %d = %+v, prefix %+v", label, i, got[i], want[i])
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }

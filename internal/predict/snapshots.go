@@ -29,9 +29,8 @@ func logDegTable(g *graph.Graph) []float64 {
 	return v.([]float64)
 }
 
-// factorPair caches a two-matrix factorization (Katz scaled/raw, Rescal
-// XR/X, KatzSC P/C) under a key that encodes every parameter influencing
-// the result. Worker counts are excluded by design: the factor builds are
+// factorPair caches a two-matrix factorization (Rescal XR/X, KatzSC P/C)
+// under a key that encodes every parameter influencing the result. Worker counts are excluded by design: the factor builds are
 // bit-identical at any worker count (pinned by TestLatentFactorsWorkerInvariance),
 // so a factor computed by one engine configuration is valid for all.
 func factorPair(g *graph.Graph, key string, build func() (*linalg.Dense, *linalg.Dense)) (*linalg.Dense, *linalg.Dense) {

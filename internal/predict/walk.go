@@ -97,12 +97,13 @@ func pprPush(g *graph.Graph, u graph.NodeID, alpha, eps float64, s *pprScratch) 
 	p.reset()
 	r.reset()
 	r.add(u, 1)
-	q := s.queue[:0]
-	q = append(q, u)
+	// Pop by head index over the reused slice: reslicing the head away
+	// (q = q[1:]) would shrink the capacity append can reuse and make every
+	// push reallocate its queue.
+	q := append(s.queue[:0], u)
 	inQueue[u] = true
-	for len(q) > 0 {
-		x := q[0]
-		q = q[1:]
+	for head := 0; head < len(q); head++ {
+		x := q[head]
 		inQueue[x] = false
 		rx := r.val[x]
 		d := g.Degree(x)

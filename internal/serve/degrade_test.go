@@ -39,8 +39,13 @@ func (s *slowLatent) ScorePairs(g *graph.Graph, pairs []predict.Pair, opt predic
 //     offline on the same snapshot — degradation never makes output
 //     nondeterministic;
 //  3. fast proxy sweeps recover the controller after RecoverAfter healthy
-//     observations, and the next Katz request takes the latent path again;
-//  4. serve/degraded_responses matches the flagged responses exactly.
+//     observations, and the next Katz request, on a freshly published
+//     snapshot, takes the latent path again;
+//  4. serve/degraded_responses matches the flagged responses exactly;
+//  5. degraded requests bypass the epoch memo (their proxy sweeps are what
+//     recovers the controller), and once recovered a repeat on the same
+//     snapshot is a memo hit: served by Katz without calling it again, and
+//     not an observation that could trip the controller.
 func TestDegradationProperty(t *testing.T) {
 	obs.Enable(true)
 	obs.Reset()
@@ -113,9 +118,18 @@ func TestDegradationProperty(t *testing.T) {
 		}
 	}
 
-	// 3. recoverAfter fast proxy sweeps re-enable the latent path.
+	// 3. recoverAfter fast proxy sweeps re-enable the latent path. The ask
+	// runs on a newly published snapshot: on r1's snapshot it would be a
+	// memo hit and prove nothing about the latent path sweeping again.
 	if s.Degraded() {
 		t.Fatalf("controller still degraded after %d healthy sweeps", recoverAfter)
+	}
+	last := tr.Edges[len(tr.Edges)-1]
+	if acc, _, err := s.Ingest([]Event{{U: 0, V: int64(tr.NumNodes()), T: last.Time}}); err != nil || acc != 1 {
+		t.Fatalf("ingest one edge: accepted=%d err=%v", acc, err)
+	}
+	if got := s.Flush(); got.Seq != snap.Seq+1 {
+		t.Fatalf("flush published seq %d, want %d", got.Seq, snap.Seq+1)
 	}
 	r5 := ask()
 	if r5.Degraded || r5.ServedBy != "Katz" {
@@ -131,6 +145,24 @@ func TestDegradationProperty(t *testing.T) {
 	}
 	if slow.calls != 2 {
 		t.Fatalf("latent path swept %d times, want 2 (first sweep and post-recovery sweep)", slow.calls)
+	}
+
+	// 5. r5 tripped the controller again; proxy sweeps recover it, then
+	// the repeat is answered from the memo.
+	for i := 0; i < recoverAfter; i++ {
+		if r := ask(); !r.Degraded {
+			t.Fatalf("degraded ask %d after r5 was not degraded", i)
+		}
+	}
+	r6 := ask()
+	if r6.Degraded || r6.ServedBy != "Katz" || r6.SnapshotSeq != r5.SnapshotSeq {
+		t.Fatalf("repeat: served_by=%s degraded=%v seq=%d, want Katz on seq %d", r6.ServedBy, r6.Degraded, r6.SnapshotSeq, r5.SnapshotSeq)
+	}
+	if slow.calls != 2 {
+		t.Fatalf("a repeat on the same snapshot swept the latent path: %d calls, want 2", slow.calls)
+	}
+	if got := obs.GetCounter("serve/degrade_transitions").Value(); got != 2 || s.Degraded() {
+		t.Fatalf("after a memo hit: degrade_transitions = %d, degraded = %v; a hit is not an observation", got, s.Degraded())
 	}
 }
 

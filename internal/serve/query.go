@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"sync"
 	"time"
 
 	"linkpred/internal/graph"
@@ -71,7 +72,8 @@ func (rt routing) answer(r *request, snap *Snapshot, pairs []PairScore, srange *
 }
 
 // servePredict runs one top-k request in three steps: plan (route, plus
-// the source range when the request is sharded), sweep, and render.
+// the source range when the request is sharded), sweep, and render. A memo
+// hit skips the sweep and, with it, the plan's source range.
 func (s *Server) servePredict(r *request, snap *Snapshot) {
 	start := time.Now()
 	if r.ctx.Err() != nil {
@@ -79,29 +81,175 @@ func (s *Server) servePredict(r *request, snap *Snapshot) {
 		return
 	}
 	rt := s.deg.route(r.alg, r.resolved, s.cfg.Resolve)
-	var srange *predict.SourceRange
-	if r.shards > 1 {
-		// Cost-weighted boundaries, not equal-count: growth traces put the
-		// hubs at low IDs, and equal-count ranges leave shard 0 with most of
-		// the sweep. The cost model follows the *served* algorithm's kernel
-		// family (wedge, capped-wedge for the pruned bounded sweeps,
-		// row-count for the latents), so a degraded shard balances the proxy
-		// sweep it actually runs. The split is a pure function of (snapshot,
-		// shards, served alg) — every replica serving the same epoch and
-		// algorithm derives the same disjoint cover, the router merges only
-		// parts that served one algorithm, and it learns the ranges from
-		// shard_range.
-		sr := predict.WeightedSourceRangeFor(snap.Graph, r.shard, r.shards, predict.CostModelFor(rt.served))
-		srange = &sr
-	}
-	pairs := s.sweep(r.ctx, snap, rt.alg, r.k, srange)
+	pairs, srange, swept := s.topK(r, snap, rt)
 	if r.ctx.Err() != nil {
 		// The sweep was cut short; the partial top-k is not the contract's
 		// bit-identical answer, so it is discarded.
 		s.finishDeadline(r)
 		return
 	}
-	s.render(r, snap, rt, srange, pairs, start)
+	s.render(r, snap, rt, srange, pairs, start, swept)
+}
+
+// plan returns the source range r sweeps on snap, or nil when r is
+// unrestricted.
+func plan(r *request, snap *Snapshot, rt routing) *predict.SourceRange {
+	if r.shards <= 1 {
+		return nil
+	}
+	// Cost-weighted boundaries, not equal-count: growth traces put the
+	// hubs at low IDs, and equal-count ranges leave shard 0 with most of
+	// the sweep. The cost model follows the *served* algorithm's kernel
+	// family (wedge, capped-wedge for the pruned bounded sweeps,
+	// row-count for the latents), so a degraded shard balances the proxy
+	// sweep it actually runs. The split is a pure function of (snapshot,
+	// shards, served alg) — every replica serving the same epoch and
+	// algorithm derives the same disjoint cover, the router merges only
+	// parts that served one algorithm, and it learns the ranges from
+	// shard_range.
+	sr := predict.WeightedSourceRangeFor(snap.Graph, r.shard, r.shards, predict.CostModelFor(rt.served))
+	return &sr
+}
+
+// topK answers r's top-k on snap under rt: sweep, through the epoch memo.
+// It returns the ranked pairs, the swept source range (nil when
+// unrestricted) and whether a sweep ran for this request — false for a
+// memo hit, including a wait on another request's sweep. A degraded route
+// bypasses the memo: its proxy sweeps are what the degrader observes to
+// recover. A waiter whose context ends first returns nothing; the caller
+// sees r.ctx.Err().
+func (s *Server) topK(r *request, snap *Snapshot, rt routing) ([]predict.Pair, *predict.SourceRange, bool) {
+	key := memoKey{alg: rt.served, shard: r.shard, shards: r.shards}
+	if r.shards <= 1 {
+		key.shard, key.shards = 0, 1
+	}
+	for {
+		var e *memoEntry
+		var f *flight
+		lead := true
+		if !rt.degraded {
+			e, f, lead = s.memo.claim(snap.Seq, key, r.k)
+		}
+		if lead {
+			k := r.k
+			if f != nil {
+				k = f.k
+			}
+			srange := plan(r, snap, rt)
+			pairs := s.sweep(r.ctx, snap, rt.alg, k, srange)
+			if f != nil {
+				s.memo.finish(e, f, pairs, srange, r.ctx.Err() == nil)
+			}
+			return pairs[:min(r.k, len(pairs))], srange, true
+		}
+		select {
+		case <-f.done:
+		case <-r.ctx.Done():
+			return nil, nil, false
+		}
+		if f.ok {
+			memoHits.Inc()
+			return f.pairs[:min(r.k, len(f.pairs))], f.srange, false
+		}
+		// The leader's deadline cut its sweep short: claim again.
+	}
+}
+
+// memo is the epoch memo around sweep. It holds one entry per (served
+// algorithm, shard, shards) for the newest snapshot seen, and drops them
+// all when a newer one arrives. An entry's list is the top-K of the largest
+// sweep completed on that snapshot; since the ranking is a total order
+// (score, then TieHash), its first k pairs are the top-k for any k <= K,
+// and for every k once the list came back shorter than K. Only sweeps that
+// ran to completion on an undegraded route are stored.
+type memo struct {
+	mu   sync.Mutex
+	seq  int64
+	keys map[memoKey]*memoEntry
+	// carried is the largest k requested per key on the previous snapshot:
+	// a miss sweeps at least that deep, so a workload whose k varies costs
+	// about one sweep per key per epoch.
+	carried map[memoKey]int
+}
+
+// memoMaxKeys bounds the keys one snapshot holds. Shard and shards come
+// from the request, so without it a client cycling through shard counts
+// would grow the memo without limit; past it, a new key sweeps unstored.
+const memoMaxKeys = 256
+
+type memoKey struct {
+	alg           string
+	shard, shards int
+}
+
+// memoEntry is one key's state: the stored list (nil until a sweep
+// completes), the sweep in flight, and the largest k requested.
+type memoEntry struct {
+	list, flight *flight
+	asked        int
+}
+
+// flight is one sweep at depth k; done closes when it ends, after pairs,
+// srange and ok are set.
+type flight struct {
+	k      int
+	pairs  []predict.Pair
+	srange *predict.SourceRange
+	ok     bool
+	done   chan struct{}
+}
+
+// covers reports whether a completed sweep's list answers depth k.
+func (f *flight) covers(k int) bool { return k <= f.k || len(f.pairs) < f.k }
+
+// claim finds the flight that answers key at depth k on the snapshot seq.
+// lead reports that the caller must sweep: at f.k and then call finish,
+// or — with f nil, when seq is older than the memo's snapshot — at its own
+// k, storing nothing. Otherwise the caller waits on f.done.
+func (m *memo) claim(seq int64, key memoKey, k int) (e *memoEntry, f *flight, lead bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.keys == nil || seq > m.seq {
+		carried := make(map[memoKey]int, len(m.keys))
+		for key, e := range m.keys {
+			carried[key] = e.asked
+		}
+		m.seq, m.keys, m.carried = seq, make(map[memoKey]*memoEntry), carried
+	} else if seq < m.seq {
+		return nil, nil, true
+	}
+	e = m.keys[key]
+	if e == nil {
+		if len(m.keys) == memoMaxKeys {
+			return nil, nil, true
+		}
+		e = &memoEntry{}
+		m.keys[key] = e
+	}
+	e.asked = max(e.asked, k)
+	switch {
+	case e.list != nil && e.list.covers(k):
+		return e, e.list, false
+	case e.flight != nil && e.flight.k >= k:
+		return e, e.flight, false
+	}
+	e.flight = &flight{k: max(k, m.carried[key]), done: make(chan struct{})}
+	return e, e.flight, true
+}
+
+// finish ends the flight f of entry e, storing its list when the sweep ran
+// to completion and goes deeper than the stored one.
+func (m *memo) finish(e *memoEntry, f *flight, pairs []predict.Pair, srange *predict.SourceRange, ok bool) {
+	m.mu.Lock()
+	f.pairs, f.srange, f.ok = pairs, srange, ok
+	if ok && (e.list == nil || f.k > e.list.k) {
+		e.list = f
+	}
+	if e.flight == f {
+		e.flight = nil
+	}
+	m.mu.Unlock()
+	close(f.done)
 }
 
 // sweep is the server's only top-k sweep. Its answer is a pure function of
@@ -112,10 +260,11 @@ func (s *Server) sweep(ctx context.Context, snap *Snapshot, alg predict.Algorith
 	return alg.Predict(snap.Graph, k, opt)
 }
 
-// render turns a finished sweep into r's response: external IDs (plus the
+// render turns a finished top-k into r's response: external IDs (plus the
 // dense ones a router merges on, when sharded), the liveeval record of an
-// unrestricted ranking, and the sweep's observation for the degrader.
-func (s *Server) render(r *request, snap *Snapshot, rt routing, srange *predict.SourceRange, pairs []predict.Pair, start time.Time) {
+// unrestricted ranking, and, when a sweep ran, its observation for the
+// degrader.
+func (s *Server) render(r *request, snap *Snapshot, rt routing, srange *predict.SourceRange, pairs []predict.Pair, start time.Time, swept bool) {
 	out := make([]PairScore, len(pairs))
 	ext := s.ids.Externals()
 	for i, p := range pairs {
@@ -140,7 +289,9 @@ func (s *Server) render(r *request, snap *Snapshot, rt routing, srange *predict.
 		}
 		s.cfg.Eval.Record(rt.served, snap.Seq, snap.Edges, int(s.traceLen.Load()), ranked)
 	}
-	s.deg.observe(time.Since(start), len(s.queue))
+	if swept {
+		s.deg.observe(time.Since(start), len(s.queue))
+	}
 	rt.answer(r, snap, out, srange)
 }
 

@@ -243,8 +243,9 @@ type Server struct {
 	// extends it.
 	ids *IDMap
 
-	cur atomic.Pointer[Snapshot]
-	deg *degrader
+	cur  atomic.Pointer[Snapshot]
+	deg  *degrader
+	memo memo
 
 	// traceLen mirrors len(trace.Edges) for lock-free reads on the query
 	// path (prequential eligibility floors, publish-lag gauge);
@@ -399,6 +400,7 @@ var (
 	queueDepth        = obs.GetHistogram("serve/queue_depth")
 	batchSize         = obs.GetHistogram("serve/batch_size")
 	shardPredicts     = obs.GetCounter("serve/shard_predicts")
+	memoHits          = obs.GetCounter("serve/predict_memo_hits")
 	degradedResponses = obs.GetCounter("serve/degraded_responses")
 	ingestEvents      = obs.GetCounter("serve/ingest_events")
 	ingestRejected    = obs.GetCounter("serve/ingest_rejected")
