@@ -75,7 +75,8 @@ const pprPerSource = 256
 
 // pprScratch is one worker's forward-push state. inQueue marks the nodes
 // in the queue; a mark is cleared when its node is popped, so the slice is
-// all-false between pushes.
+// all-false between pushes. Since a node is queued at most once at a time,
+// queue is a FIFO ring of n slots that never grows.
 type pprScratch struct {
 	p, r    *sparseVec
 	queue   []graph.NodeID
@@ -83,7 +84,7 @@ type pprScratch struct {
 }
 
 func newPPRScratch(n int) *pprScratch {
-	return &pprScratch{p: newSparseVec(n), r: newSparseVec(n), queue: make([]graph.NodeID, 0, 1024), inQueue: make([]bool, n)}
+	return &pprScratch{p: newSparseVec(n), r: newSparseVec(n), queue: make([]graph.NodeID, n), inQueue: make([]bool, n)}
 }
 
 // pprPush runs forward push from u, leaving the estimate in s.p. A
@@ -97,13 +98,14 @@ func pprPush(g *graph.Graph, u graph.NodeID, alpha, eps float64, s *pprScratch) 
 	p.reset()
 	r.reset()
 	r.add(u, 1)
-	// Pop by head index over the reused slice: reslicing the head away
-	// (q = q[1:]) would shrink the capacity append can reuse and make every
-	// push reallocate its queue.
-	q := append(s.queue[:0], u)
+	q := s.queue
+	q[0] = u
 	inQueue[u] = true
-	for head := 0; head < len(q); head++ {
+	for head, size := 0, 1; size > 0; size-- {
 		x := q[head]
+		if head++; head == len(q) {
+			head = 0
+		}
 		inQueue[x] = false
 		rx := r.val[x]
 		d := g.Degree(x)
@@ -123,11 +125,15 @@ func pprPush(g *graph.Graph, u graph.NodeID, alpha, eps float64, s *pprScratch) 
 			r.add(y, share)
 			if r.val[y] >= eps*float64(g.Degree(y)) && !inQueue[y] {
 				inQueue[y] = true
-				q = append(q, y)
+				tail := head + size - 1 // size still counts x
+				if tail >= len(q) {
+					tail -= len(q)
+				}
+				q[tail] = y
+				size++
 			}
 		}
 	}
-	s.queue = q[:0]
 }
 
 func pprPredict(g *graph.Graph, k int, opt Options) []Pair {

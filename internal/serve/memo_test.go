@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,21 +18,25 @@ import (
 )
 
 // countingAlg wraps a real algorithm and counts the top-k sweeps that reach
-// it, so a test can tell a memo hit from a sweep.
+// it, so a test can tell a memo hit from a sweep; lastK is the depth of the
+// latest one.
 type countingAlg struct {
 	predict.Algorithm
 	calls atomic.Int64
+	lastK atomic.Int64
 }
 
 func (c *countingAlg) Predict(g *graph.Graph, k int, opt predict.Options) []predict.Pair {
 	c.calls.Add(1)
+	c.lastK.Store(int64(k))
 	return c.Algorithm.Predict(g, k, opt)
 }
 
-// memoServer starts a server whose CN and AA resolve to counting wrappers.
+// memoServer starts a server whose CN, AA and PA resolve to counting
+// wrappers.
 func memoServer(t *testing.T, cfg Config) (*Server, map[string]*countingAlg) {
 	t.Helper()
-	counted := map[string]*countingAlg{"CN": {Algorithm: predict.CN}, "AA": {Algorithm: predict.AA}}
+	counted := map[string]*countingAlg{"CN": {Algorithm: predict.CN}, "AA": {Algorithm: predict.AA}, "PA": {Algorithm: predict.PA}}
 	cfg.SnapshotEvery = 1 << 20
 	cfg.Resolve = func(name string) (predict.Algorithm, error) {
 		if c, ok := counted[name]; ok {
@@ -363,15 +369,16 @@ func (a *gatedAlg) Predict(g *graph.Graph, k int, opt predict.Options) []predict
 	return a.Algorithm.Predict(g, k, opt)
 }
 
-// TestMemoSingleFlightRace runs under -race in CI. Part one: concurrent
-// misses on one key are single-flight — four workers, one sweep. Part two:
-// readers race a publisher; every answer must be the offline sweep of the
-// snapshot it reports.
-func TestMemoSingleFlightRace(t *testing.T) {
+// TestMemoConcurrentMissesRace runs under -race in CI. Part one: concurrent
+// misses on one key each sweep, every answer is exact, and the deepest list
+// is the one kept, whatever order the sweeps finish in. Part two: readers
+// race a publisher; every answer must be the offline sweep of the snapshot
+// it reports.
+func TestMemoConcurrentMissesRace(t *testing.T) {
 	enableObs(t)
 	var mu sync.Mutex
 	snaps := map[int64]*Snapshot{}
-	gated := &gatedAlg{Algorithm: predict.RA, entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	gated := &gatedAlg{Algorithm: predict.RA, entered: make(chan struct{}, 4), gate: make(chan struct{})}
 	s := newTestServer(t, Config{
 		SnapshotEvery: 1 << 20,
 		Workers:       4,
@@ -394,26 +401,36 @@ func TestMemoSingleFlightRace(t *testing.T) {
 	}
 	snap := s.Flush()
 
-	results := make(chan *Result, 4)
-	for i := 0; i < 4; i++ {
-		go func() {
-			res, err := s.Predict(context.Background(), "RA", 15)
+	ks := []int{20, 5, 15, 10}
+	results := make(chan *Result, len(ks))
+	for _, k := range ks {
+		go func(k int) {
+			res, err := s.Predict(context.Background(), "RA", k)
 			if err != nil {
 				t.Error(err)
 			}
 			results <- res
-		}()
+		}(k)
 	}
-	<-gated.entered
-	waitQueue(t, s, 0) // every request has reached a worker
+	for range ks { // every miss is sweeping before any finishes
+		<-gated.entered
+	}
 	close(gated.gate)
-	for i := 0; i < 4; i++ {
+	for range ks {
 		if res := <-results; res != nil {
-			requireOffline(t, s, res, snap, "RA", 15, nil)
+			requireOffline(t, s, res, snap, "RA", len(res.Pairs), nil)
 		}
 	}
-	if got := gated.calls.Load(); got != 1 {
-		t.Fatalf("four concurrent misses on one key swept %d times, want 1", got)
+	if got := gated.calls.Load(); got != int64(len(ks)) {
+		t.Fatalf("%d concurrent misses swept %d times, want one each", len(ks), got)
+	}
+	res, err := s.Predict(context.Background(), "RA", 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireOffline(t, s, res, snap, "RA", 20, nil)
+	if got := gated.calls.Load(); got != int64(len(ks)) {
+		t.Fatalf("k=20 after the concurrent sweeps swept again: the deepest list was not kept")
 	}
 
 	const readers, asks = 4, 24
@@ -460,5 +477,93 @@ func TestMemoSingleFlightRace(t *testing.T) {
 			t.Fatalf("answer on unknown seq %d", a.res.SnapshotSeq)
 		}
 		requireOffline(t, s, a.res, snap, a.alg, a.k, nil)
+	}
+}
+
+// TestMemoBudgetBoundsRetainedHeap: k = 2·10⁹ on many (shard, shards) keys
+// serves every candidate, but the memo keeps only what fits its budget, so
+// the heap the server retains after GC stays under a fixed ceiling however
+// many keys a client asks for.
+func TestMemoBudgetBoundsRetainedHeap(t *testing.T) {
+	s, _ := memoServer(t, Config{Workers: 1})
+	if _, _, err := s.Ingest(traceEvents(testTrace(t))); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	served := 0
+	for shards := 1; shards <= 8; shards++ {
+		for shard := 0; shard < shards; shard++ {
+			for _, alg := range []string{"PA", "CN", "AA", "RA"} {
+				res, err := s.PredictShard(context.Background(), alg, 2_000_000_000, shard, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				served += len(res.Pairs)
+			}
+		}
+	}
+	retained := int64(heap()) - int64(before)
+	const ceiling = 512 << 10
+	if unbounded := served * 16; unbounded < 4*ceiling {
+		t.Fatalf("the asks served %d pairs (%d B); the fixture is too small to show a retention bound of %d B", served, unbounded, ceiling)
+	}
+	s.memo.mu.Lock()
+	used := s.memo.used
+	s.memo.mu.Unlock()
+	if used > memoMaxSlots {
+		t.Fatalf("memo holds %d slots, budget %d", used, memoMaxSlots)
+	}
+	t.Logf("served %d pairs (%d B unstored); retained %d B", served, served*16, retained)
+	if retained > ceiling {
+		t.Fatalf("after serving %d pairs at k=2e9 the server retains %d B, ceiling %d B", served, retained, ceiling)
+	}
+}
+
+// TestMemoHostileDepthNotCarried: a k = 2·10⁹ ask on epoch N that the
+// budget refuses to store is not carried, so a k = 10 ask with a deadline
+// on epoch N+1 sweeps at depth 10 and answers 200 — a small k never pays
+// for another client's depth beyond what the memo would keep.
+func TestMemoHostileDepthNotCarried(t *testing.T) {
+	s, counted := memoServer(t, Config{Workers: 1})
+	events := traceEvents(testTrace(t))
+	if _, _, err := s.Ingest(events[:len(events)-1]); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	pa := counted["PA"]
+	res, err := s.Predict(context.Background(), "PA", 2_000_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Pairs) <= memoMaxSlots {
+		t.Fatalf("PA has %d candidates, within the %d-slot budget; the fixture cannot show a refused depth", len(res.Pairs), memoMaxSlots)
+	}
+	if _, _, err := s.Ingest(events[len(events)-1:]); err != nil {
+		t.Fatal(err)
+	}
+	snap := s.Flush()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/predict?alg=PA&k=10&timeout_ms=2000", nil))
+	if rec.Code != 200 {
+		t.Fatalf("k=10 on the next epoch: status %d body %s", rec.Code, rec.Body)
+	}
+	if got := pa.lastK.Load(); got != 10 {
+		t.Fatalf("k=10 on the next epoch swept at depth %d, want 10", got)
+	}
+	res, err = s.Predict(context.Background(), "PA", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireOffline(t, s, res, snap, "PA", 10, nil)
+	if got := pa.calls.Load(); got != 2 {
+		t.Fatalf("PA swept %d times, want 2: the k=10 list was not stored", got)
 	}
 }

@@ -114,142 +114,123 @@ func plan(r *request, snap *Snapshot, rt routing) *predict.SourceRange {
 // topK answers r's top-k on snap under rt: sweep, through the epoch memo.
 // It returns the ranked pairs, the swept source range (nil when
 // unrestricted) and whether a sweep ran for this request — false for a
-// memo hit, including a wait on another request's sweep. A degraded route
-// bypasses the memo: its proxy sweeps are what the degrader observes to
-// recover. A waiter whose context ends first returns nothing; the caller
-// sees r.ctx.Err().
+// memo hit. A degraded route bypasses the memo: its proxy sweeps are what
+// the degrader observes to recover. Concurrent misses on one key each
+// sweep; the memo keeps the deepest list that completed.
 func (s *Server) topK(r *request, snap *Snapshot, rt routing) ([]predict.Pair, *predict.SourceRange, bool) {
 	key := memoKey{alg: rt.served, shard: r.shard, shards: r.shards}
 	if r.shards <= 1 {
 		key.shard, key.shards = 0, 1
 	}
-	for {
-		var e *memoEntry
-		var f *flight
-		lead := true
-		if !rt.degraded {
-			e, f, lead = s.memo.claim(snap.Seq, key, r.k)
-		}
-		if lead {
-			k := r.k
-			if f != nil {
-				k = f.k
-			}
-			srange := plan(r, snap, rt)
-			pairs := s.sweep(r.ctx, snap, rt.alg, k, srange)
-			if f != nil {
-				s.memo.finish(e, f, pairs, srange, r.ctx.Err() == nil)
-			}
-			return pairs[:min(r.k, len(pairs))], srange, true
-		}
-		select {
-		case <-f.done:
-		case <-r.ctx.Done():
-			return nil, nil, false
-		}
-		if f.ok {
+	depth := r.k
+	if !rt.degraded {
+		var l memoList
+		var hit bool
+		if l, hit, depth = s.memo.lookup(snap.Seq, key, r.k); hit {
 			memoHits.Inc()
-			return f.pairs[:min(r.k, len(f.pairs))], f.srange, false
+			return l.pairs[:min(r.k, len(l.pairs))], l.srange, false
 		}
-		// The leader's deadline cut its sweep short: claim again.
 	}
+	srange := plan(r, snap, rt)
+	pairs := s.sweep(r.ctx, snap, rt.alg, depth, srange)
+	if !rt.degraded && r.ctx.Err() == nil {
+		s.memo.store(snap.Seq, key, memoList{k: depth, pairs: pairs, srange: srange})
+	}
+	return pairs[:min(r.k, len(pairs))], srange, true
 }
 
-// memo is the epoch memo around sweep. It holds one entry per (served
-// algorithm, shard, shards) for the newest snapshot seen, and drops them
-// all when a newer one arrives. An entry's list is the top-K of the largest
+// memo is the epoch memo around sweep. It holds at most one list per
+// (served algorithm, shard, shards) for the newest snapshot seen, and drops
+// them all when a newer one arrives. A list is the top-K of the deepest
 // sweep completed on that snapshot; since the ranking is a total order
 // (score, then TieHash), its first k pairs are the top-k for any k <= K,
 // and for every k once the list came back shorter than K. Only sweeps that
-// ran to completion on an undegraded route are stored.
+// ran to completion on an undegraded route are stored, and only while all
+// lists together fit in memoMaxSlots.
 type memo struct {
-	mu   sync.Mutex
-	seq  int64
-	keys map[memoKey]*memoEntry
-	// carried is the largest k requested per key on the previous snapshot:
+	mu    sync.Mutex
+	seq   int64
+	lists map[memoKey]memoList
+	used  int // slots held by lists
+	// carried is the length of each key's list on the previous snapshot:
 	// a miss sweeps at least that deep, so a workload whose k varies costs
-	// about one sweep per key per epoch.
+	// about one sweep per key per epoch. A list the budget refused is not
+	// carried, so no request sweeps deeper than the memo would keep.
 	carried map[memoKey]int
 }
 
-// memoMaxKeys bounds the keys one snapshot holds. Shard and shards come
-// from the request, so without it a client cycling through shard counts
-// would grow the memo without limit; past it, a new key sweeps unstored.
-const memoMaxKeys = 256
+// memoMaxSlots bounds what all lists hold together, in pair slots of 16 B:
+// 128 KiB. k, shard and shards come from the request; past the budget a
+// sweep is answered but not stored, so hostile depths or keys cannot pin
+// memory, and no carried depth exceeds it.
+const memoMaxSlots = 1 << 13
 
 type memoKey struct {
 	alg           string
 	shard, shards int
 }
 
-// memoEntry is one key's state: the stored list (nil until a sweep
-// completes), the sweep in flight, and the largest k requested.
-type memoEntry struct {
-	list, flight *flight
-	asked        int
-}
-
-// flight is one sweep at depth k; done closes when it ends, after pairs,
-// srange and ok are set.
-type flight struct {
+// memoList is one stored sweep: its depth k, the ranked pairs and the
+// source range it swept.
+type memoList struct {
 	k      int
 	pairs  []predict.Pair
 	srange *predict.SourceRange
-	ok     bool
-	done   chan struct{}
 }
 
-// covers reports whether a completed sweep's list answers depth k.
-func (f *flight) covers(k int) bool { return k <= f.k || len(f.pairs) < f.k }
+// slots is what l holds against memoMaxSlots: its pairs' capacity, plus
+// eight slots for its key, header and range, so that many empty lists
+// cannot outgrow the budget either.
+func (l memoList) slots() int { return cap(l.pairs) + 8 }
 
-// claim finds the flight that answers key at depth k on the snapshot seq.
-// lead reports that the caller must sweep: at f.k and then call finish,
-// or — with f nil, when seq is older than the memo's snapshot — at its own
-// k, storing nothing. Otherwise the caller waits on f.done.
-func (m *memo) claim(seq int64, key memoKey, k int) (e *memoEntry, f *flight, lead bool) {
+// advance moves the memo to snapshot seq when seq is newer, carrying each
+// stored list's length. The caller holds m.mu.
+func (m *memo) advance(seq int64) {
+	if m.lists != nil && seq <= m.seq {
+		return
+	}
+	carried := make(map[memoKey]int, len(m.lists))
+	for key, l := range m.lists {
+		carried[key] = len(l.pairs)
+	}
+	m.seq, m.lists, m.used, m.carried = seq, make(map[memoKey]memoList), 0, carried
+}
+
+// lookup returns key's stored list when it answers depth k on snapshot
+// seq, and otherwise the depth a miss sweeps at: k, or the carried depth
+// when that is larger. A request on a snapshot older than the memo's is a
+// miss at its own k.
+func (m *memo) lookup(seq int64, key memoKey, k int) (l memoList, hit bool, depth int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.keys == nil || seq > m.seq {
-		carried := make(map[memoKey]int, len(m.keys))
-		for key, e := range m.keys {
-			carried[key] = e.asked
-		}
-		m.seq, m.keys, m.carried = seq, make(map[memoKey]*memoEntry), carried
-	} else if seq < m.seq {
-		return nil, nil, true
+	m.advance(seq)
+	if seq < m.seq {
+		return memoList{}, false, k
 	}
-	e = m.keys[key]
-	if e == nil {
-		if len(m.keys) == memoMaxKeys {
-			return nil, nil, true
-		}
-		e = &memoEntry{}
-		m.keys[key] = e
+	if l, ok := m.lists[key]; ok && (k <= l.k || len(l.pairs) < l.k) {
+		return l, true, k
 	}
-	e.asked = max(e.asked, k)
-	switch {
-	case e.list != nil && e.list.covers(k):
-		return e, e.list, false
-	case e.flight != nil && e.flight.k >= k:
-		return e, e.flight, false
-	}
-	e.flight = &flight{k: max(k, m.carried[key]), done: make(chan struct{})}
-	return e, e.flight, true
+	return memoList{}, false, max(k, m.carried[key])
 }
 
-// finish ends the flight f of entry e, storing its list when the sweep ran
-// to completion and goes deeper than the stored one.
-func (m *memo) finish(e *memoEntry, f *flight, pairs []predict.Pair, srange *predict.SourceRange, ok bool) {
+// store keeps l as key's list on snapshot seq when it goes deeper than the
+// stored one and the budget has room for it.
+func (m *memo) store(seq int64, key memoKey, l memoList) {
 	m.mu.Lock()
-	f.pairs, f.srange, f.ok = pairs, srange, ok
-	if ok && (e.list == nil || f.k > e.list.k) {
-		e.list = f
+	defer m.mu.Unlock()
+	m.advance(seq)
+	old, had := m.lists[key]
+	if seq < m.seq || had && old.k >= l.k {
+		return
 	}
-	if e.flight == f {
-		e.flight = nil
+	used := m.used + l.slots()
+	if had {
+		used -= old.slots()
 	}
-	m.mu.Unlock()
-	close(f.done)
+	if used > memoMaxSlots {
+		return
+	}
+	m.lists[key], m.used = l, used
 }
 
 // sweep is the server's only top-k sweep. Its answer is a pure function of
