@@ -4,11 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"linkpred/internal/graph"
+	"linkpred/internal/obs"
 	"linkpred/internal/wal"
 )
 
@@ -337,4 +340,98 @@ func TestWALServeDurabilityFailure(t *testing.T) {
 
 	// The synced prefix recovers to at least everything acked pre-failure.
 	verifyRecoveredServer(t, st.Reconstruct(st.TotalWriteBytes(), true), ref, acked, "post-failure recovery")
+}
+
+// blockingStorage is a MemStorage whose segment Syncs, once armed, park
+// until release is closed; entered reports each parked Sync.
+type blockingStorage struct {
+	*wal.MemStorage
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+type blockingFile struct {
+	wal.File
+	st *blockingStorage
+}
+
+func (s *blockingStorage) Create(name string) (wal.File, error) {
+	f, err := s.MemStorage.Create(name)
+	if err != nil || !strings.HasSuffix(name, ".seg") {
+		return f, err
+	}
+	return &blockingFile{File: f, st: s}, nil
+}
+
+func (f *blockingFile) Sync() error {
+	if f.st.armed.Load() {
+		f.st.entered <- struct{}{}
+		<-f.st.release
+	}
+	return f.File.Sync()
+}
+
+// TestWALServeHealthDuringBlockedSync: /healthz and the serve/wal_*
+// gauges answer while an ingest batch's group commit is parked inside
+// fsync, holding both the ingest lock and the log's lock. A router
+// polling for alignment must never wait behind the replication it is
+// waiting on.
+func TestWALServeHealthDuringBlockedSync(t *testing.T) {
+	st := &blockingStorage{
+		MemStorage: wal.NewMemStorage(),
+		entered:    make(chan struct{}, 1),
+		release:    make(chan struct{}),
+	}
+	srv := newTestServer(t, Config{WAL: st, SnapshotEvery: 1 << 20, Workers: 1})
+	events := traceEvents(testTrace(t))[:64]
+	if _, _, err := srv.Ingest(events[:32]); err != nil {
+		t.Fatal(err)
+	}
+	st.armed.Store(true)
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := srv.Ingest(events[32:])
+		done <- err
+	}()
+	select {
+	case <-st.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the ingest commit never reached Sync")
+	}
+
+	answered := make(chan Health, 1)
+	go func() { answered <- srv.Health() }()
+	select {
+	case h := <-answered:
+		if h.WAL == nil || !h.WAL.OK || h.WAL.Committed < 32 || h.TraceEdges != 64 {
+			t.Fatalf("health during a blocked fsync: edges=%d wal=%+v", h.TraceEdges, h.WAL)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Health blocked behind the commit's fsync")
+	}
+	gauges := make(chan map[string]float64, 1)
+	go func() { gauges <- obs.Snapshot().Gauges }()
+	select {
+	case g := <-gauges:
+		for _, name := range []string{"serve/wal_appended", "serve/wal_committed", "serve/wal_segments", "serve/wal_failed"} {
+			if _, ok := g[name]; !ok {
+				t.Errorf("gauge %s missing while the commit is blocked", name)
+			}
+		}
+		if g["serve/wal_failed"] != 0 {
+			t.Errorf("serve/wal_failed = %v during a healthy blocked commit", g["serve/wal_failed"])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the serve/wal_* gauges blocked behind the commit's fsync")
+	}
+
+	st.armed.Store(false)
+	close(st.release)
+	if err := <-done; err != nil {
+		t.Fatalf("ingest after the fsync returned: %v", err)
+	}
+	if h := srv.Health(); h.WAL.Appended != 64 || h.WAL.Committed != 64 {
+		t.Fatalf("after the commit: %+v", h.WAL)
+	}
 }
