@@ -189,14 +189,12 @@ type Router struct {
 	// feeding the epoch-skew gauge.
 	lastSeq []atomic.Int64
 
-	// evalIDs and evalEdges are the router-side prequential mirror
-	// (Config.Eval): the replicated event stream admitted through the same
-	// serve.IDMap rule the workers apply, so the router's dense IDs and
-	// trace indices match every shard's. Ingest (already serialized by
-	// ingestMu) extends it; Predict reads it to record merged rankings in
-	// dense space. Only the accepted-edge count is kept, not the edges.
-	evalIDs   *serve.IDMap
-	evalEdges atomic.Int64
+	// evalLed is the router-side prequential mirror (Config.Eval): the
+	// replicated event stream admitted through the graph.Ledger rule the
+	// workers apply, so the router's dense IDs and trace indices match
+	// every shard's. Ingest (already serialized by ingestMu) extends it;
+	// Predict reads it to record merged rankings in dense space.
+	evalLed *graph.Ledger
 
 	// shardErrors[i] is shard i's cluster/shard_errors{shard} counter.
 	shardErrors []*obs.Counter
@@ -245,7 +243,7 @@ func New(cfg Config) *Router {
 		r.shardErrors = append(r.shardErrors, obs.GetCounter(fmt.Sprintf(`cluster/shard_errors{shard="%d"}`, i)))
 	}
 	if cfg.Eval != nil {
-		r.evalIDs = serve.NewIDMap(nil, nil)
+		r.evalLed, _ = graph.NewLedger(nil, nil)
 	}
 	obs.SetGaugeFunc("cluster/shards", func() float64 { return float64(len(cfg.Shards)) })
 	obs.SetGaugeFunc("cluster/epoch_skew", func() float64 { return float64(r.epochSkew()) })
@@ -598,11 +596,11 @@ func (r *Router) recordEval(out *Response) {
 	if r.cfg.Eval == nil || out.Partial {
 		return
 	}
-	traceLen := int(r.evalEdges.Load())
+	traceLen := r.evalLed.Len()
 	ranked := make([][2]graph.NodeID, 0, len(out.Pairs))
 	for _, p := range out.Pairs {
-		u, uok := r.evalIDs.Lookup(p.U)
-		v, vok := r.evalIDs.Lookup(p.V)
+		u, uok := r.evalLed.Lookup(p.U)
+		v, vok := r.evalLed.Lookup(p.V)
 		if uok && vok {
 			ranked = append(ranked, [2]graph.NodeID{u, v})
 		}
@@ -680,19 +678,17 @@ func (r *Router) Ingest(ctx context.Context, events []serve.Event) (*IngestResul
 }
 
 // observeEval replays one replicated batch into the router's prequential
-// mirror. Admission is serve.IDMap's — the rule serve.(*Server).Ingest
-// applies — and an admitted event cannot be refused by the trace append
-// that follows it on a worker, so the mirror's dense IDs and trace indices
-// are identical to every worker's without keeping the trace. Each accepted
-// edge is scored against the merged predictions recorded before it arrived.
-// Callers hold ingestMu.
+// mirror through graph.Ledger.Admit, the rule serve.(*Server).Ingest
+// applies, so the mirror's dense IDs and trace indices are identical to
+// every worker's. Each accepted edge is scored against the merged
+// predictions recorded before it arrived. Callers hold ingestMu.
 func (r *Router) observeEval(events []serve.Event) {
 	if r.cfg.Eval == nil {
 		return
 	}
 	for _, ev := range events {
-		if u, v, ok := r.evalIDs.Admit(ev); ok {
-			r.cfg.Eval.ObserveEdge(u, v, int(r.evalEdges.Add(1))-1)
+		if e, ok := r.evalLed.Admit(ev.U, ev.V, ev.T); ok {
+			r.cfg.Eval.ObserveEdge(e.U, e.V, r.evalLed.Len()-1)
 		}
 	}
 }

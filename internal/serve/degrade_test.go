@@ -112,7 +112,7 @@ func TestDegradationProperty(t *testing.T) {
 		}
 		for j, w := range wantProxy {
 			got := r.Pairs[j]
-			if got.U != s.ids.Externals()[w.U] || got.V != s.ids.Externals()[w.V] || got.Score != w.Score {
+			if got.U != s.led.Externals()[w.U] || got.V != s.led.Externals()[w.V] || got.Score != w.Score {
 				t.Fatalf("degraded response %d rank %d: %+v, proxy offline %+v", i, j, got, w)
 			}
 		}
@@ -209,8 +209,8 @@ func TestDegradeScorePath(t *testing.T) {
 	}
 	var flat []predict.Pair
 	for _, p := range ext {
-		u, _ := s.ids.Lookup(p[0])
-		v, _ := s.ids.Lookup(p[1])
+		u, _ := s.led.Lookup(p[0])
+		v, _ := s.led.Lookup(p[1])
 		flat = append(flat, predict.Pair{U: u, V: v})
 	}
 	want := predict.AA.ScorePairs(snap.Graph, flat, s.cfg.Opt)

@@ -46,22 +46,17 @@ type walRecoveryInfo struct {
 	truncated bool
 }
 
-// adoptRecovery installs what wal.Open recovered before the boot publish:
-// the log itself, its ID maps, the recovery outcome, the checkpoint
-// position, and the serving epoch to resume from. New calls it before any
-// other goroutine can see s.
-func (s *Server) adoptRecovery(wlog *wal.Log, rec *wal.Recovered) {
-	// The log's ID maps are authoritative: external IDs recovered from the
-	// records themselves (or identity for a warm-start prefix).
-	s.ids = NewIDMap(rec.Remap, rec.Rev)
-	s.wal = wlog
+// adoptRecovery installs what wal.Open recovered, beyond its ledger, before
+// the boot publish: the recovery outcome, the checkpoint position, and the
+// serving epoch to resume from. New calls it before any other goroutine
+// can see s.
+func (s *Server) adoptRecovery(rec *wal.Recovered) {
 	s.walRecovered = walRecoveryInfo{
 		edges:     len(rec.Trace.Edges),
 		tail:      rec.TailRecords,
 		truncated: rec.Truncated,
 	}
 	s.ckptEdges.Store(int64(rec.CheckpointEdges))
-	s.walSyncStats()
 	if rec.LastPub != nil {
 		// Restore the serving epoch: republishing exactly the last logged
 		// publication keeps its seq (the boot snapshot is bit-identical to
@@ -76,47 +71,24 @@ func (s *Server) adoptRecovery(wlog *wal.Log, rec *wal.Recovered) {
 	}
 }
 
-// walFail records the first durability error and trips the sticky failure
-// latch. The in-memory trace may now be ahead of the durable log, so no
-// further writes are accepted.
-func (s *Server) walFail(err error) {
-	s.walErrMu.Lock()
-	if s.walErrStr == "" {
-		s.walErrStr = err.Error()
-	}
-	s.walErrMu.Unlock()
-	s.walFailed.Store(true)
+// walFailure counts a durability failure the server just hit and returns
+// the refusal ingest answers with. The log keeps the failure itself: its
+// first error poisons it for good (wal.Log.Err), so the in-memory trace,
+// possibly ahead of the durable log, accepts no further writes.
+func walFailure(err error) error {
 	obs.GetCounter("serve/wal_failures").Inc()
+	return walRefusal(err)
 }
 
-func (s *Server) walErr() error {
-	s.walErrMu.Lock()
-	msg := s.walErrStr
-	s.walErrMu.Unlock()
-	if msg == "" {
-		return ErrDurability
-	}
-	return fmt.Errorf("%w: %s", ErrDurability, msg)
-}
-
-// walSyncStats mirrors the log's counters into atomics so Health and the
-// telemetry gauges never take the log's lock (a health probe must not
-// block behind an fsync). Callers hold s.mu.
-func (s *Server) walSyncStats() {
-	s.walAppendedN.Store(s.wal.Appended())
-	s.walCommittedN.Store(s.wal.Committed())
-	s.walSegmentsN.Store(int64(s.wal.Segments()))
-}
+func walRefusal(err error) error { return fmt.Errorf("%w: %v", ErrDurability, err) }
 
 // walCommit group-commits everything appended so far; returning nil is the
 // durability ack. Callers hold s.mu.
 func (s *Server) walCommit() error {
 	start := obs.Start()
 	if err := s.wal.Commit(); err != nil {
-		s.walFail(err)
-		return s.walErr()
+		return walFailure(err)
 	}
-	s.walSyncStats()
 	walCommits.Inc()
 	walCommitNS.Since(start)
 	return nil
@@ -127,12 +99,12 @@ func (s *Server) walCommit() error {
 // checkpoint when the replay horizon has grown past CheckpointEvery.
 // Callers hold s.mu (publishLocked).
 func (s *Server) walNotePublish(snap *Snapshot) {
-	if s.walFailed.Load() {
+	if s.wal.Err() != nil {
 		return
 	}
 	p := wal.Publish{Seq: snap.Seq, Edges: uint64(snap.Edges), Time: snap.Time}
 	if err := s.wal.NotePublish(p); err != nil {
-		s.walFail(err)
+		walFailure(err)
 		return
 	}
 	s.maybeCheckpointLocked(snap, p)
@@ -157,11 +129,12 @@ func (s *Server) maybeCheckpointLocked(snap *Snapshot, p wal.Publish) {
 	if !s.ckptBusy.CompareAndSwap(false, true) {
 		return
 	}
+	tr := s.led.Trace()
 	data := wal.CheckpointData{
-		Name:    s.trace.Name,
-		Arrival: s.trace.Arrival,
-		Edges:   s.trace.Edges,
-		Rev:     s.ids.Externals(),
+		Name:    tr.Name,
+		Arrival: tr.Arrival,
+		Edges:   tr.Edges,
+		Rev:     s.led.Externals(),
 		Pub:     p,
 	}
 	s.wg.Add(1)
@@ -170,37 +143,36 @@ func (s *Server) maybeCheckpointLocked(snap *Snapshot, p wal.Publish) {
 		defer s.ckptBusy.Store(false)
 		start := obs.Start()
 		if err := s.wal.WriteCheckpoint(data); err != nil {
-			s.walFail(err)
+			walFailure(err)
 			obs.GetCounter("serve/wal_checkpoint_failures").Inc()
 			return
 		}
 		s.ckptEdges.Store(int64(p.Edges))
-		s.walSegmentsN.Store(int64(s.wal.Segments()))
 		obs.GetCounter("serve/wal_checkpoints").Inc()
 		obs.GetHistogram("serve/wal_checkpoint_ns").Since(start)
 	}()
 }
 
-// walStatus assembles the health block from mirrored atomics only.
+// walStatus assembles the health block from reads that take no lock: the
+// log's own positions and failure, and the server's checkpoint state.
 func (s *Server) walStatus() *WALStatus {
 	if s.wal == nil {
 		return nil
 	}
+	err := s.wal.Err()
 	st := &WALStatus{
-		OK:              !s.walFailed.Load(),
-		Appended:        s.walAppendedN.Load(),
-		Committed:       s.walCommittedN.Load(),
-		Segments:        int(s.walSegmentsN.Load()),
+		OK:              err == nil,
+		Appended:        s.wal.Appended(),
+		Committed:       s.wal.Committed(),
+		Segments:        s.wal.Segments(),
 		CheckpointEdges: int(s.ckptEdges.Load()),
 		CheckpointBusy:  s.ckptBusy.Load(),
 		RecoveredEdges:  s.walRecovered.edges,
 		RecoveredTail:   s.walRecovered.tail,
 		Truncated:       s.walRecovered.truncated,
 	}
-	if !st.OK {
-		s.walErrMu.Lock()
-		st.Error = s.walErrStr
-		s.walErrMu.Unlock()
+	if err != nil {
+		st.Error = err.Error()
 	}
 	return st
 }
@@ -214,22 +186,22 @@ func (s *Server) registerWALGauges() {
 		obs.GetCounter("serve/wal_recovered_truncations").Inc()
 	}
 	obs.SetGaugeFunc("serve/wal_appended", func() float64 {
-		return float64(s.walAppendedN.Load())
+		return float64(s.wal.Appended())
 	})
 	obs.SetGaugeFunc("serve/wal_committed", func() float64 {
-		return float64(s.walCommittedN.Load())
+		return float64(s.wal.Committed())
 	})
 	obs.SetGaugeFunc("serve/wal_segments", func() float64 {
-		return float64(s.walSegmentsN.Load())
+		return float64(s.wal.Segments())
 	})
 	obs.SetGaugeFunc("serve/wal_checkpoint_edges", func() float64 {
 		return float64(s.ckptEdges.Load())
 	})
 	obs.SetGaugeFunc("serve/wal_checkpoint_lag_edges", func() float64 {
-		return float64(s.traceLen.Load() - s.ckptEdges.Load())
+		return float64(int64(s.led.Len()) - s.ckptEdges.Load())
 	})
 	obs.SetGaugeFunc("serve/wal_failed", func() float64 {
-		if s.walFailed.Load() {
+		if s.wal.Err() != nil {
 			return 1
 		}
 		return 0

@@ -170,8 +170,8 @@ func FuzzScoreBody(f *testing.F) {
 			if got.U != p[0] || got.V != p[1] {
 				t.Errorf("%q: score %d echoes (%d,%d), want %v", body, i, got.U, got.V, p)
 			}
-			_, uok := s.ids.Lookup(p[0])
-			_, vok := s.ids.Lookup(p[1])
+			_, uok := s.led.Lookup(p[0])
+			_, vok := s.led.Lookup(p[1])
 			if (!uok || !vok) && got.Score != 0 {
 				t.Errorf("%q: unknown-ID pair %v scored %v, want 0", body, p, got.Score)
 			}

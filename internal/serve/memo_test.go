@@ -61,7 +61,7 @@ func requireOffline(t *testing.T, s *Server, res *Result, snap *Snapshot, alg st
 	if len(res.Pairs) != len(want) {
 		t.Fatalf("%s k=%d: %d pairs, offline %d", alg, k, len(res.Pairs), len(want))
 	}
-	ext := s.ids.Externals()
+	ext := s.led.Externals()
 	for i, w := range want {
 		got := res.Pairs[i]
 		if got.U != ext[w.U] || got.V != ext[w.V] || math.Float64bits(got.Score) != math.Float64bits(w.Score) {

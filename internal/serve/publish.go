@@ -31,39 +31,34 @@ func (s *Server) Ingest(events []Event) (accepted, rejected int, err error) {
 	if closed {
 		return 0, 0, ErrClosed
 	}
-	if s.wal != nil && s.walFailed.Load() {
-		return 0, 0, s.walErr()
+	if s.wal != nil {
+		if err := s.wal.Err(); err != nil {
+			return 0, 0, walRefusal(err)
+		}
 	}
 	s.mu.Lock()
 	for _, ev := range events {
-		u, v, ok := s.ids.Admit(ev)
+		e, ok := s.led.Admit(ev.U, ev.V, ev.T)
 		if !ok {
-			rejected++
-			continue
-		}
-		e, aerr := s.trace.Append(u, v, ev.T)
-		if aerr != nil {
 			rejected++
 			continue
 		}
 		if s.wal != nil {
 			// Log the event exactly as applied (post-clamp time, dense IDs):
-			// replay re-runs Append and asserts it reproduces this edge.
+			// replay re-admits it and asserts it reproduces this edge.
 			werr := s.wal.Append(wal.Record{ExtU: ev.U, ExtV: ev.V, U: e.U, V: e.V, T: e.Time})
 			if werr != nil {
-				s.walFail(werr)
 				s.mu.Unlock()
-				return 0, 0, s.walErr()
+				return 0, 0, walFailure(werr)
 			}
 		}
 		accepted++
 		s.pending++
-		s.traceLen.Store(int64(len(s.trace.Edges)))
 		if s.cfg.Eval != nil {
 			// The prequential step: this edge, identified by its trace
 			// index, is scored against every prediction recorded before it
 			// arrived (the engine enforces the epoch boundary).
-			s.cfg.Eval.ObserveEdge(u, v, len(s.trace.Edges)-1)
+			s.cfg.Eval.ObserveEdge(e.U, e.V, s.led.Len()-1)
 		}
 		if s.pending >= s.cfg.SnapshotEvery {
 			s.publishLocked()
@@ -75,7 +70,7 @@ func (s *Server) Ingest(events []Event) (accepted, rejected int, err error) {
 			return 0, 0, werr
 		}
 	}
-	lag := len(s.trace.Edges) - s.builder.Applied()
+	lag := s.led.Len() - s.builder.Applied()
 	s.mu.Unlock()
 	ingestEvents.Add(int64(accepted))
 	if rejected > 0 {
@@ -91,11 +86,11 @@ func (s *Server) Ingest(events []Event) (accepted, rejected int, err error) {
 func (s *Server) Flush() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.builder.Applied() == len(s.trace.Edges) && s.cur.Load() != nil {
+	if s.builder.Applied() == s.led.Len() && s.cur.Load() != nil {
 		return s.cur.Load()
 	}
 	snap := s.publishLocked()
-	if s.wal != nil && !s.walFailed.Load() {
+	if s.wal != nil && s.wal.Err() == nil {
 		// Make the publish marker durable too: Flush is the explicit
 		// "everything so far" barrier.
 		_ = s.walCommit()
@@ -108,7 +103,7 @@ func (s *Server) Flush() *Snapshot {
 // before the pointer swap, so by the time any query can reference a seq
 // the hook has already seen it.
 func (s *Server) publishLocked() *Snapshot {
-	g := s.builder.AtEdge(len(s.trace.Edges))
+	g := s.builder.AtEdge(s.led.Len())
 	s.seq++
 	snap := &Snapshot{Graph: g, Seq: s.seq, Edges: s.builder.Applied(), Time: g.Time}
 	s.pending = 0

@@ -40,8 +40,8 @@ func (s *Server) Score(ctx context.Context, alg string, pairs [][2]int64) (*Resu
 	req := &request{kind: kindScore, alg: alg, ext: pairs, ctx: ctx}
 	req.dense = make([]densePair, len(pairs))
 	for i, p := range pairs {
-		u, uok := s.ids.Lookup(p[0])
-		v, vok := s.ids.Lookup(p[1])
+		u, uok := s.led.Lookup(p[0])
+		v, vok := s.led.Lookup(p[1])
 		req.dense[i] = densePair{u: u, v: v, ok: uok && vok}
 	}
 	return s.submit(req)
@@ -247,7 +247,7 @@ func (s *Server) sweep(ctx context.Context, snap *Snapshot, alg predict.Algorith
 // degrader.
 func (s *Server) render(r *request, snap *Snapshot, rt routing, srange *predict.SourceRange, pairs []predict.Pair, start time.Time, swept bool) {
 	out := make([]PairScore, len(pairs))
-	ext := s.ids.Externals()
+	ext := s.led.Externals()
 	for i, p := range pairs {
 		out[i] = PairScore{U: ext[p.U], V: ext[p.V], Score: p.Score}
 		if srange != nil {
@@ -268,7 +268,7 @@ func (s *Server) render(r *request, snap *Snapshot, rt routing, srange *predict.
 		for i, p := range pairs {
 			ranked[i] = [2]graph.NodeID{p.U, p.V}
 		}
-		s.cfg.Eval.Record(rt.served, snap.Seq, snap.Edges, int(s.traceLen.Load()), ranked)
+		s.cfg.Eval.Record(rt.served, snap.Seq, snap.Edges, s.led.Len(), ranked)
 	}
 	if swept {
 		s.deg.observe(time.Since(start), len(s.queue))

@@ -172,7 +172,7 @@ func TestServeRaceIntegration(t *testing.T) {
 				}
 				for j, w := range want {
 					got := rec.res.Pairs[j]
-					if got.U != s.ids.Externals()[w.U] || got.V != s.ids.Externals()[w.V] || got.Score != w.Score {
+					if got.U != s.led.Externals()[w.U] || got.V != s.led.Externals()[w.V] || got.Score != w.Score {
 						t.Fatalf("querier %d record %d (%s@%d): rank %d served %+v, offline %+v",
 							q, i, rec.alg, rec.res.SnapshotSeq, j, got, w)
 					}
@@ -180,8 +180,8 @@ func TestServeRaceIntegration(t *testing.T) {
 			case kindScore:
 				n := snap.Graph.NumNodes()
 				for j, p := range rec.ext {
-					u, uok := s.ids.Lookup(p[0])
-					v, vok := s.ids.Lookup(p[1])
+					u, uok := s.led.Lookup(p[0])
+					v, vok := s.led.Lookup(p[1])
 					var want float64
 					if uok && vok && int(u) < n && int(v) < n {
 						want = alg.ScorePairs(snap.Graph, []predict.Pair{{U: u, V: v}}, opt)[0]

@@ -52,7 +52,7 @@ import (
 
 // Event is one timestamped edge-creation event in external ID space.
 // External IDs are arbitrary non-negative integers; the server remaps them
-// densely in first-seen order (IDMap).
+// densely in first-seen order (graph.Ledger).
 type Event struct {
 	U int64 `json:"u"`
 	V int64 `json:"v"`
@@ -232,26 +232,21 @@ type Server struct {
 	closeMu sync.RWMutex
 	closed  bool
 
-	// mu serializes the ingest path: trace growth and snapshot publication.
+	// mu serializes the ingest path: admission into the ledger and
+	// snapshot publication. Queries read the ledger's ID map and length
+	// while ingest extends them.
 	mu      sync.Mutex
-	trace   *graph.Trace
+	led     *graph.Ledger
 	builder *graph.IncrementalBuilder
 	seq     int64
 	pending int
-
-	// ids is the external↔dense ID map, which queries read while ingest
-	// extends it.
-	ids *IDMap
 
 	cur  atomic.Pointer[Snapshot]
 	deg  *degrader
 	memo memo
 
-	// traceLen mirrors len(trace.Edges) for lock-free reads on the query
-	// path (prequential eligibility floors, publish-lag gauge);
 	// lastPublishNS is the wall time of the latest snapshot publication
 	// (snapshot-age gauge).
-	traceLen      atomic.Int64
 	lastPublishNS atomic.Int64
 	// lastDeltaRows is the builder's DeltaRows at the previous publication;
 	// the per-publish difference feeds the publish_delta_rows counter.
@@ -262,20 +257,13 @@ type Server struct {
 	// the newest published graph not yet warmed.
 	warmq chan *graph.Graph
 
-	// wal is the write-ahead log (nil without Config.WAL). The mirrored
-	// atomics below keep Health and the gauges off the log's lock; the
-	// sticky walFailed latch plus walErrStr record the first durability
-	// error. walRecovered pins the boot-time recovery outcome.
-	wal           *wal.Log
-	walRecovered  walRecoveryInfo
-	walAppendedN  atomic.Uint64
-	walCommittedN atomic.Uint64
-	walSegmentsN  atomic.Int64
-	ckptEdges     atomic.Int64
-	ckptBusy      atomic.Bool
-	walFailed     atomic.Bool
-	walErrMu      sync.Mutex
-	walErrStr     string
+	// wal is the write-ahead log (nil without Config.WAL); it owns its
+	// positions and its sticky failure, and reads them without its lock.
+	// walRecovered pins the boot-time recovery outcome.
+	wal          *wal.Log
+	walRecovered walRecoveryInfo
+	ckptEdges    atomic.Int64
+	ckptBusy     atomic.Bool
 }
 
 // New starts a server: applies defaults, recovers or warm-starts the trace,
@@ -291,42 +279,39 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: warm-start trace: %w", err)
 		}
 	}
-	tr := cfg.Trace
 	var wlog *wal.Log
 	var rec *wal.Recovered
+	var led *graph.Ledger
 	if cfg.WAL != nil {
 		var err error
 		wlog, rec, err = wal.Open(cfg.WAL, cfg.WALOptions, cfg.Trace)
 		if err != nil {
 			return nil, fmt.Errorf("serve: wal recovery: %w", err)
 		}
-		tr = rec.Trace
-	}
-	if tr == nil {
-		tr = &graph.Trace{Name: "live"}
+		led = rec.Ledger
+	} else {
+		tr := cfg.Trace
+		if tr == nil {
+			tr = &graph.Trace{Name: "live"}
+		}
+		// Warm-start IDs are the trace's own dense IDs; identity never collides.
+		led, _ = graph.NewLedger(tr, nil)
 	}
 	s := &Server{
 		cfg:     cfg,
 		queue:   make(chan *request, cfg.QueueDepth),
 		done:    make(chan struct{}),
-		trace:   tr,
-		builder: graph.NewIncrementalBuilder(tr),
+		led:     led,
+		builder: graph.NewIncrementalBuilder(led.Trace()),
 		seq:     -1, // the initial publication is seq 0
 		deg:     newDegrader(cfg.Degrade, cfg.QueueDepth),
+		wal:     wlog,
 	}
 	if cfg.Warm {
 		s.warmq = make(chan *graph.Graph, 1)
 	}
-	s.traceLen.Store(int64(len(tr.Edges)))
 	if rec != nil {
-		s.adoptRecovery(wlog, rec)
-	} else {
-		// Warm-start IDs are the trace's own dense IDs.
-		ext := make([]int64, tr.NumNodes())
-		for i := range ext {
-			ext[i] = int64(i)
-		}
-		s.ids = NewIDMap(nil, ext)
+		s.adoptRecovery(rec)
 	}
 	s.mu.Lock()
 	s.publishLocked()
@@ -425,10 +410,10 @@ func (s *Server) registerGauges() {
 		return time.Duration(time.Now().UnixNano() - s.lastPublishNS.Load()).Seconds()
 	})
 	obs.SetGaugeFunc("serve/publish_lag_edges", func() float64 {
-		return float64(s.traceLen.Load() - int64(s.cur.Load().Edges))
+		return float64(s.led.Len() - s.cur.Load().Edges)
 	})
 	obs.SetGaugeFunc("serve/trace_edges", func() float64 {
-		return float64(s.traceLen.Load())
+		return float64(s.led.Len())
 	})
 	obs.SetGaugeFunc("serve/queue_len", func() float64 {
 		return float64(len(s.queue))
@@ -459,8 +444,9 @@ func (s *Server) Close() {
 	s.wg.Wait() // workers, the warmer, and any in-flight background checkpoint
 	if s.wal != nil {
 		s.mu.Lock()
-		if err := s.wal.Close(); err != nil && !s.walFailed.Load() {
-			s.walFail(err)
+		failed := s.wal.Err() != nil
+		if err := s.wal.Close(); err != nil && !failed {
+			walFailure(err)
 		}
 		s.mu.Unlock()
 	}
@@ -484,7 +470,7 @@ func (s *Server) Health() Health {
 		SnapshotSeq:   snap.Seq,
 		SnapshotEdges: snap.Edges,
 		SnapshotTime:  snap.Time,
-		TraceEdges:    int(s.traceLen.Load()),
+		TraceEdges:    s.led.Len(),
 		Nodes:         snap.Graph.NumNodes(),
 		Degraded:      s.deg.degraded(),
 		QueueDepth:    len(s.queue),

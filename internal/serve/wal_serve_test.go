@@ -97,14 +97,14 @@ func verifyRecoveredServer(t *testing.T, st wal.Storage, ref *walReference, acke
 	// State-prefix: every recovered edge and external ID matches the
 	// reference replay byte for byte.
 	srv.mu.Lock()
-	tr := srv.trace
+	tr := srv.led.Trace()
 	srv.mu.Unlock()
 	for i := 0; i < k; i++ {
 		if tr.Edges[i] != ref.tr.Edges[i] {
 			t.Fatalf("%s: edge %d = %+v, want %+v", label, i, tr.Edges[i], ref.tr.Edges[i])
 		}
 	}
-	rev := srv.ids.Externals()
+	rev := srv.led.Externals()
 	for i := range rev {
 		if rev[i] != ref.rev[i] {
 			t.Fatalf("%s: rev[%d] = %d, want %d", label, i, rev[i], ref.rev[i])
@@ -433,5 +433,18 @@ func TestWALServeHealthDuringBlockedSync(t *testing.T) {
 	}
 	if h := srv.Health(); h.WAL.Appended != 64 || h.WAL.Committed != 64 {
 		t.Fatalf("after the commit: %+v", h.WAL)
+	}
+}
+
+// TestWALServeCleanCloseIsHealthy: closing a healthy WAL-backed server
+// does not read as a durability failure.
+func TestWALServeCleanCloseIsHealthy(t *testing.T) {
+	srv := newTestServer(t, Config{WAL: wal.NewMemStorage(), Workers: 1})
+	if _, _, err := srv.Ingest(traceEvents(testTrace(t))[:40]); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	if h := srv.Health(); h.WAL == nil || !h.WAL.OK || h.WAL.Error != "" {
+		t.Fatalf("health after a clean Close: %+v", h.WAL)
 	}
 }

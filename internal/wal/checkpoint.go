@@ -73,7 +73,8 @@ type Checkpoint struct {
 // covers. It first commits anything pending (the checkpoint must not
 // cover records the log hasn't made durable), anchors replay at the
 // earliest segment extending past the checkpoint, serializes without
-// holding the log lock, and renames into place.
+// holding the log lock, and renames into place. A storage failure on the
+// way poisons the log, as a failed commit does.
 func (l *Log) WriteCheckpoint(d CheckpointData) error {
 	if len(d.Arrival) != len(d.Rev) {
 		return fmt.Errorf("wal: checkpoint arrival/rev length mismatch (%d vs %d)", len(d.Arrival), len(d.Rev))
@@ -81,38 +82,38 @@ func (l *Log) WriteCheckpoint(d CheckpointData) error {
 	E := uint64(len(d.Edges))
 
 	l.mu.Lock()
-	if l.err != nil {
+	if err := l.usableLocked(); err != nil {
 		l.mu.Unlock()
-		return l.err
+		return err
 	}
 	if err := l.commitLocked(); err != nil {
 		l.mu.Unlock()
 		return err
 	}
-	if E > l.committed {
+	if c := l.committed.Load(); E > c {
 		l.mu.Unlock()
-		return fmt.Errorf("wal: checkpoint at edge %d beyond committed log (%d)", E, l.committed)
+		return fmt.Errorf("wal: checkpoint at edge %d beyond committed log (%d)", E, c)
 	}
 	firstSeq, anchor := l.coverLocked(E)
 	l.mu.Unlock()
 
 	f, err := l.st.Create(ckptTmpName)
 	if err != nil {
-		return fmt.Errorf("wal: checkpoint create: %w", err)
+		return l.fail(fmt.Errorf("wal: checkpoint create: %w", err))
 	}
 	if err := encodeCheckpoint(f, d, firstSeq, anchor); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: checkpoint write: %w", err)
+		return l.fail(fmt.Errorf("wal: checkpoint write: %w", err))
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return fmt.Errorf("wal: checkpoint sync: %w", err)
+		return l.fail(fmt.Errorf("wal: checkpoint sync: %w", err))
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: checkpoint close: %w", err)
+		return l.fail(fmt.Errorf("wal: checkpoint close: %w", err))
 	}
 	if err := l.st.Rename(ckptTmpName, ckptName); err != nil {
-		return fmt.Errorf("wal: checkpoint publish: %w", err)
+		return l.fail(fmt.Errorf("wal: checkpoint publish: %w", err))
 	}
 
 	// Prune sealed segments the checkpoint fully covers. Each entry is
@@ -124,8 +125,9 @@ func (l *Log) WriteCheckpoint(d CheckpointData) error {
 	for len(l.segs) > 0 && l.segs[0].seq < firstSeq {
 		seq := l.segs[0].seq
 		l.segs = l.segs[1:]
+		l.nsegs.Store(int64(len(l.segs)))
 		if err := l.st.Remove(segName(seq)); err != nil {
-			return fmt.Errorf("wal: prune segment %d: %w", seq, err)
+			return l.fail(fmt.Errorf("wal: prune segment %d: %w", seq, err))
 		}
 	}
 	return nil
@@ -138,7 +140,7 @@ func (l *Log) WriteCheckpoint(d CheckpointData) error {
 // returns the open segment.
 func (l *Log) coverLocked(E uint64) (uint64, [32]byte) {
 	for i, s := range l.segs {
-		end := l.committed
+		end := l.committed.Load()
 		if i+1 < len(l.segs) {
 			end = l.segs[i+1].base
 		}

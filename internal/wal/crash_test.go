@@ -67,7 +67,7 @@ func buildCrashScenario(t *testing.T, src *graph.Trace, n, ckAt int, opt Options
 			p := pub()
 			if err := l.WriteCheckpoint(CheckpointData{
 				Name: w.tr.Name, Arrival: w.tr.Arrival, Edges: w.tr.Edges,
-				Rev: w.rev, Pub: p,
+				Rev: w.led.Externals(), Pub: p,
 			}); err != nil {
 				t.Fatalf("checkpoint: %v", err)
 			}
@@ -133,7 +133,7 @@ func (sc *crashScenario) continueAndReconverge(t *testing.T, limit int64, synced
 	if err != nil {
 		t.Fatalf("%s: recovery failed: %v", label, err)
 	}
-	w := &simWriter{t: t, tr: rec.Trace, rev: rec.Rev, remap: rec.Remap, log: l}
+	w := newSimWriter(t, l, rec)
 	for i := len(rec.Trace.Edges); i < sc.n; i++ {
 		e := sc.src.Edges[i]
 		w.ingest(extID(e.U), extID(e.V), e.Time)

@@ -39,25 +39,15 @@ func fuzzFixture(t testing.TB) (ckpt, seg0, seg1 []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, rev, remap := rec.Trace, rec.Rev, rec.Remap
-	dense := func(ext int64) graph.NodeID {
-		if d, ok := remap[ext]; ok {
-			return d
-		}
-		d := graph.NodeID(len(rev))
-		remap[ext] = d
-		rev = append(rev, ext)
-		return d
-	}
+	tr := rec.Trace
 	for i := 0; i < 48; i++ {
 		extU, extV := int64(i%7)*10+1, int64((i+1)%9)*10+2
 		if extU == extV {
 			extV += 10
 		}
-		u, v := dense(extU), dense(extV)
-		e, err := tr.Append(u, v, int64(100+i))
-		if err != nil {
-			t.Fatal(err)
+		e, ok := rec.Ledger.Admit(extU, extV, int64(100+i))
+		if !ok {
+			t.Fatalf("event %d refused", i)
 		}
 		if err := l.Append(Record{ExtU: extU, ExtV: extV, U: e.U, V: e.V, T: e.Time}); err != nil {
 			t.Fatal(err)
@@ -70,7 +60,7 @@ func fuzzFixture(t testing.TB) (ckpt, seg0, seg1 []byte) {
 			if i+1 == 24 {
 				if err := l.WriteCheckpoint(CheckpointData{
 					Name: "fuzz", Arrival: tr.Arrival, Edges: tr.Edges,
-					Rev: rev, Pub: p,
+					Rev: rec.Ledger.Externals(), Pub: p,
 				}); err != nil {
 					t.Fatal(err)
 				}
@@ -154,11 +144,12 @@ func FuzzWALReplay(f *testing.F) {
 		if verr := rec.Trace.Validate(); verr != nil {
 			t.Fatalf("recovered trace invalid: %v", verr)
 		}
-		if len(rec.Rev) != len(rec.Trace.Arrival) {
-			t.Fatalf("rev has %d entries, arrival %d", len(rec.Rev), len(rec.Trace.Arrival))
+		rev := rec.Ledger.Externals()
+		if len(rev) != len(rec.Trace.Arrival) {
+			t.Fatalf("rev has %d entries, arrival %d", len(rev), len(rec.Trace.Arrival))
 		}
-		for d, ext := range rec.Rev {
-			if got, ok := rec.Remap[ext]; !ok || got != graph.NodeID(d) {
+		for d, ext := range rev {
+			if got, ok := rec.Ledger.Lookup(ext); !ok || got != graph.NodeID(d) {
 				t.Fatalf("remap inconsistent at dense %d", d)
 			}
 		}

@@ -76,7 +76,7 @@ func buildPropRun(t *testing.T, rnd *rand.Rand, events []propEvent) *propRun {
 			if nn-lastCk >= ckEvery {
 				if err := l.WriteCheckpoint(CheckpointData{
 					Name: w.tr.Name, Arrival: w.tr.Arrival, Edges: w.tr.Edges,
-					Rev: w.rev, Pub: p,
+					Rev: w.led.Externals(), Pub: p,
 				}); err != nil {
 					t.Fatalf("checkpoint: %v", err)
 				}
@@ -98,7 +98,7 @@ func buildPropRun(t *testing.T, rnd *rand.Rand, events []propEvent) *propRun {
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	run.ref, run.refRev = w.tr, w.rev
+	run.ref, run.refRev = w.tr, w.led.Externals()
 	return run
 }
 
@@ -146,12 +146,13 @@ func TestPropertyCrashRecovery(t *testing.T) {
 					t.Fatalf("%s: recovered %d < acked floor %d", label, k, run.ackedFloor(limit))
 				}
 				// Rev must be the reference prefix.
-				if len(rec.Rev) > len(run.refRev) {
-					t.Fatalf("%s: recovered %d rev entries, reference has %d", label, len(rec.Rev), len(run.refRev))
+				rev := rec.Ledger.Externals()
+				if len(rev) > len(run.refRev) {
+					t.Fatalf("%s: recovered %d rev entries, reference has %d", label, len(rev), len(run.refRev))
 				}
-				for i := range rec.Rev {
-					if rec.Rev[i] != run.refRev[i] {
-						t.Fatalf("%s: rev[%d] = %d, want %d", label, i, rec.Rev[i], run.refRev[i])
+				for i := range rev {
+					if rev[i] != run.refRev[i] {
+						t.Fatalf("%s: rev[%d] = %d, want %d", label, i, rev[i], run.refRev[i])
 					}
 				}
 				// replay(checkpoint + tail) ≡ full replay, down to the

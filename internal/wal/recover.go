@@ -20,19 +20,19 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("wal: %w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// Recovered is the state Open rebuilt: the recovered trace (checkpoint
-// prefix plus replayed tail, provably a prefix of the pre-crash trace),
-// the external↔dense ID maps, and the last publish marker at or before the
-// recovered length — a restarted server that lands exactly on a published
-// length reuses its snapshot sequence number, keeping responses
-// byte-identical across the crash. It holds no snapshot: every snapshot is
-// a pure function of a trace prefix, so the caller builds one from Trace
-// exactly as a cold boot would.
+// Recovered is the state Open rebuilt: the ledger of the recovered trace
+// (checkpoint prefix plus replayed tail, provably a prefix of the
+// pre-crash trace) and its external↔dense ID map, and the last publish
+// marker at or before the recovered length — a restarted server that
+// lands exactly on a published length reuses its snapshot sequence number,
+// keeping responses byte-identical across the crash. It holds no snapshot:
+// every snapshot is a pure function of a trace prefix, so the caller
+// builds one from Trace exactly as a cold boot would.
 type Recovered struct {
-	Trace *graph.Trace
-	// Rev maps dense → external IDs; Remap is its inverse.
-	Rev   []int64
-	Remap map[int64]graph.NodeID
+	// Ledger continues admission where the log left off; Trace is its
+	// trace, to read.
+	Ledger *graph.Ledger
+	Trace  *graph.Trace
 	// CheckpointEdges is the trace length the checkpoint covered (0 if none).
 	CheckpointEdges uint64
 	// LastPub is the most recent publish marker covered by the recovered
@@ -56,8 +56,8 @@ type Recovered struct {
 // scan segments ascending from its anchor. Every segment header must
 // chain-match the state recovered so far (base = next trace index,
 // prevChain = running chain value); every frame must pass its CRC; every
-// record must replay through graph.Trace.Append to exactly the edge it
-// recorded. A torn frame truncates the log there — tolerated in the final
+// record must replay through graph.Ledger.Admit to exactly the dense IDs
+// and time it recorded. A torn frame truncates the log there — tolerated in the final
 // segment unconditionally, and in an earlier segment only when its
 // successor's header commits the truncated state (otherwise data loss is
 // not crash-shaped and recovery refuses with ErrCorrupt). Recovery never
@@ -92,8 +92,8 @@ func Open(st Storage, opt Options, warm *graph.Trace) (*Log, *Recovered, error) 
 	}
 
 	rec := &Recovered{}
-	var tr *graph.Trace
-	var rev []int64
+	tr := &graph.Trace{}
+	var rev []int64 // nil: a warm prefix's nodes are addressed by identity
 	var firstSeq uint64
 	var chain [32]byte
 	if ck != nil {
@@ -107,25 +107,15 @@ func Open(st Storage, opt Options, warm *graph.Trace) (*Log, *Recovered, error) 
 		rec.CheckpointEdges = uint64(len(ck.Edges))
 		pub := ck.Pub
 		rec.LastPub = &pub
-	} else {
-		tr = &graph.Trace{}
-		if warm != nil {
-			tr.Name = warm.Name
-			tr.Arrival = append([]int64(nil), warm.Arrival...)
-			tr.Edges = append([]graph.Edge(nil), warm.Edges...)
-		}
-		rev = make([]int64, len(tr.Arrival))
-		for i := range rev {
-			rev[i] = int64(i)
-		}
+	} else if warm != nil {
+		tr.Name = warm.Name
+		tr.Arrival = append([]int64(nil), warm.Arrival...)
+		tr.Edges = append([]graph.Edge(nil), warm.Edges...)
 	}
 	start := uint64(len(tr.Edges))
-	remap := make(map[int64]graph.NodeID, len(rev))
-	for d, ext := range rev {
-		if prev, dup := remap[ext]; dup {
-			return nil, nil, corruptf("checkpoint maps external id %d to dense %d and %d", ext, prev, d)
-		}
-		remap[ext] = graph.NodeID(d)
+	led, err := graph.NewLedger(tr, rev)
+	if err != nil {
+		return nil, nil, corruptf("checkpoint: %v", err)
 	}
 
 	// Collect live segments. Anything below the checkpoint anchor is fully
@@ -151,7 +141,7 @@ func Open(st Storage, opt Options, warm *graph.Trace) (*Log, *Recovered, error) 
 		}
 	}
 
-	r := &replayer{tr: tr, rev: rev, remap: remap, start: start}
+	r := &replayer{led: led, start: start}
 	idx := start
 	var sealed []segMeta
 	openSeq := firstSeq
@@ -207,9 +197,7 @@ func Open(st Storage, opt Options, warm *graph.Trace) (*Log, *Recovered, error) 
 		// next iteration's base and prevChain checks enforce that.
 	}
 
-	rec.Trace = tr
-	rec.Rev = r.rev
-	rec.Remap = remap
+	rec.Ledger, rec.Trace = led, tr
 	rec.Segments = len(sealed)
 	if r.lastPub != nil {
 		rec.LastPub = r.lastPub
@@ -280,14 +268,12 @@ func walkFrames(b []byte, fn func(typ byte, body []byte) error) (valid int, torn
 	return off, false, nil
 }
 
-// replayer applies scanned frames to the recovering trace: records below
+// replayer applies scanned frames to the recovering ledger: records below
 // the recovered prefix are asserted byte-equal to what the trace already
-// holds; records at the frontier replay through Trace.Append, whose
-// deterministic clamping must reproduce the recorded edge exactly.
+// holds; records at the frontier replay through Ledger.Admit — the rule
+// the writer applied — and must reproduce the recorded edge exactly.
 type replayer struct {
-	tr    *graph.Trace
-	rev   []int64
-	remap map[int64]graph.NodeID
+	led   *graph.Ledger
 	start uint64 // trace length recovered before any segment scan
 	idx   uint64 // absolute index of the next record
 
@@ -316,58 +302,28 @@ func (r *replayer) frame(typ byte, body []byte) error {
 	return nil
 }
 
-// bind asserts or establishes the external↔dense mapping for one endpoint.
-func (r *replayer) bind(ext int64, d graph.NodeID) error {
-	if got, ok := r.remap[ext]; ok {
-		if got != d {
-			return corruptf("record %d maps external id %d to dense %d, previously %d", r.idx, ext, d, got)
-		}
-		return nil
-	}
-	if int(d) != len(r.rev) {
-		return corruptf("record %d assigns dense id %d out of first-seen order (next is %d)", r.idx, d, len(r.rev))
-	}
-	r.rev = append(r.rev, ext)
-	r.remap[ext] = d
-	return nil
-}
-
 func (r *replayer) record(rc Record) error {
 	defer func() { r.idx++ }()
+	logged := graph.Edge{U: rc.U, V: rc.V, Time: rc.T}
 	if r.idx < r.start {
 		// Already covered by the checkpoint (or warm prefix): assert, don't
 		// re-apply. The record must match the trace byte for byte and its ID
 		// bindings must agree with the recovered map.
-		e := r.tr.Edges[r.idx]
-		if e.U != rc.U || e.V != rc.V || e.Time != rc.T {
+		if e := r.led.Trace().Edges[r.idx]; e != logged {
 			return corruptf("record %d (%d-%d@%d) contradicts recovered trace edge (%d-%d@%d)",
 				r.idx, rc.U, rc.V, rc.T, e.U, e.V, e.Time)
 		}
-		if got, ok := r.remap[rc.ExtU]; !ok || got != rc.U {
+		if got, ok := r.led.Lookup(rc.ExtU); !ok || got != rc.U {
 			return corruptf("record %d external id %d does not map to dense %d", r.idx, rc.ExtU, rc.U)
 		}
-		if got, ok := r.remap[rc.ExtV]; !ok || got != rc.V {
+		if got, ok := r.led.Lookup(rc.ExtV); !ok || got != rc.V {
 			return corruptf("record %d external id %d does not map to dense %d", r.idx, rc.ExtV, rc.V)
 		}
 		return nil
 	}
-	if r.idx != uint64(len(r.tr.Edges)) {
-		return corruptf("record %d arrived at trace length %d", r.idx, len(r.tr.Edges))
-	}
-	// The writer assigned U before V (first-seen order within the event).
-	if err := r.bind(rc.ExtU, rc.U); err != nil {
-		return err
-	}
-	if err := r.bind(rc.ExtV, rc.V); err != nil {
-		return err
-	}
-	e, err := r.tr.Append(rc.U, rc.V, rc.T)
-	if err != nil {
-		return corruptf("record %d replay: %v", r.idx, err)
-	}
-	if e.U != rc.U || e.V != rc.V || e.Time != rc.T {
-		return corruptf("record %d replayed to %d-%d@%d, logged %d-%d@%d",
-			r.idx, e.U, e.V, e.Time, rc.U, rc.V, rc.T)
+	if e, ok := r.led.Admit(rc.ExtU, rc.ExtV, rc.T); !ok || e != logged {
+		return corruptf("record %d (%d→%d, %d→%d @%d) replayed to %d-%d@%d (admitted %v)",
+			r.idx, rc.ExtU, rc.U, rc.ExtV, rc.V, rc.T, e.U, e.V, e.Time, ok)
 	}
 	return nil
 }

@@ -27,10 +27,12 @@ package wal
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 
 	"linkpred/internal/graph"
 )
@@ -128,32 +130,39 @@ type Log struct {
 	st  Storage
 	opt Options
 
-	mu  sync.Mutex
-	err error // sticky: first storage failure poisons the log
+	// The positions and the sticky failure are atomics, so Appended,
+	// Committed, Segments and Err answer without l.mu — a health probe
+	// never waits behind an fsync. They change where the log's state does.
+	appended  atomic.Uint64         // records accepted (written + buffered)
+	committed atomic.Uint64         // records written to storage (synced by Commit)
+	nsegs     atomic.Int64          // len(segs)
+	err       atomic.Pointer[error] // sticky: the first storage failure poisons the log
 
-	segs      []segMeta // live segments, ascending seq; last is the open one
-	f         File      // open segment file; nil until its first frame
-	segCount  int       // records written into the open segment
-	digest    hash.Hash // sha256 over the open segment's frame bytes
-	committed uint64    // records written to storage (synced by Commit)
-
-	pending  []frame  // sealed batches + publish markers awaiting Commit
-	batch    []Record // open record batch
-	appended uint64   // records accepted (written + buffered)
+	mu       sync.Mutex
+	closed   bool
+	segs     []segMeta // live segments, ascending seq; last is the open one
+	f        File      // open segment file; nil until its first frame
+	segCount int       // records written into the open segment
+	digest   hash.Hash // sha256 over the open segment's frame bytes
+	pending  []frame   // sealed batches + publish markers awaiting Commit
+	batch    []Record  // open record batch
 }
+
+var errClosed = errors.New("wal: log closed")
 
 // newLog wires a Log around already-recovered state: the open segment
 // (created lazily on first write) has sequence seq, starts at trace index
 // base, and commits prevChain in its header.
 func newLog(st Storage, opt Options, seq, base uint64, prevChain [32]byte, sealed []segMeta) *Log {
 	l := &Log{
-		st:        st,
-		opt:       opt.withDefaults(),
-		segs:      append(sealed, segMeta{seq: seq, base: base, prevChain: prevChain}),
-		digest:    sha256.New(),
-		committed: base,
-		appended:  base,
+		st:     st,
+		opt:    opt.withDefaults(),
+		segs:   append(sealed, segMeta{seq: seq, base: base, prevChain: prevChain}),
+		digest: sha256.New(),
 	}
+	l.committed.Store(base)
+	l.appended.Store(base)
+	l.nsegs.Store(int64(len(l.segs)))
 	return l
 }
 
@@ -177,11 +186,11 @@ func Create(st Storage, opt Options) (*Log, error) {
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	l.batch = append(l.batch, r)
-	l.appended++
+	l.appended.Add(1)
 	if len(l.batch) >= l.opt.GroupCommit {
 		return l.commitLocked()
 	}
@@ -193,8 +202,8 @@ func (l *Log) Append(r Record) error {
 func (l *Log) NotePublish(p Publish) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	l.sealBatchLocked()
 	l.pending = append(l.pending, frame{pub: p})
@@ -206,54 +215,68 @@ func (l *Log) NotePublish(p Publish) error {
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err != nil {
-		return l.err
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
 	return l.commitLocked()
 }
 
-// Close flushes and closes the open segment. The log is unusable after.
+// Close flushes and closes the open segment. The log is unusable after; a
+// clean Close is not a failure (Err stays nil).
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.err == nil {
-		l.err = l.commitLocked()
+	err := l.usableLocked()
+	if err == nil {
+		err = l.commitLocked()
 	}
+	l.closed = true
 	if l.f != nil {
 		cerr := l.f.Close()
 		l.f = nil
-		if l.err == nil && cerr != nil {
-			return cerr
+		if err == nil && cerr != nil {
+			err = l.fail(fmt.Errorf("wal: close: %w", cerr))
 		}
 	}
-	if l.err != nil {
-		return l.err
+	return err
+}
+
+// Err returns the first storage failure, which poisons the log for good,
+// or nil.
+func (l *Log) Err() error {
+	if p := l.err.Load(); p != nil {
+		return *p
 	}
-	l.err = fmt.Errorf("wal: log closed")
+	return nil
+}
+
+// fail poisons the log with err unless it failed already, and returns the
+// sticky failure.
+func (l *Log) fail(err error) error {
+	l.err.CompareAndSwap(nil, &err)
+	return l.Err()
+}
+
+// usableLocked reports why the log refuses work: its failure, or Close.
+func (l *Log) usableLocked() error {
+	if err := l.Err(); err != nil {
+		return err
+	}
+	if l.closed {
+		return errClosed
+	}
 	return nil
 }
 
 // Appended returns the absolute trace index the next Append will get.
-func (l *Log) Appended() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appended
-}
+func (l *Log) Appended() uint64 { return l.appended.Load() }
 
 // Committed returns the number of records written to storage.
-func (l *Log) Committed() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.committed
-}
+func (l *Log) Committed() uint64 { return l.committed.Load() }
 
 // Segments returns the number of live (unpruned) segments including the
 // open one.
-func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.segs)
-}
+func (l *Log) Segments() int { return int(l.nsegs.Load()) }
 
 func (l *Log) sealBatchLocked() {
 	if len(l.batch) > 0 {
@@ -275,15 +298,13 @@ func (l *Log) commitLocked() error {
 			err = l.writeRecordsLocked(fr.recs)
 		}
 		if err != nil {
-			l.err = fmt.Errorf("wal: commit: %w", err)
-			return l.err
+			return l.fail(fmt.Errorf("wal: commit: %w", err))
 		}
 	}
 	l.pending = nil
 	if l.f != nil {
 		if err := l.f.Sync(); err != nil {
-			l.err = fmt.Errorf("wal: commit sync: %w", err)
-			return l.err
+			return l.fail(fmt.Errorf("wal: commit sync: %w", err))
 		}
 	}
 	return nil
@@ -329,10 +350,11 @@ func (l *Log) rotateLocked() error {
 	}
 	next := segMeta{
 		seq:       cur.seq + 1,
-		base:      l.committed,
+		base:      l.committed.Load(),
 		prevChain: foldChain(cur.prevChain, l.digest.Sum(nil)),
 	}
 	l.segs = append(l.segs, next)
+	l.nsegs.Store(int64(len(l.segs)))
 	l.digest = sha256.New()
 	l.segCount = 0
 	return nil
@@ -375,7 +397,7 @@ func (l *Log) writeRecordsLocked(recs []Record) error {
 		}
 		l.digest.Write(buf)
 		l.segCount += n
-		l.committed += uint64(n)
+		l.committed.Add(uint64(n))
 		recs = recs[n:]
 	}
 	return nil

@@ -9,38 +9,26 @@ import (
 )
 
 // simWriter drives a Log exactly the way the serving layer does: events
-// arrive in external ID space, get densely remapped first-seen, append to
-// the trace (which clamps timestamps), and every accepted edge is logged
+// arrive in external ID space, are admitted through the recovered ledger
+// (first-seen dense IDs, clamped time), and every accepted edge is logged
 // with both ID spaces plus the post-clamp time.
 type simWriter struct {
-	t     *testing.T
-	tr    *graph.Trace
-	rev   []int64
-	remap map[int64]graph.NodeID
-	log   *Log
+	t   *testing.T
+	led *graph.Ledger
+	tr  *graph.Trace // led's trace
+	log *Log
 }
 
 func newSimWriter(t *testing.T, l *Log, rec *Recovered) *simWriter {
 	t.Helper()
-	return &simWriter{t: t, tr: rec.Trace, rev: rec.Rev, remap: rec.Remap, log: l}
-}
-
-func (w *simWriter) dense(ext int64) graph.NodeID {
-	if d, ok := w.remap[ext]; ok {
-		return d
-	}
-	d := graph.NodeID(len(w.rev))
-	w.remap[ext] = d
-	w.rev = append(w.rev, ext)
-	return d
+	return &simWriter{t: t, led: rec.Ledger, tr: rec.Trace, log: l}
 }
 
 func (w *simWriter) ingest(extU, extV, tm int64) {
 	w.t.Helper()
-	u, v := w.dense(extU), w.dense(extV)
-	e, err := w.tr.Append(u, v, tm)
-	if err != nil {
-		w.t.Fatalf("trace append: %v", err)
+	e, ok := w.led.Admit(extU, extV, tm)
+	if !ok {
+		w.t.Fatalf("event (%d, %d) refused", extU, extV)
 	}
 	if err := w.log.Append(Record{ExtU: extU, ExtV: extV, U: e.U, V: e.V, T: e.Time}); err != nil {
 		w.t.Fatalf("wal append: %v", err)
@@ -155,7 +143,7 @@ func replayReference(t *testing.T, src *graph.Trace, n int) (*graph.Trace, []int
 	}
 	w := newSimWriter(t, l, rec)
 	feed(t, w, src, 0, n, 0)
-	return w.tr, w.rev
+	return w.tr, w.led.Externals()
 }
 
 func TestRoundTripNoCheckpoint(t *testing.T) {
@@ -174,18 +162,19 @@ func TestRoundTripNoCheckpoint(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	ref, refRev := w.tr, w.rev
+	ref, refRev := w.tr, w.led.Externals()
 	l2, rec2, err := Open(st, opt, nil)
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
 	sameTrace(t, rec2.Trace, ref, "recovered trace")
-	if len(rec2.Rev) != len(refRev) {
-		t.Fatalf("recovered %d rev entries, want %d", len(rec2.Rev), len(refRev))
+	rev := rec2.Ledger.Externals()
+	if len(rev) != len(refRev) {
+		t.Fatalf("recovered %d rev entries, want %d", len(rev), len(refRev))
 	}
 	for i := range refRev {
-		if rec2.Rev[i] != refRev[i] {
-			t.Fatalf("rev[%d] = %d, want %d", i, rec2.Rev[i], refRev[i])
+		if rev[i] != refRev[i] {
+			t.Fatalf("rev[%d] = %d, want %d", i, rev[i], refRev[i])
 		}
 	}
 	if rec2.Truncated {
@@ -234,7 +223,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		Name:    w.tr.Name,
 		Arrival: w.tr.Arrival,
 		Edges:   w.tr.Edges,
-		Rev:     w.rev,
+		Rev:     w.led.Externals(),
 		Pub:     pub,
 	}
 	if err := l.WriteCheckpoint(data); err != nil {
@@ -346,11 +335,8 @@ func TestInjectedWriteFailurePoisonsLog(t *testing.T) {
 		t.Fatalf("commit: %v", err)
 	}
 	st.FailWritesAfter(0)
-	u, v := w.dense(3), w.dense(4)
-	if _, err := w.tr.Append(u, v, 11); err != nil {
-		t.Fatalf("trace append: %v", err)
-	}
-	if err := l.Append(Record{ExtU: 3, ExtV: 4, U: u, V: v, T: 11}); err != nil {
+	e, _ := w.led.Admit(3, 4, 11)
+	if err := l.Append(Record{ExtU: 3, ExtV: 4, U: e.U, V: e.V, T: e.Time}); err != nil {
 		t.Fatalf("buffered append should not fail: %v", err)
 	}
 	if err := l.Commit(); err == nil {
@@ -436,7 +422,7 @@ func TestDirStorageRoundTrip(t *testing.T) {
 	}
 	if err := l.WriteCheckpoint(CheckpointData{
 		Name: w.tr.Name, Arrival: w.tr.Arrival, Edges: w.tr.Edges,
-		Rev: w.rev, Pub: pub,
+		Rev: w.led.Externals(), Pub: pub,
 	}); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
@@ -452,4 +438,43 @@ func TestDirStorageRoundTrip(t *testing.T) {
 	defer l2.Close()
 	sameTrace(t, rec2.Trace, w.tr, "dir-backed recovery")
 	sameGraph(t, graph.NewIncrementalBuilder(rec2.Trace).AtEdge(256), snap, "dir-backed checkpoint snapshot")
+}
+
+// TestCloseIsNotAFailure: Err reports only the failure that poisons the
+// log. A clean Close leaves it nil, though the closed log refuses work; a
+// failed commit sets it for good.
+func TestCloseIsNotAFailure(t *testing.T) {
+	st := NewMemStorage()
+	l, _, err := Open(st, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(Record{ExtU: 1, ExtV: 2, U: 0, V: 1, T: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil || l.Err() != nil {
+		t.Fatalf("clean close: %v, Err() = %v", err, l.Err())
+	}
+	if err := l.Append(Record{ExtU: 2, ExtV: 3, U: 1, V: 2, T: 6}); err == nil {
+		t.Fatal("append after Close succeeded")
+	}
+	if l.Err() != nil {
+		t.Fatalf("refusing work after Close reads as a failure: %v", l.Err())
+	}
+
+	l2, _, err := Open(st, Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.FailWritesAfter(0)
+	if err := l2.Append(Record{ExtU: 2, ExtV: 3, U: 1, V: 2, T: 6}); err != nil {
+		t.Fatal(err)
+	}
+	cerr := l2.Commit()
+	if cerr == nil || l2.Err() == nil || l2.Err().Error() != cerr.Error() {
+		t.Fatalf("failed commit: %v, Err() = %v", cerr, l2.Err())
+	}
+	if err := l2.Close(); err == nil || err.Error() != cerr.Error() {
+		t.Fatalf("close of a poisoned log = %v, want the sticky %v", err, cerr)
+	}
 }
