@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -108,3 +110,38 @@ func (l *Ledger) Len() int { return int(l.n.Load()) }
 
 // Trace returns the ledger's trace. Extend it only through Admit.
 func (l *Ledger) Trace() *Trace { return l.tr }
+
+// Digest is the SHA-256 of the trace's arrival and edge arrays: the node
+// and edge counts as u64, each arrival as i64, each edge as u i32 | v i32
+// | t i64, all little-endian. An empty trace digests to zero. A
+// write-ahead log seeds its segment chain with the digest of the prefix
+// it extends, which binds the log to that prefix. Callers serialize it
+// with Admit.
+func (l *Ledger) Digest() [32]byte {
+	var sum [32]byte
+	a, es := l.tr.Arrival, l.tr.Edges
+	if len(a) == 0 && len(es) == 0 {
+		return sum
+	}
+	h := sha256.New()
+	buf := make([]byte, 0, 1<<16)
+	le := binary.LittleEndian
+	buf = le.AppendUint64(le.AppendUint64(buf, uint64(len(a))), uint64(len(es)))
+	for _, x := range a {
+		if len(buf)+8 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = le.AppendUint64(buf, uint64(x))
+	}
+	for _, e := range es {
+		if len(buf)+16 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = le.AppendUint64(le.AppendUint32(le.AppendUint32(buf, uint32(e.U)), uint32(e.V)), uint64(e.Time))
+	}
+	h.Write(buf)
+	h.Sum(sum[:0])
+	return sum
+}

@@ -53,8 +53,9 @@ type Recovered struct {
 // storage Open degenerates to Create with warm as the initial state.
 //
 // The recovery protocol: load and verify the checkpoint (if any), then
-// scan segments ascending from its anchor. Every segment header must
-// chain-match the state recovered so far (base = next trace index,
+// scan segments ascending from its anchor (with no checkpoint, from the
+// chain seed: the digest of warm, zero when it is empty). Every segment
+// header must chain-match the state recovered so far (base = next trace index,
 // prevChain = running chain value); every frame must pass its CRC; every
 // record must replay through graph.Ledger.Admit to exactly the dense IDs
 // and time it recorded. A torn frame truncates the log there — tolerated in the final
@@ -116,6 +117,11 @@ func Open(st Storage, opt Options, warm *graph.Trace) (*Log, *Recovered, error) 
 	led, err := graph.NewLedger(tr, rev)
 	if err != nil {
 		return nil, nil, corruptf("checkpoint: %v", err)
+	}
+	if ck == nil {
+		// Segment 0 commits the digest of the prefix it extends: a log
+		// recovered over any other prefix fails the chain check below.
+		chain = led.Digest()
 	}
 
 	// Collect live segments. Anything below the checkpoint anchor is fully

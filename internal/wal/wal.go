@@ -20,8 +20,10 @@
 //
 // base is the absolute trace index of the segment's first record; frame
 // CRCs cover the type byte and body. The chain value after segment k is
-// SHA256(chain_{k-1} || SHA256(k's frame bytes)), with a zero genesis; a
-// segment's header commits the chain value of everything before it.
+// SHA256(chain_{k-1} || SHA256(k's frame bytes)); a segment's header
+// commits the chain value of everything before it. The genesis is the
+// digest of the boot prefix the log extends (graph.Ledger.Digest), zero
+// for an empty prefix, so segment 0 binds the log to that prefix.
 package wal
 
 import (

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"testing"
 
 	"linkpred/internal/gen"
@@ -477,4 +479,67 @@ func TestCloseIsNotAFailure(t *testing.T) {
 	if err := l2.Close(); err == nil || err.Error() != cerr.Error() {
 		t.Fatalf("close of a poisoned log = %v, want the sticky %v", err, cerr)
 	}
+}
+
+// TestOpenRefusesForeignPrefix: a log binds to the boot prefix it extends.
+// 2000 tail records over a 2400-edge prefix of Renren ×0.2, no checkpoint;
+// recovering over a prefix of the same node and edge count whose last
+// edge differs must be refused, not replayed into a different trace.
+func TestOpenRefusesForeignPrefix(t *testing.T) {
+	src, err := gen.Generate(gen.Renren(1).Scaled(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const warmN, tailN = 2400, 2000
+	if src.NumEdges() < warmN+tailN {
+		t.Fatalf("fixture too small: %d edges", src.NumEdges())
+	}
+	warm := &graph.Trace{Name: "warm"}
+	for _, e := range src.Edges[:warmN] {
+		if _, err := warm.Append(e.U, e.V, e.Time); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := NewMemStorage()
+	opt := Options{}
+	l, rec, err := Open(st, opt, warm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newSimWriter(t, l, rec)
+	for _, e := range src.Edges[warmN : warmN+tailN] {
+		w.ingest(int64(e.U), int64(e.V), e.Time)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Same shape, different last edge: another endpoint that had arrived.
+	foreign := &graph.Trace{
+		Name:    warm.Name,
+		Arrival: append([]int64(nil), warm.Arrival...),
+		Edges:   append([]graph.Edge(nil), warm.Edges...),
+	}
+	last := &foreign.Edges[warmN-1]
+	for n := graph.NodeID(0); ; n++ {
+		if n != last.U && n != last.V && foreign.Arrival[n] <= last.Time {
+			last.V = n
+			break
+		}
+	}
+	if err := foreign.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, rec, err := Open(st, opt, foreign); !errors.Is(err, ErrCorrupt) {
+		got := "no trace"
+		if rec != nil {
+			got = fmt.Sprint(rec.Trace.Edges[warmN-1])
+		}
+		t.Fatalf("recovery over a foreign prefix = %v (edge %d reads %s), want ErrCorrupt", err, warmN-1, got)
+	}
+	_, rec2, err := Open(st, opt, warm)
+	if err != nil {
+		t.Fatalf("recovery over the boot prefix: %v", err)
+	}
+	sameTrace(t, rec2.Trace, w.tr, "recovery over the boot prefix")
 }
