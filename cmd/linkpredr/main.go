@@ -65,7 +65,7 @@ func main() {
 	obsOn := flag.Bool("obs", true, "enable telemetry counters (served at /metrics)")
 	metricsOut := flag.String("metrics-out", "", "write the telemetry report as JSON to this path periodically and at shutdown; implies -obs")
 	metricsEvery := flag.Duration("metrics-every", 30*time.Second, "rewrite -metrics-out on this period")
-	evalOn := flag.Bool("eval", false, "router-side prequential evaluation: score replicated ingest edges against merged predict rankings (served in /metrics)")
+	evalOn := flag.Bool("eval", false, "router-side prequential evaluation: score replicated ingest edges against merged predict rankings (served in /metrics); needs shards born empty (no -trace): behind warm-started shards it stops at the first ingest and counts cluster/eval_misaligned")
 	evalTopK := flag.Int("eval-topk", 128, "ranked pairs retained per recorded merged prediction set")
 	evalWindow := flag.Int("eval-window", 1024, "sliding window (scored edges) for windowed hit rate and AUPR")
 	flag.Parse()

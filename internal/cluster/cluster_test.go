@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"linkpred/internal/gen"
+	"linkpred/internal/graph"
 	"linkpred/internal/liveeval"
 	"linkpred/internal/obs"
 	"linkpred/internal/serve"
@@ -612,5 +614,68 @@ func TestClusterOneShardDegraded(t *testing.T) {
 	}
 	if got := obs.GetCounter("cluster/degraded_regathers").Value(); got != 1 {
 		t.Fatalf("cluster/degraded_regathers = %d, want 1", got)
+	}
+}
+
+// TestClusterRouterEvalWarmShardsMisaligned: router eval needs shards born
+// empty. Two shards booted with Config.Trace at 60 % of Renren ×0.05 hold
+// edges the router's mirror never admitted, so the mirror's trace indices
+// sit below every floor liveeval would score against. The router must
+// notice at the first replicated ingest — its mirror's length differs from
+// the shards' trace_edges — count that once in cluster/eval_misaligned,
+// and from then on record and score nothing, rather than keep recording
+// rankings no edge can ever be scored against.
+func TestClusterRouterEvalWarmShardsMisaligned(t *testing.T) {
+	obs.Reset()
+	obs.Enable(true)
+	t.Cleanup(func() {
+		obs.Enable(false)
+		obs.Reset()
+	})
+	src, err := gen.Generate(gen.Renren(1).Scaled(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := src.NumEdges() * 60 / 100
+	warmTrace := func() *graph.Trace {
+		tr := &graph.Trace{Name: "warm"}
+		for _, e := range src.Edges[:cut] {
+			if _, err := tr.Append(e.U, e.V, e.Time); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tr
+	}
+	const seed = 7
+	eval := liveeval.New(liveeval.Config{TopK: 128, Window: 256})
+	tc := newTestClusterWith(t, 2, seed,
+		func(_ int, c *serve.Config) { c.Trace = warmTrace() },
+		func(c *Config) { c.Eval = eval })
+	ctx := context.Background()
+
+	if _, err := tc.router.Predict(ctx, "CN", 128); err != nil {
+		t.Fatal(err)
+	}
+	tail := make([]serve.Event, 0, src.NumEdges()-cut)
+	for _, e := range src.Edges[cut:] {
+		tail = append(tail, serve.Event{U: int64(e.U), V: int64(e.V), T: e.Time})
+	}
+	for i := 0; i < len(tail); i += 100 {
+		if _, err := tc.router.Ingest(ctx, tail[i:min(i+100, len(tail))]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tc.router.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.router.Predict(ctx, "CN", 128); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := eval.Stats("CN")
+	if got := obs.Snapshot().Counters["cluster/eval_misaligned"]; got != 1 {
+		t.Errorf("cluster/eval_misaligned = %d, want 1 (stats %+v)", got, st)
+	}
+	if st.Recorded != 1 || st.ScoredEdges != 0 {
+		t.Errorf("after misalignment: recorded %d (want the 1 before the first ingest), scored %d (want 0)", st.Recorded, st.ScoredEdges)
 	}
 }

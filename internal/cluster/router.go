@@ -80,7 +80,10 @@ type Config struct {
 	// replicated ingest edge is scored against the merged predictions that
 	// existed before it arrived. This measures what the cluster actually
 	// serves — shard-local evaluation cannot see the merged ranking. The
-	// live series appear in the router's /metrics.
+	// live series appear in the router's /metrics. It needs shards born
+	// empty: the router's mirror counts trace indices from its own first
+	// ingest, so behind shards warm-started from a trace it stops at the
+	// first replicated ingest and counts cluster/eval_misaligned once.
 	Eval *liveeval.Engine
 }
 
@@ -162,6 +165,9 @@ func (e *ShardRejection) Error() string { return e.Msg }
 // missingRanges turn a gather into a response. Predict, Score, Ingest,
 // Flush and Health are policy over those.
 //
+// Router eval (Config.Eval) replays the replicated stream into a mirror
+// ledger and requires shards born empty; see observeEval.
+//
 // Shard recovery (ROADMAP item 4's debt): a shard that misses ingest batches
 // (crash, partition) diverges, and the router detects this as persistent
 // epoch misalignment, serving partial responses for that shard's ranges.
@@ -193,8 +199,11 @@ type Router struct {
 	// replicated event stream admitted through the graph.Ledger rule the
 	// workers apply, so the router's dense IDs and trace indices match
 	// every shard's. Ingest (already serialized by ingestMu) extends it;
-	// Predict reads it to record merged rankings in dense space.
+	// Predict reads it to record merged rankings in dense space. evalOff
+	// latches, for good, the first ingest after which the mirror's length
+	// differs from the shards' trace length.
 	evalLed *graph.Ledger
+	evalOff atomic.Bool
 
 	// shardErrors[i] is shard i's cluster/shard_errors{shard} counter.
 	shardErrors []*obs.Counter
@@ -593,7 +602,7 @@ func missingRanges(got []*serve.Result, target int64) [][2]int {
 // router's ingest mirror; endpoints the mirror has never seen (possible only
 // when a worker was warm-started outside the router's stream) are skipped.
 func (r *Router) recordEval(out *Response) {
-	if r.cfg.Eval == nil || out.Partial {
+	if r.cfg.Eval == nil || out.Partial || r.evalOff.Load() {
 		return
 	}
 	traceLen := r.evalLed.Len()
@@ -656,7 +665,7 @@ func (r *Router) Ingest(ctx context.Context, events []serve.Event) (*IngestResul
 	acks, errs := make([]serve.IngestResponse, len(r.all)), make([]error, len(r.all))
 	fanOut(r.all, func(i int) { errs[i] = r.postJSON(ctx, i, "/ingest", body, &acks[i]) })
 	var out *IngestResult
-	failed := 0
+	failed, traceEdges := 0, 0
 	for i, err := range errs {
 		if err != nil {
 			failed++
@@ -664,6 +673,7 @@ func (r *Router) Ingest(ctx context.Context, events []serve.Event) (*IngestResul
 			continue
 		}
 		r.lastSeq[i].Store(acks[i].SnapshotSeq)
+		traceEdges = max(traceEdges, acks[i].TraceEdges)
 		if out == nil {
 			out = &IngestResult{IngestResponse: acks[i]}
 		}
@@ -671,7 +681,7 @@ func (r *Router) Ingest(ctx context.Context, events []serve.Event) (*IngestResul
 	if out == nil {
 		return nil, ErrAllShardsDown
 	}
-	r.observeEval(events)
+	r.observeEval(events, traceEdges)
 	ingestReplicated.Inc()
 	out.ShardErrors = failed
 	return out, nil
@@ -680,16 +690,28 @@ func (r *Router) Ingest(ctx context.Context, events []serve.Event) (*IngestResul
 // observeEval replays one replicated batch into the router's prequential
 // mirror through graph.Ledger.Admit, the rule serve.(*Server).Ingest
 // applies, so the mirror's dense IDs and trace indices are identical to
-// every worker's. Each accepted edge is scored against the merged
-// predictions recorded before it arrived. Callers hold ingestMu.
-func (r *Router) observeEval(events []serve.Event) {
-	if r.cfg.Eval == nil {
+// every worker's — provided the workers were born empty. traceEdges is the
+// largest trace length the shards acked for this batch; a mirror of any
+// other length (shards warm-started from a trace hold edges it never saw)
+// indexes edges below every floor a recorded prediction sets, so the first
+// mismatch turns router eval off for good and counts it once. Otherwise
+// each accepted edge is scored against the merged predictions recorded
+// before it arrived. Callers hold ingestMu.
+func (r *Router) observeEval(events []serve.Event, traceEdges int) {
+	if r.cfg.Eval == nil || r.evalOff.Load() {
 		return
 	}
+	from := r.evalLed.Len()
 	for _, ev := range events {
-		if e, ok := r.evalLed.Admit(ev.U, ev.V, ev.T); ok {
-			r.cfg.Eval.ObserveEdge(e.U, e.V, r.evalLed.Len()-1)
-		}
+		r.evalLed.Admit(ev.U, ev.V, ev.T)
+	}
+	if r.evalLed.Len() != traceEdges {
+		r.evalOff.Store(true)
+		obs.GetCounter("cluster/eval_misaligned").Inc()
+		return
+	}
+	for i, e := range r.evalLed.Trace().Edges[from:] {
+		r.cfg.Eval.ObserveEdge(e.U, e.V, from+i)
 	}
 }
 
