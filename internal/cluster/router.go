@@ -252,7 +252,7 @@ func New(cfg Config) *Router {
 		r.shardErrors = append(r.shardErrors, obs.GetCounter(fmt.Sprintf(`cluster/shard_errors{shard="%d"}`, i)))
 	}
 	if cfg.Eval != nil {
-		r.evalLed, _ = graph.NewLedger(nil, nil)
+		r.evalLed, _ = graph.NewLedger(nil, nil) // empty: no table to refuse
 	}
 	obs.SetGaugeFunc("cluster/shards", func() float64 { return float64(len(cfg.Shards)) })
 	obs.SetGaugeFunc("cluster/epoch_skew", func() float64 { return float64(r.epochSkew()) })

@@ -123,25 +123,16 @@ func (l *Ledger) Digest() [32]byte {
 	if len(a) == 0 && len(es) == 0 {
 		return sum
 	}
-	h := sha256.New()
-	buf := make([]byte, 0, 1<<16)
 	le := binary.LittleEndian
-	buf = le.AppendUint64(le.AppendUint64(buf, uint64(len(a))), uint64(len(es)))
+	h := sha256.New()
+	h.Write(le.AppendUint64(le.AppendUint64(nil, uint64(len(a))), uint64(len(es))))
+	var b [16]byte
 	for _, x := range a {
-		if len(buf)+8 > cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-		buf = le.AppendUint64(buf, uint64(x))
+		h.Write(le.AppendUint64(b[:0], uint64(x)))
 	}
 	for _, e := range es {
-		if len(buf)+16 > cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-		buf = le.AppendUint64(le.AppendUint32(le.AppendUint32(buf, uint32(e.U)), uint32(e.V)), uint64(e.Time))
+		h.Write(le.AppendUint64(le.AppendUint32(le.AppendUint32(b[:0], uint32(e.U)), uint32(e.V)), uint64(e.Time)))
 	}
-	h.Write(buf)
 	h.Sum(sum[:0])
 	return sum
 }

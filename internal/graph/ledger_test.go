@@ -164,8 +164,8 @@ func TestLedgerDigest(t *testing.T) {
 			t.Errorf("a trace differing in its %s digests the same", name)
 		}
 	}
-	// The digest streams through a bounded buffer; a trace larger than it
-	// must digest the same as its arrays hashed in one piece.
+	// The digest streams element by element; it must equal the arrays
+	// hashed in one piece.
 	big := &Trace{}
 	for i := 0; i < 9000; i++ {
 		big.Append(NodeID(i%500), NodeID(i%500+1), int64(i))
@@ -183,6 +183,6 @@ func TestLedgerDigest(t *testing.T) {
 	}
 	want.Write(b)
 	if got := l.Digest(); hex.EncodeToString(got[:]) != hex.EncodeToString(want.Sum(nil)) {
-		t.Error("chunked digest differs from the one-piece hash")
+		t.Error("streamed digest differs from the one-piece hash")
 	}
 }

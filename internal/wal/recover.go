@@ -55,16 +55,16 @@ type Recovered struct {
 // The recovery protocol: load and verify the checkpoint (if any), then
 // scan segments ascending from its anchor (with no checkpoint, from the
 // chain seed: the digest of warm, zero when it is empty). Every segment
-// header must chain-match the state recovered so far (base = next trace index,
-// prevChain = running chain value); every frame must pass its CRC; every
-// record must replay through graph.Ledger.Admit to exactly the dense IDs
-// and time it recorded. A torn frame truncates the log there — tolerated in the final
-// segment unconditionally, and in an earlier segment only when its
-// successor's header commits the truncated state (otherwise data loss is
-// not crash-shaped and recovery refuses with ErrCorrupt). Recovery never
-// appends to a recovered segment: the log rotates, so the first post-
-// recovery write starts a fresh segment whose header commits the verified
-// chain.
+// header must chain-match the state recovered so far (base = next trace
+// index, prevChain = running chain value); every frame must pass its CRC;
+// every record must replay through graph.Ledger.Admit to exactly the
+// dense IDs and time it recorded. A torn frame truncates the log there —
+// tolerated in the final segment unconditionally, and in an earlier
+// segment only when its successor's header commits the truncated state
+// (otherwise data loss is not crash-shaped and recovery refuses with
+// ErrCorrupt). Recovery never appends to a recovered segment: the log
+// rotates, so the first post-recovery write starts a fresh segment whose
+// header commits the verified chain.
 func Open(st Storage, opt Options, warm *graph.Trace) (*Log, *Recovered, error) {
 	opt = opt.withDefaults()
 	names, err := st.List()
