@@ -22,8 +22,8 @@ var warmAlgorithms = []string{"AA", "BAA", "Katz", "KatzSC", "Rescal"}
 // On a WAL-backed server the return is the durability ack: every accepted
 // event has been appended to the log and group-committed (fsynced) before
 // Ingest returns nil. A log failure returns ErrDurability with zero counts
-// — none of the batch should be considered durable — and latches the
-// server read-only for writes.
+// — none of the batch should be considered durable — and the failure,
+// which poisons the log for good, leaves the server read-only for writes.
 func (s *Server) Ingest(events []Event) (accepted, rejected int, err error) {
 	s.closeMu.RLock()
 	closed := s.closed

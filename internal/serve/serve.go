@@ -205,7 +205,7 @@ type Health struct {
 	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// WAL reports durability state on WAL-backed servers (absent
 	// otherwise): commit/checkpoint positions, the boot-time recovery
-	// outcome, and the sticky failure latch.
+	// outcome, and the log's sticky failure.
 	WAL *WALStatus `json:"wal,omitempty"`
 }
 
